@@ -24,7 +24,7 @@ from .computad import (
 )
 from .errors import NotCompatible, UnknownSort
 from .monad import argument_families, terms_saturated
-from .presheaf import boundary_representable, representable
+from .presheaf import boundary_representable, hom_families, representable, search
 from .signature import Signature
 from .terms import Term, Var, boundary, serialize
 
@@ -302,30 +302,23 @@ def check_trivial_fibration(
     element below), some source cell must restrict to the type and map to the
     element; equivalently (sigma, boundaries) is surjective onto the pullback.
     """
-    from .presheaf import enumerate_hom
-
     cat = src.signature.base
     sorts = list(sorts) if sorts is not None else list(cat.sorts)
     for sort in sorts:
+        faces = cat.faces_into(sort)
+        fillers = {
+            (component[x], tuple(src.act(f, x) for f in faces))
+            for x in src.cells_at(sort)
+        }
+        below_by: dict[tuple, list[str]] = {}
+        for below in dst.cells_at(sort):
+            profile = tuple(dst.act(f, below) for f in faces)
+            below_by.setdefault(profile, []).append(below)
         sphere, _ = boundary_representable(cat, sort)
-        squares = enumerate_hom(sphere, src.carrier)
-        for h in squares:
-            family = h.component  # face -> src cell
-            for below in dst.cells_at(sort):
-                if any(
-                    component[family[face]] != dst.act(face, below)
-                    for face in cat.faces_into(sort)
-                ):
-                    continue
-                filler = [
-                    x
-                    for x in src.cells_at(sort)
-                    if component[x] == below
-                    and all(
-                        src.act(face, x) == family[face]
-                        for face in cat.faces_into(sort)
-                    )
-                ]
-                if not filler:
-                    return False, (sort, dict(family), below)
+        for family in search(hom_families(sphere, src.cells_at, src.act)):
+            boundary_cells = tuple(family[f] for f in faces)
+            image = tuple(component[x] for x in boundary_cells)
+            for below in below_by.get(image, ()):
+                if (below, boundary_cells) not in fillers:
+                    return False, (sort, family, below)
     return True, None

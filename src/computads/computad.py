@@ -22,7 +22,7 @@ from .errors import (
     SortMismatch,
     UnknownGenerator,
 )
-from .presheaf import Presheaf
+from .presheaf import Presheaf, search
 from .signature import FunctionSymbol, Signature, restrict_signature
 from .terms import (
     Term,
@@ -235,45 +235,37 @@ def var_to_var_morphism(
 
 # -- isomorphism checking -------------------------------------------------------
 
-def find_isomorphism(c: Computad, d: Computad) -> dict[str, str] | None:
-    """Search for a generator bijection respecting gluings, or None.
+def _gen_cells(c: Computad, d: Computad) -> list[tuple]:
+    """The cells of ``presheaf.search`` for generator maps c -> d.
 
-    Generators are matched sort by sort in increasing dimension, so the gluing
-    condition of a generator only involves images fixed earlier or at the same
-    step.  Finite backtracking; fixtures are small.
+    The profile of a generator of c is its gluing renamed along the images
+    fixed so far; the candidates in d are bucketed by their own gluing.
     """
+    cat = c.base
+    cells = []
+    for sort in cat.sorts:
+        sources = c.generators_at(sort)
+        if not sources:
+            continue
+        faces = cat.faces_into(sort)
+        buckets: dict[tuple, list[str]] = {}
+        for cand in d.generators_at(sort):
+            buckets.setdefault(tuple(d.gluing(cand, f) for f in faces), []).append(cand)
+        for g in sources:
+            glue = tuple(c.gluing(g, f) for f in faces)
+            profile = lambda m, glue=glue: tuple(rename(t, m) for t in glue)
+            cells.append((g, profile, buckets))
+    return cells
+
+
+def find_isomorphism(c: Computad, d: Computad) -> dict[str, str] | None:
+    """The first generator bijection respecting gluings, or None."""
     if c.signature.base.dims != d.signature.base.dims:
         return None
-    cat = c.base
-    for s in cat.sorts:
+    for s in c.base.sorts:
         if len(c.generators_at(s)) != len(d.generators_at(s)):
             return None
-    order = [(s, g) for s in cat.sorts for g in c.generators_at(s)]
-
-    def extend(idx: int, gen_map: dict[str, str], used: set[str]) -> dict[str, str] | None:
-        if idx == len(order):
-            return dict(gen_map)
-        sort, g = order[idx]
-        for cand in d.generators_at(sort):
-            if cand in used:
-                continue
-            ok = True
-            for face in cat.faces_into(sort):
-                # Lower-dimensional images are already in gen_map.
-                if rename(c.gluing(g, face), gen_map) != d.gluing(cand, face):
-                    ok = False
-                    break
-            if ok:
-                gen_map[g] = cand
-                used.add(cand)
-                found = extend(idx + 1, gen_map, used)
-                if found is not None:
-                    return found
-                del gen_map[g]
-                used.remove(cand)
-        return None
-
-    return extend(0, {}, set())
+    return next(search(_gen_cells(c, d), injective=True), None)
 
 
 def isomorphic(c: Computad, d: Computad) -> bool:
@@ -281,33 +273,11 @@ def isomorphic(c: Computad, d: Computad) -> bool:
 
 
 def enumerate_var_to_var(c: Computad, d: Computad) -> list[ComputadMorphism]:
-    """Brute force all variable-to-variable morphisms c -> d."""
-    cat = c.base
-    order = [(s, g) for s in cat.sorts for g in c.generators_at(s)]
-    out: list[ComputadMorphism] = []
-
-    def extend(idx: int, gen_map: dict[str, str]) -> None:
-        if idx == len(order):
-            out.append(
-                ComputadMorphism(
-                    src=c, dst=d, assign={g: Var(v) for g, v in gen_map.items()}
-                )
-            )
-            return
-        sort, g = order[idx]
-        for cand in d.generators_at(sort):
-            ok = True
-            for face in cat.faces_into(sort):
-                if rename(c.gluing(g, face), gen_map) != d.gluing(cand, face):
-                    ok = False
-                    break
-            if ok:
-                gen_map[g] = cand
-                extend(idx + 1, gen_map)
-                del gen_map[g]
-
-    extend(0, {})
-    return out
+    """All variable-to-variable morphisms c -> d, in a canonical order."""
+    return [
+        ComputadMorphism(src=c, dst=d, assign={g: Var(v) for g, v in m.items()})
+        for m in search(_gen_cells(c, d))
+    ]
 
 
 # -- colimits of variable-to-variable diagrams ----------------------------------

@@ -1,10 +1,9 @@
 """Depth-bounded term enumeration and the free-algebra adjunction data.
 
 Terms of a fixed sort are enumerated by depth.  An argument family for a
-symbol assigns terms to the arity cells; because every face strictly lowers
-dimension, the boundary profile of each cell is forced by the assignment to
-lower cells, so enumeration is a product over cells of profile-indexed
-candidate lists rather than a blind search.
+symbol assigns terms to the arity cells: it is a presheaf morphism from the
+arity into terms, found by ``presheaf.search``, whose docstring gives the
+forced-boundary-profile argument that keeps the enumeration from guessing.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 from .base import SortRef
 from .computad import Computad, ComputadMorphism, free_computad, make_morphism
-from .presheaf import Presheaf, PresheafMorphism, make_presheaf
+from .presheaf import Presheaf, PresheafMorphism, hom_families, make_presheaf, search
 from .signature import Signature
 from .terms import Term, Var, app, boundary, serialize, subst
 
@@ -26,41 +25,19 @@ def _term_cache(c: Computad) -> dict:
     return cache
 
 
-def boundary_profile(c: Computad, t: Term, sort: SortRef) -> tuple:
-    return tuple(boundary(c, f, t) for f in c.base.faces_into(sort))
-
-
 def argument_families(
     c: Computad, arity: Presheaf, max_depth: int
 ) -> list[dict[str, Term]]:
-    """All presheaf morphisms from ``arity`` into terms of depth <= max_depth.
-
-    Cells are filled in increasing dimension; every cell of positive dimension
-    has a fully forced boundary profile, so only bottom cells branch.
-    """
-    cells = [cell for s in arity.base.sorts for cell in arity.cells_at(s)]
-    indexed: dict[SortRef, dict[tuple, list[Term]]] = {}
-    for s in {arity.sort_of(cell) for cell in cells}:
-        by_profile: dict[tuple, list[Term]] = {}
-        for t in enumerate_terms(c, s, max_depth):
-            by_profile.setdefault(boundary_profile(c, t, s), []).append(t)
-        indexed[s] = by_profile
-
-    families: list[dict[str, Term]] = [{}]
-    for cell in cells:
-        s = arity.sort_of(cell)
-        faces = arity.base.faces_into(s)
-        new: list[dict[str, Term]] = []
-        for fam in families:
-            profile = tuple(fam[arity.act(f, cell)] for f in faces)
-            for t in indexed[s].get(profile, ()):
-                ext = dict(fam)
-                ext[cell] = t
-                new.append(ext)
-        families = new
-        if not families:
-            break
-    return families
+    """All presheaf morphisms from ``arity`` into terms of depth <= max_depth."""
+    return list(
+        search(
+            hom_families(
+                arity,
+                lambda s: enumerate_terms(c, s, max_depth),
+                lambda f, t: boundary(c, f, t),
+            )
+        )
+    )
 
 
 def enumerate_terms(c: Computad, sort: SortRef, max_depth: int) -> list[Term]:

@@ -10,6 +10,7 @@ decreases along boundary families, so the trees stay finite).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .base import FaceRef, SortRef
@@ -22,6 +23,7 @@ from .computad import (
     make_computad,
     make_morphism,
 )
+from .presheaf import Presheaf, boundary_representable, hom_families, search
 from .signature import Signature
 from .terms import App, Term, Var, app, boundary
 
@@ -158,80 +160,29 @@ def _enum_cached(sig: Signature, sort: SortRef, w: int) -> list[Polyplex]:
     if key in cache:
         return cache[key]
     out: list[Polyplex] = []
-    # generator shapes: compatible boundary families over the faces into sort
-    for fam in _boundary_families(sig, sort, w):
+    # generator shapes: compatible boundary families, which are the maps out
+    # of the boundary of the representable on sort
+    for fam in _families(sig, boundary_representable(sig.base, sort)[0], w):
         p = pvar(sort, fam)
         if p.weight <= w:
             out.append(p)
     # application shapes
     if w >= 1:
         for sym in sig.symbols_at(sort):
-            for fam in _arg_families(sig, sym.arity, w - 1):
+            for fam in _families(sig, sym.arity, w - 1):
                 out.append(papp(sort, sym.id, fam))
     out.sort(key=lambda p: p.key())
     cache[key] = out
     return out
 
 
-def _indexed_by_profile(
-    sig: Signature, sort: SortRef, w: int
-) -> dict[tuple, list[Polyplex]]:
-    by_profile: dict[tuple, list[Polyplex]] = {}
-    faces = sig.base.faces_into(sort)
-    for p in _enum_cached(sig, sort, w):
-        profile = tuple(pboundary(sig, f, p) for f in faces)
-        by_profile.setdefault(profile, []).append(p)
-    return by_profile
-
-
-def _fill_cells(
-    sig: Signature,
-    cells: list[tuple[SortRef, str, tuple[FaceRef, ...], dict]],
-    w: int,
-) -> list[dict]:
-    """Shared backtracking core: each entry is (sort, name, faces, act) where
-    act maps faces to earlier names; the profile of each cell is forced."""
-    families: list[dict] = [{}]
-    indexes: dict[SortRef, dict[tuple, list[Polyplex]]] = {}
-    for sort, name, faces, act in cells:
-        if sort not in indexes:
-            indexes[sort] = _indexed_by_profile(sig, sort, w)
-        new = []
-        for fam in families:
-            profile = tuple(fam[act[f]] for f in faces)
-            for p in indexes[sort].get(profile, ()):
-                ext = dict(fam)
-                ext[name] = p
-                new.append(ext)
-        families = new
-        if not families:
-            break
-    return families
-
-
-def _boundary_families(
-    sig: Signature, sort: SortRef, w: int
-) -> list[dict[FaceRef, Polyplex]]:
-    cat = sig.base
-    cells = []
-    for face in sorted(
-        cat.faces_into(sort), key=lambda f: (cat.dim(cat.face(f).src), f)
-    ):
-        j = cat.face(face).src
-        act = {
-            f2: cat.compose(f2, face) for f2 in cat.faces_into(j)
-        }
-        cells.append((j, face, cat.faces_into(j), act))
-    return _fill_cells(sig, cells, w)
-
-
-def _arg_families(sig: Signature, arity, w: int) -> list[dict[str, Polyplex]]:
-    cells = []
-    for sort in arity.base.sorts:
-        for cell in arity.cells_at(sort):
-            act = {f: arity.act(f, cell) for f in arity.base.faces_into(sort)}
-            cells.append((sort, cell, arity.base.faces_into(sort), act))
-    return _fill_cells(sig, cells, w)
+def _families(sig: Signature, x: Presheaf, w: int) -> Iterator[dict]:
+    """Presheaf morphisms from ``x`` into the shapes of weight at most ``w``."""
+    return search(
+        hom_families(
+            x, lambda s: _enum_cached(sig, s, w), lambda f, p: pboundary(sig, f, p)
+        )
+    )
 
 
 # -- representing computads -----------------------------------------------------------
@@ -370,11 +321,6 @@ def classifying_morphism(c: Computad, t: Term) -> ComputadMorphism:
     legs = {cell: classifying_morphism(c, u) for cell, u in t.args}
     mediated = rep.colimit.mediate(legs)
     return make_morphism(rep.computad, c, mediated.assign, check=False)
-
-
-def classify_fibre(c: Computad, p: Polyplex, terms) -> list[Term]:
-    """The terms among ``terms`` whose shape is ``p``."""
-    return [t for t in terms if classify(c, t) == p]
 
 
 # -- nerve -----------------------------------------------------------------------------

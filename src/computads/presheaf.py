@@ -1,7 +1,9 @@
-"""Finite presheaves on a direct category, morphisms and hom enumeration."""
+"""Finite presheaves on a direct category, their morphisms, and the one
+backtracking search kernel behind every hom and family enumeration."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .base import DirectCategory, FaceRef, SortRef, truncate_category
@@ -208,38 +210,86 @@ def check_morphism(h: PresheafMorphism) -> None:
                     )
 
 
-def enumerate_hom(x: Presheaf, y: Presheaf) -> list[PresheafMorphism]:
-    """All natural transformations x -> y, in a canonical order.
+def search(cells: list[tuple], injective: bool = False) -> Iterator[dict]:
+    """Yield every assignment of candidates to ``cells``, in canonical order.
 
-    Backtracks over the sorts in increasing dimension, so naturality against
-    already-assigned lower cells is checked as soon as a cell is placed.
+    This is the one backtracking search of the kernel.  Each cell is
+    ``(name, profile, buckets)``: ``profile(assign)`` is the boundary profile
+    of the cell, computed from the candidates already assigned to earlier
+    cells, and ``buckets`` maps a boundary profile to the candidates that
+    have it, in canonical order.  Every face strictly lowers dimension, so
+    when cells are listed in increasing dimension the boundary profile of a
+    cell is forced by the cells before it: its candidates are exactly one
+    bucket, and none is tried only to be rejected for its boundary.
+
+    Assignments are fresh dicts from names to candidates, yielded depth first
+    in lexicographic order of candidate positions.  With ``injective`` no
+    candidate is assigned twice.  The stack is explicit, so the number of
+    cells is not bounded by the interpreter's recursion limit.
     """
+    assign: dict = {}
+    used: set = set()
+
+    def options(i: int):
+        _, profile, buckets = cells[i]
+        return iter(buckets.get(profile(assign), ()))
+
+    if not cells:
+        yield {}
+        return
+    stack = [options(0)]
+    while stack:
+        i = len(stack) - 1
+        name = cells[i][0]
+        if injective and name in assign:  # release the previous candidate
+            used.discard(assign[name])
+        for cand in stack[-1]:
+            if not (injective and cand in used):
+                break
+        else:
+            assign.pop(name, None)
+            stack.pop()
+            continue
+        assign[name] = cand
+        if injective:
+            used.add(cand)
+        if i + 1 == len(cells):
+            yield dict(assign)
+        else:
+            stack.append(options(i + 1))
+
+
+def hom_families(x: Presheaf, cells_at, act) -> list[tuple]:
+    """The cells of ``search`` for natural transformations out of ``x``.
+
+    The target is any presheaf-shaped family: ``cells_at(sort)`` lists its
+    cells in canonical order and ``act(face, cell)`` is its boundary action.
+    The profile of a cell of ``x`` is the image of its boundary.
+    """
+    cells = []
+    for sort in x.base.sorts:
+        sources = x.cells_at(sort)
+        if not sources:
+            continue
+        faces = x.base.faces_into(sort)
+        buckets: dict[tuple, list] = {}
+        for cand in cells_at(sort):
+            buckets.setdefault(tuple(act(f, cand) for f in faces), []).append(cand)
+        for cell in sources:
+            below = tuple(x.act(f, cell) for f in faces)
+            profile = lambda assign, below=below: tuple(assign[b] for b in below)
+            cells.append((cell, profile, buckets))
+    return cells
+
+
+def enumerate_hom(x: Presheaf, y: Presheaf) -> list[PresheafMorphism]:
+    """All natural transformations x -> y, in a canonical order."""
     if x.base.dims != y.base.dims or x.base.faces.keys() != y.base.faces.keys():
         raise BaseMismatch("hom enumeration across different bases")
-    base = x.base
-    sorts = base.sorts  # already ordered by (dim, id)
-    cell_order = [c for s in sorts for c in x.cells_at(s)]
-    results: list[PresheafMorphism] = []
-
-    def extend(idx: int, comp: dict[str, str]) -> None:
-        if idx == len(cell_order):
-            results.append(PresheafMorphism(src=x, dst=y, component=dict(comp)))
-            return
-        cell = cell_order[idx]
-        sort = x.sort_of(cell)
-        for cand in y.cells_at(sort):
-            ok = True
-            for face in base.faces_into(sort):
-                if comp[x.act(face, cell)] != y.act(face, cand):
-                    ok = False
-                    break
-            if ok:
-                comp[cell] = cand
-                extend(idx + 1, comp)
-                del comp[cell]
-
-    extend(0, {})
-    return results
+    return [
+        PresheafMorphism(src=x, dst=y, component=comp)
+        for comp in search(hom_families(x, y.cells_at, y.act))
+    ]
 
 
 # -- truncation and skeleton ---------------------------------------------------

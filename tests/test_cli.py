@@ -1,13 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import computads
 from computads.cli import main
+from computads.computad import make_computad
 from computads.io_json import (
     algebra_to_json,
     computad_to_json,
     morphism_to_json,
 )
+from computads.packs import discrete_signature
 from computads.signature import signature_to_json, term_to_json
 
 from fixtures import comp_signature, comp_uv, pathcat_algebra, walk2
@@ -163,6 +169,26 @@ def test_filtration_command(walk2_file, capsys):
     report = json.loads(out)
     assert report["replay_isomorphic"] is True
     assert [st["pushout_checked"] for st in report["stages"]] == [True, True]
+
+
+def test_filtration_of_large_computad(tmp_path):
+    # More generators than the recursion limit, run as its own process so a
+    # crash shows as it would to a user: a traceback on stderr.
+    sig = discrete_signature(["o"], [])
+    c = make_computad(sig, {"o": tuple(f"g{i}" for i in range(1200))}, {})
+    path = tmp_path / "discrete.json"
+    path.write_text(json.dumps(computad_to_json(c)), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(computads.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "computads.cli", "filtration", "--computad", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["replay_isomorphic"] is True
 
 
 def test_cofrep_command(tmp_path, capsys):

@@ -7,6 +7,7 @@ from computads.computad import (
     colimit_var,
     compose_morphisms,
     coproduct,
+    enumerate_var_to_var,
     find_isomorphism,
     free_computad,
     identity_morphism,
@@ -20,7 +21,7 @@ from computads.computad import (
 )
 from computads.errors import GluingIllTyped
 from computads.presheaf import boundary_representable, representable
-from computads.terms import var
+from computads.terms import rename, var
 
 from fixtures import arrow_arity, comp_signature, comp_uv, random_computad_comp, walk2
 
@@ -270,3 +271,51 @@ def test_isomorphism_detects_relabelling():
         },
     )
     assert find_isomorphism(c, e) is None
+
+
+def _brute_force_var_to_var(c, d):
+    # every generator map, in the order itertools.product lists them,
+    # filtered by the gluings
+    import itertools
+
+    gens = [g for _, g in c.all_generators()]
+    choices = [d.generators_at(c.gen_sort(g)) for g in gens]
+    maps = []
+    for values in itertools.product(*choices):
+        m = dict(zip(gens, values))
+        if all(
+            rename(c.gluing(g, f), m) == d.gluing(m[g], f)
+            for g in gens
+            for f in c.base.faces_into(c.gen_sort(g))
+        ):
+            maps.append(m)
+    return maps
+
+
+def _relabelled(c, rng):
+    """A copy of ``c`` with fresh generator names, listed in shuffled order."""
+    gens = [g for _, g in c.all_generators()]
+    names = dict(zip(gens, rng.sample([f"R{i}" for i in range(len(gens))], len(gens))))
+    new_gens = {
+        s: tuple(rng.sample([names[g] for g in gs], len(gs))) for s, gs in c.gens.items()
+    }
+    glue = {(names[g], f): rename(t, names) for (g, f), t in c.glue.items()}
+    return make_computad(c.signature, new_gens, glue)
+
+
+def test_var_to_var_and_isomorphism_match_brute_force():
+    sig = comp_signature()
+    rng = random.Random(23)
+    found = set()
+    for _ in range(25):
+        c = random_computad_comp(sig, rng, max_obj=3)
+        for d in (random_computad_comp(sig, rng, max_obj=3, tag="d"), _relabelled(c, rng)):
+            maps = _brute_force_var_to_var(c, d)
+            assert [m.gen_map() for m in enumerate_var_to_var(c, d)] == maps
+            bijections = [
+                m for m in maps if len(set(m.values())) == len(m) == d.generator_count()
+            ]
+            iso = find_isomorphism(c, d)
+            assert iso == next(iter(bijections), None)
+            found.add(iso is None)
+    assert found == {True, False}

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from computads.errors import FunctorialityFailure, MissingAction
+from computads.packs import discrete_category
 from computads.presheaf import (
     boundary_representable,
     check_morphism,
@@ -79,26 +80,23 @@ def test_hom_naturality_enforced():
         check_morphism(h)
 
 
-def _brute_force_hom_count(x, y):
-    # product over all componentwise choices, filtered by naturality
+def _brute_force_homs(x, y):
+    # product over all componentwise choices, filtered by naturality, in the
+    # order itertools.product lists them
     import itertools
 
     cells = [c for s in x.base.sorts for c in x.cells_at(s)]
-    total = 0
     choices = [y.cells_at(x.sort_of(c)) for c in cells]
+    homs = []
     for values in itertools.product(*choices):
         comp = dict(zip(cells, values))
-        ok = True
-        for c in cells:
-            for face in x.base.faces_into(x.sort_of(c)):
-                if comp[x.act(face, c)] != y.act(face, comp[c]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            total += 1
-    return total
+        if all(
+            comp[x.act(face, c)] == y.act(face, comp[c])
+            for c in cells
+            for face in x.base.faces_into(x.sort_of(c))
+        ):
+            homs.append(comp)
+    return homs
 
 
 def test_hom_count_matches_brute_force():
@@ -107,7 +105,17 @@ def test_hom_count_matches_brute_force():
     for _ in range(15):
         x = random_presheaf(cat, rng, tag="x")
         y = random_presheaf(cat, rng, tag="y")
-        assert len(enumerate_hom(x, y)) == _brute_force_hom_count(x, y)
+        assert [h.component for h in enumerate_hom(x, y)] == _brute_force_homs(x, y)
+
+
+def test_hom_from_large_presheaf_does_not_recurse():
+    # one search step per cell: far more cells than the recursion limit
+    cat = discrete_category(["o"])
+    x = make_presheaf(cat, {"o": tuple(f"x{i}" for i in range(1200))}, {})
+    y = make_presheaf(cat, {"o": ("y",)}, {})
+    homs = enumerate_hom(x, y)
+    assert len(homs) == 1
+    assert set(homs[0].component.values()) == {"y"}
 
 
 def test_truncate_skeleton_roundtrip():
