@@ -12,6 +12,7 @@ obtained by applying ``first : k -> j`` and then ``second : j -> i``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -24,6 +25,30 @@ from .errors import (
 
 SortRef = str
 FaceRef = str
+
+_MISSING = object()
+
+
+def memoized(table: str):
+    """Cache ``fn(owner, *key)`` in the dict ``owner.__dict__[table]``.
+
+    Sound because the kernel never changes a computad or signature after
+    building it.  Entries belong to one owner: two owners never share one,
+    even when they are equal.
+    """
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def cached(owner, *key):
+            cache = owner.__dict__.setdefault(table, {})
+            out = cache.get(key, _MISSING)
+            if out is _MISSING:
+                out = cache[key] = fn(owner, *key)
+            return out
+
+        return cached
+
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -101,7 +126,7 @@ def validate_category(raw: dict) -> DirectCategory:
         sid, d = entry["id"], entry["dim"]
         if sid in dims:
             raise UnknownSort(f"duplicate sort id {sid!r}")
-        if not isinstance(d, int) or d < 0:
+        if not isinstance(d, int) or isinstance(d, bool) or d < 0:
             raise DimensionViolation(f"sort {sid!r} has non-natural dimension {d!r}")
         dims[sid] = d
 

@@ -40,7 +40,6 @@ class Computad:
     gens: dict[SortRef, tuple[str, ...]]
     glue: dict[tuple[str, FaceRef], Term]
     _gen_sort: dict[str, SortRef] = field(default_factory=dict, repr=False, compare=False)
-    _boundary_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not self._gen_sort:

@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 
 from .base import DirectCategory, SortRef, validate_category
-from .computad import free_computad, make_morphism
+from .computad import free_computad
 from .errors import BadSubset, SideConditionFailure
-from .factorization import lift_term_through_mono, support
+from .factorization import require_full_composite
 from .presheaf import Presheaf, PresheafMorphism, make_presheaf
-from .signature import Signature, build_signature
+from .signature import Signature, extend_signature
 from .terms import Term, app, rename, var
 
 Grid = dict[int, int]  # direction -> cell count
@@ -204,35 +204,20 @@ def grid_coherence(
 
     if not groupoid:
         for (i, a), t in sides.items():
-            incl = grid_inclusion(cat, grid, {i: a})
-            sub_computad = free_computad(incl.src, lower)
-            mono = make_morphism(
-                sub_computad,
+            require_full_composite(
+                grid_inclusion(cat, grid, {i: a}),
                 pos_computad,
-                {g: var(incl.component[g]) for _, g in sub_computad.all_generators()},
-                check=False,
+                t,
+                f"side ({i},{a}) does not come from the boundary grid",
+                f"side ({i},{a}) is not a full composite of its grid",
             )
-            lifted = lift_term_through_mono(mono, pos_computad, t)
-            if lifted is None:
-                raise SideConditionFailure(
-                    f"side ({i},{a}) does not come from the boundary grid"
-                )
-            supp = support(sub_computad, lifted)
-            for s in cat.sorts:
-                if set(sub_computad.generators_at(s)) - supp.get(s, frozenset()):
-                    raise SideConditionFailure(
-                        f"side ({i},{a}) is not a full composite of its grid"
-                    )
 
     boundary_terms = {
         cube_face_id(directions, {i: a}): t for (i, a), t in sides.items()
     }
-    decls = [
-        (sym.id, sym.sort, sym.arity, dict(sym.boundary))
-        for sym in lower.symbols.values()
-    ]
-    decls.append((name or coherence_symbol_name(grid), sort, pos, boundary_terms))
-    return build_signature(cat, decls)
+    return extend_signature(
+        lower, (name or coherence_symbol_name(grid), sort, pos, boundary_terms)
+    )
 
 
 def grid_composite(cat: DirectCategory, grid: Grid) -> tuple[Signature, Term]:

@@ -9,32 +9,24 @@ support followed by such a mono.
 
 from __future__ import annotations
 
-from .base import SortRef
+from .base import SortRef, memoized
 from .computad import (
     Computad,
     ComputadMorphism,
     compose_morphisms,
+    free_computad,
     identity_morphism,
     make_computad,
     make_morphism,
 )
-from .errors import NotIdempotent, NotMono
-from .terms import App, Term, Var, rename
+from .errors import NotIdempotent, NotMono, SideConditionFailure
+from .presheaf import PresheafMorphism
+from .terms import App, Term, Var, rename, var
 
 
-def _supp_cache(c: Computad) -> dict:
-    cache = getattr(c, "_supp_cache", None)
-    if cache is None:
-        cache = {}
-        c._supp_cache = cache
-    return cache
-
-
+@memoized("_supp_cache")
 def support(c: Computad, t: Term) -> dict[SortRef, frozenset[str]]:
     """Support of a term at every sort, per the recursive definition."""
-    cache = _supp_cache(c)
-    if t in cache:
-        return cache[t]
     out: dict[SortRef, set[str]] = {s: set() for s in c.base.sorts}
     if isinstance(t, Var):
         sort = c.gen_sort(t.gen)
@@ -47,9 +39,7 @@ def support(c: Computad, t: Term) -> dict[SortRef, frozenset[str]]:
         for _, u in t.args:
             for s, gens in support(c, u).items():
                 out[s] |= gens
-    result = {s: frozenset(gens) for s, gens in out.items()}
-    cache[t] = result
-    return result
+    return {s: frozenset(gens) for s, gens in out.items()}
 
 
 def support_term(c: Computad, t: Term, sort: SortRef) -> frozenset[str]:
@@ -95,6 +85,24 @@ def lift_term_through_mono(
         if not gens <= image.get(s, frozenset()):
             return None
     return rename(t, inverse)
+
+
+def require_full_composite(
+    incl: PresheafMorphism, whole: Computad, t: Term, not_lifted: str, not_full: str
+) -> None:
+    """The side condition of the coherence constructors: ``t``, a term over
+    the free computad ``whole`` on ``incl.dst``, must lift through the
+    variable-to-variable mono that ``incl`` induces, to a term with full
+    support.  Raises SideConditionFailure(not_lifted) or (not_full)."""
+    part = free_computad(incl.src, whole.signature)
+    assign = {g: var(h) for g, h in incl.component.items()}
+    mono = make_morphism(part, whole, assign, check=False)
+    lifted = lift_term_through_mono(mono, whole, t)
+    if lifted is None:
+        raise SideConditionFailure(not_lifted)
+    supp = support(part, lifted)
+    if any(set(part.generators_at(s)) - supp[s] for s in part.base.sorts):
+        raise SideConditionFailure(not_full)
 
 
 def lift_through_mono(

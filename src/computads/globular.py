@@ -10,11 +10,11 @@ part of the kernel constructions.
 from __future__ import annotations
 
 from .base import DirectCategory, validate_category
-from .computad import free_computad, make_morphism
+from .computad import free_computad
 from .errors import BadIndex, SideConditionFailure
-from .factorization import lift_term_through_mono, support
+from .factorization import require_full_composite
 from .presheaf import Presheaf, PresheafMorphism, make_presheaf
-from .signature import Signature, build_signature
+from .signature import Signature, extend_signature
 from .terms import Term, app, boundary, check_term, rename, var
 
 Tree = tuple  # a rooted planar tree: tuple of subtrees
@@ -231,35 +231,20 @@ def globe_coherence(
                 )
     if not groupoid:
         for flavor, term in (("s", source), ("t", target)):
-            incl = tree_boundary_inclusion(cat, tree, dim - 1, flavor)
-            sub_computad = free_computad(incl.src, lower)
-            mono = make_morphism(
-                sub_computad,
+            require_full_composite(
+                tree_boundary_inclusion(cat, tree, dim - 1, flavor),
                 pos_computad,
-                {g: var(incl.component[g]) for _, g in sub_computad.all_generators()},
-                check=False,
+                term,
+                f"the {flavor}-side does not come from the cut tree",
+                f"the {flavor}-side is not a full composite of the cut tree",
             )
-            lifted = lift_term_through_mono(mono, pos_computad, term)
-            if lifted is None:
-                raise SideConditionFailure(
-                    f"the {flavor}-side does not come from the cut tree"
-                )
-            supp = support(sub_computad, lifted)
-            for s in cat.sorts:
-                if set(sub_computad.generators_at(s)) - supp.get(s, frozenset()):
-                    raise SideConditionFailure(
-                        f"the {flavor}-side is not a full composite of the cut tree"
-                    )
     boundary_terms = {
         globe_face("s", dim - 1, dim): source,
         globe_face("t", dim - 1, dim): target,
     }
-    decls = [
-        (sym.id, sym.sort, sym.arity, dict(sym.boundary))
-        for sym in lower.symbols.values()
-    ]
-    decls.append((name or tree_symbol_name(tree), out_sort, pos, boundary_terms))
-    return build_signature(cat, decls)
+    return extend_signature(
+        lower, (name or tree_symbol_name(tree), out_sort, pos, boundary_terms)
+    )
 
 
 def tree_composite(cat: DirectCategory, tree: Tree) -> tuple[Signature, Term]:

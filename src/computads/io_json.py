@@ -10,7 +10,7 @@ from __future__ import annotations
 from .algebra import Algebra, algebra_from_interpretations, hom_key
 from .base import validate_category
 from .computad import Computad, ComputadMorphism, make_computad, make_morphism
-from .errors import KernelError
+from .errors import GluingIllTyped, KernelError
 from .plex import PApp, Polyplex, PVar, papp, pvar
 from .presheaf import presheaf_to_json, validate_presheaf
 from .signature import (
@@ -23,7 +23,10 @@ from .signature import (
 
 def computad_from_json(raw: dict) -> Computad:
     sig = validate_signature(raw["signature"])
-    gens = {s: tuple(ids) for s, ids in raw.get("generators", {}).items()}
+    gens = raw.get("generators", {})
+    for s, ids in gens.items():
+        if not isinstance(ids, list) or not all(isinstance(g, str) for g in ids):
+            raise GluingIllTyped(f"generators at {s!r} must be a list of ids: {ids!r}")
     glue = {}
     for entry in raw.get("gluing", []):
         glue[(entry["gen"], entry["face"])] = term_from_json(entry["term"])

@@ -10,19 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import SortRef
+from .base import SortRef, memoized
 from .computad import Computad, ComputadMorphism, free_computad, make_morphism
 from .presheaf import Presheaf, PresheafMorphism, hom_families, make_presheaf, search
 from .signature import Signature
 from .terms import Term, Var, app, boundary, serialize, subst
-
-
-def _term_cache(c: Computad) -> dict:
-    cache = getattr(c, "_terms_by_depth", None)
-    if cache is None:
-        cache = {}
-        c._terms_by_depth = cache
-    return cache
 
 
 def argument_families(
@@ -40,20 +32,16 @@ def argument_families(
     )
 
 
+@memoized("_terms_by_depth")
 def enumerate_terms(c: Computad, sort: SortRef, max_depth: int) -> list[Term]:
     """The terms of ``sort`` of depth at most ``max_depth``, canonically
     ordered (by depth, then serialisation) and duplicate-free."""
-    cache = _term_cache(c)
-    key = (sort, max_depth)
-    if key in cache:
-        return cache[key]
     terms: list[Term] = [Var(g) for g in c.generators_at(sort)]
     if max_depth >= 1:
         for sym in c.signature.symbols_at(sort):
             for fam in argument_families(c, sym.arity, max_depth - 1):
                 terms.append(app(sym.id, fam))
     terms.sort(key=lambda t: t.key())
-    cache[key] = terms
     return terms
 
 

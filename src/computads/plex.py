@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .base import FaceRef, SortRef
+from .base import FaceRef, SortRef, memoized
 from .computad import (
     Colimit,
     Computad,
@@ -134,6 +134,7 @@ def classify(c: Computad, t: Term) -> Polyplex:
 
 # -- enumeration --------------------------------------------------------------------
 
+@memoized("_pplex_cache")
 def enumerate_polyplexes(
     sig: Signature, sort: SortRef, max_weight: int
 ) -> list[Polyplex]:
@@ -143,36 +144,19 @@ def enumerate_polyplexes(
     application adds one to its heaviest argument.  Bounding the weight keeps
     the enumeration finite and complete.
     """
-    return _enum_cached(sig, sort, max_weight)
-
-
-def _plex_cache(sig: Signature) -> dict:
-    cache = getattr(sig, "_pplex_cache", None)
-    if cache is None:
-        cache = {}
-        sig._pplex_cache = cache
-    return cache
-
-
-def _enum_cached(sig: Signature, sort: SortRef, w: int) -> list[Polyplex]:
-    cache = _plex_cache(sig)
-    key = (sort, w)
-    if key in cache:
-        return cache[key]
     out: list[Polyplex] = []
     # generator shapes: compatible boundary families, which are the maps out
     # of the boundary of the representable on sort
-    for fam in _families(sig, boundary_representable(sig.base, sort)[0], w):
+    for fam in _families(sig, boundary_representable(sig.base, sort)[0], max_weight):
         p = pvar(sort, fam)
-        if p.weight <= w:
+        if p.weight <= max_weight:
             out.append(p)
     # application shapes
-    if w >= 1:
+    if max_weight >= 1:
         for sym in sig.symbols_at(sort):
-            for fam in _families(sig, sym.arity, w - 1):
+            for fam in _families(sig, sym.arity, max_weight - 1):
                 out.append(papp(sort, sym.id, fam))
     out.sort(key=lambda p: p.key())
-    cache[key] = out
     return out
 
 
@@ -180,7 +164,9 @@ def _families(sig: Signature, x: Presheaf, w: int) -> Iterator[dict]:
     """Presheaf morphisms from ``x`` into the shapes of weight at most ``w``."""
     return search(
         hom_families(
-            x, lambda s: _enum_cached(sig, s, w), lambda f, p: pboundary(sig, f, p)
+            x,
+            lambda s: enumerate_polyplexes(sig, s, w),
+            lambda f, p: pboundary(sig, f, p),
         )
     )
 
@@ -199,14 +185,7 @@ class PolyplexRep:
     star: str | None = None  # the fresh generator, for generator shapes
 
 
-def _rep_cache(sig: Signature) -> dict:
-    cache = getattr(sig, "_rep_cache", None)
-    if cache is None:
-        cache = {}
-        sig._rep_cache = cache
-    return cache
-
-
+@memoized("_rep_cache")
 def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
     """Build the representing computad |p| with its universal term.
 
@@ -215,86 +194,60 @@ def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
     universal terms.  For an application shape: the colimit over the category
     of elements of the arity.
     """
-    cache = _rep_cache(sig)
-    if p in cache:
-        return cache[p]
     cat = sig.base
     if isinstance(p, PVar):
-        nodes: dict[str, Computad] = {}
+        reps = {face: polyplex_computad(sig, q) for face, q in p.btype}
         edges: list[tuple[str, str, ComputadMorphism]] = []
-        for face, q in p.btype:
-            nodes[face] = polyplex_computad(sig, q).computad
-        for face, q in p.btype:
-            rep_q = polyplex_computad(sig, q)
-            j = cat.face(face).src
-            for further in cat.faces_into(j):
-                composite = cat.compose(further, face)
+        for face, rep_q in reps.items():
+            for further in cat.faces_into(cat.face(face).src):
                 lower = boundary(rep_q.computad, further, rep_q.universal)
                 m = classifying_morphism(rep_q.computad, lower)
-                edges.append((composite, face, m))
+                edges.append((cat.compose(further, face), face, m))
         star = f"*{p.sort}"
-        if nodes:
-            colim = colimit_var(nodes, edges)
-            base_computad = colim.computad
-            glue = dict(base_computad.glue)
-            gens = dict(base_computad.gens)
-            for face, q in p.btype:
-                rep_q = polyplex_computad(sig, q)
-                glue[(star, face)] = apply_morphism(
-                    colim.legs[face], rep_q.universal
-                )
+        if reps:
+            colim = colimit_var({f: r.computad for f, r in reps.items()}, edges)
+            gens = dict(colim.computad.gens)
+            glue = dict(colim.computad.glue)
+            for face, rep_q in reps.items():
+                glue[(star, face)] = apply_morphism(colim.legs[face], rep_q.universal)
         else:
             colim = None
             gens = {}
             glue = {}
         gens[p.sort] = tuple(sorted(set(gens.get(p.sort, ())) | {star}))
         computad = make_computad(sig, gens, glue, check=True)
-        rep = PolyplexRep(
+        return PolyplexRep(
             polyplex=p,
             computad=computad,
             universal=Var(star),
             colimit=colim,
             star=star,
         )
+    assert isinstance(p, PApp)
+    arity = sig.symbol(p.symbol).arity
+    pargs = p.arg_map()
+    reps = {
+        cell: polyplex_computad(sig, pargs[cell])
+        for sort in arity.base.sorts
+        for cell in arity.cells_at(sort)
+    }
+    edges = []
+    for cell, rep_q in reps.items():
+        for face in arity.base.faces_into(arity.sort_of(cell)):
+            lower = boundary(rep_q.computad, face, rep_q.universal)
+            m = classifying_morphism(rep_q.computad, lower)
+            edges.append((arity.act(face, cell), cell, m))
+    if reps:
+        colim = colimit_var({c: r.computad for c, r in reps.items()}, edges)
+        computad = colim.computad
+        args = {c: apply_morphism(colim.legs[c], r.universal) for c, r in reps.items()}
     else:
-        assert isinstance(p, PApp)
-        sym = sig.symbol(p.symbol)
-        arity = sym.arity
-        nodes = {}
-        edges = []
-        pargs = p.arg_map()
-        for sort in arity.base.sorts:
-            for cell in arity.cells_at(sort):
-                nodes[cell] = polyplex_computad(sig, pargs[cell]).computad
-        for sort in arity.base.sorts:
-            for cell in arity.cells_at(sort):
-                rep_q = polyplex_computad(sig, pargs[cell])
-                for face in arity.base.faces_into(sort):
-                    lower = boundary(rep_q.computad, face, rep_q.universal)
-                    m = classifying_morphism(rep_q.computad, lower)
-                    edges.append((arity.act(face, cell), cell, m))
-        if nodes:
-            colim = colimit_var(nodes, edges)
-            computad = colim.computad
-            universal = app(
-                p.symbol,
-                {
-                    cell: apply_morphism(
-                        colim.legs[cell],
-                        polyplex_computad(sig, pargs[cell]).universal,
-                    )
-                    for cell in nodes
-                },
-            )
-        else:
-            colim = None
-            computad = make_computad(sig, {}, {}, check=False)
-            universal = app(p.symbol, {})
-        rep = PolyplexRep(
-            polyplex=p, computad=computad, universal=universal, colimit=colim
-        )
-    cache[p] = rep
-    return rep
+        colim = None
+        computad = make_computad(sig, {}, {}, check=False)
+        args = {}
+    return PolyplexRep(
+        polyplex=p, computad=computad, universal=app(p.symbol, args), colimit=colim
+    )
 
 
 def classifying_morphism(c: Computad, t: Term) -> ComputadMorphism:

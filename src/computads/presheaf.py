@@ -117,10 +117,12 @@ def validate_presheaf(raw: dict, base: DirectCategory | None = None) -> Presheaf
 
     if base is None:
         base = validate_category(raw["category"])
-    cells = {s: tuple(ids) for s, ids in raw.get("cells", {}).items()}
-    for s in cells:
+    cells = raw.get("cells", {})
+    for s, ids in cells.items():
         if s not in base.dims:
             raise UnknownSort(f"cells listed at unknown sort {s!r}")
+        if not isinstance(ids, list) or not all(isinstance(c, str) for c in ids):
+            raise FunctorialityFailure(f"cells at {s!r} must be a list of ids: {ids!r}")
     action = {}
     for entry in raw.get("action", []):
         action[(entry["face"], entry["from"])] = entry["to"]

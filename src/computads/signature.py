@@ -80,7 +80,6 @@ class ArityContext:
         self.arity = arity
         self.signature = signature
         self.base = signature.base
-        self._boundary_cache: dict = {}
 
     def gen_sort(self, gen: str) -> SortRef:
         try:
@@ -178,6 +177,14 @@ def build_signature(
         full = complete_boundary(cat, sort, given, ctx)
         sig.symbols[symbol_id] = FunctionSymbol(symbol_id, sort, arity, full)
     return sig
+
+
+def extend_signature(
+    lower: Signature, decl: tuple[str, SortRef, Presheaf, dict[FaceRef, Term]]
+) -> Signature:
+    """``lower`` with one more ``(id, sort, arity, boundary)`` declaration."""
+    decls = [(s.id, s.sort, s.arity, dict(s.boundary)) for s in lower.symbols.values()]
+    return build_signature(lower.base, decls + [decl])
 
 
 def restrict_signature(sig: Signature, n: int) -> Signature:

@@ -111,19 +111,11 @@ def boundary(ctx, face: FaceRef, t: Term) -> Term:
     For a generator this is its gluing; for an application it is the symbol's
     boundary term with the argument family substituted in.
     """
-    cache = getattr(ctx, "_boundary_cache", None)
-    key = (face, t)
-    if cache is not None and key in cache:
-        return cache[key]
     if isinstance(t, Var):
-        out = ctx.gluing(t.gen, face)
-    else:
-        assert isinstance(t, App)
-        sym = ctx.symbol(t.symbol)
-        out = subst(sym.boundary[face], t.arg_map())
-    if cache is not None:
-        cache[key] = out
-    return out
+        return ctx.gluing(t.gen, face)
+    assert isinstance(t, App)
+    sym = ctx.symbol(t.symbol)
+    return subst(sym.boundary[face], t.arg_map())
 
 
 def boundary_along(ctx, face: FaceRef, t: Term) -> Term:

@@ -172,23 +172,65 @@ def test_filtration_command(walk2_file, capsys):
 
 
 def test_filtration_of_large_computad(tmp_path):
-    # More generators than the recursion limit, run as its own process so a
-    # crash shows as it would to a user: a traceback on stderr.
+    # More generators than the recursion limit.
     sig = discrete_signature(["o"], [])
     c = make_computad(sig, {"o": tuple(f"g{i}" for i in range(1200))}, {})
     path = tmp_path / "discrete.json"
     path.write_text(json.dumps(computad_to_json(c)), encoding="utf-8")
+    proc = run_process("filtration", "--computad", str(path))
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["replay_isomorphic"] is True
+
+
+def run_process(*argv):
+    """Run the CLI as its own process, so a crash shows as it would to a user."""
     src = os.path.dirname(os.path.dirname(computads.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "computads.cli", "filtration", "--computad", str(path)],
+    return subprocess.run(
+        [sys.executable, "-m", "computads.cli", *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
         timeout=120,
     )
-    assert proc.returncode == 0
-    assert "Traceback" not in proc.stderr
-    assert json.loads(proc.stdout)["replay_isomorphic"] is True
+
+
+def _dim_true(doc):
+    doc["signature"]["category"]["sorts"][0]["dim"] = True  # bool is an int
+    return doc
+
+
+def _generators_as_string(doc):
+    doc["generators"] = {"o": "xy"}  # a string, not the list ["x", "y"]
+    return doc
+
+
+def _cells_as_string(doc):
+    return {"category": doc["signature"]["category"], "cells": {"o": "xy"}}
+
+
+ENUMERATE = ("enumerate", "--computad", "{}", "--sort", "o", "--depth", "0")
+
+
+@pytest.mark.parametrize(
+    "corrupt, commands, error",
+    [
+        (_dim_true, [("check", "{}"), ENUMERATE], "DimensionViolation"),
+        (_generators_as_string, [("check", "{}"), ENUMERATE], "GluingIllTyped"),
+        (_cells_as_string, [("check", "{}")], "FunctorialityFailure"),
+    ],
+)
+def test_json_boundary_rejects_misreadable_values(tmp_path, corrupt, commands, error):
+    sig = discrete_signature(["o"], [])
+    doc = corrupt(computad_to_json(make_computad(sig, {"o": ("g",)}, {})))
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in commands:
+        proc = run_process(*(arg.format(path) for arg in command))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"{error}: ")
 
 
 def test_cofrep_command(tmp_path, capsys):

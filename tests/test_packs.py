@@ -358,6 +358,24 @@ def test_globe_coherence_rejects_mismatched_sides():
         globe_coherence(lower, tree, 1, a, a)
 
 
+def test_globe_coherence_rejects_a_partial_composite():
+    from computads.globular import (
+        globe_category,
+        globe_coherence,
+        parse_tree,
+        position_name,
+    )
+    from computads.signature import Signature
+
+    lower = Signature(base=globe_category(2), symbols={})
+    a = var(position_name((0, 0)))
+    # the cut of "[[],[]]" at height 1 has three points; a single point lifts
+    # through the source inclusion but leaves the other two out of its support
+    with pytest.raises(SideConditionFailure) as exc:
+        globe_coherence(lower, parse_tree("[[],[]]"), 2, a, a)
+    assert str(exc.value) == "the s-side is not a full composite of the cut tree"
+
+
 def test_groupoid_flag_relaxes_epi():
     from computads.globular import (
         globe_category,
