@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import itemgetter
 
 from .algebra import eval_term
 from .cofibrant import (
@@ -34,7 +35,7 @@ from .io_json import (
     polyplex_to_json,
 )
 from .monad import enumerate_terms
-from .plex import classify, enumerate_polyplexes, nerve, pserialize
+from .plex import classify, enumerate_polyplexes, nerve, pspellings
 from .signature import signature_to_json, term_from_json, term_to_json, validate_signature
 from .terms import boundary_along
 from .computad import apply_morphism
@@ -106,10 +107,11 @@ def cmd_plexes(args) -> int:
 def cmd_nerve(args) -> int:
     c = computad_from_json(_read_json(args.computad))
     fibres = nerve(c)
+    shapes = list(fibres)
     _emit(
         [
-            {"plex": polyplex_to_json(p), "generators": list(gens)}
-            for p, gens in sorted(fibres.items(), key=lambda kv: pserialize(kv[0]))
+            {"plex": polyplex_to_json(p), "generators": list(fibres[p])}
+            for _, p in sorted(zip(pspellings(shapes), shapes), key=itemgetter(0))
         ]
     )
     return 0

@@ -21,6 +21,7 @@ from .errors import (
     NotVarToVar,
     SortMismatch,
     UnknownGenerator,
+    UnknownSort,
 )
 from .presheaf import Presheaf, search
 from .signature import FunctionSymbol, Signature, restrict_signature
@@ -92,6 +93,17 @@ def make_computad(
     if not check:
         return c
     cat = signature.base
+    undeclared = set(gens) - set(cat.sorts)
+    if undeclared:
+        raise UnknownSort(f"generators at undeclared sorts {sorted(undeclared)}")
+    for g, face in c.glue:
+        if g not in seen:
+            raise GluingIllTyped(f"gluing for undeclared generator {g!r}")
+        if face not in cat.faces_into(c.gen_sort(g)):
+            raise GluingIllTyped(
+                f"gluing of {g!r} along {face!r}, which is not a face into "
+                f"{c.gen_sort(g)!r}"
+            )
     for sort in cat.sorts:  # increasing dimension
         for g in c.generators_at(sort):
             for face in cat.faces_into(sort):

@@ -14,7 +14,7 @@ from .base import SortRef, memoized
 from .computad import Computad, ComputadMorphism, free_computad, make_morphism
 from .presheaf import Presheaf, PresheafMorphism, hom_families, make_presheaf, search
 from .signature import Signature
-from .terms import Term, Var, app, boundary, serialize, subst
+from .terms import Term, Var, app, boundary, canonical_sort, subst
 
 
 def argument_families(
@@ -41,8 +41,7 @@ def enumerate_terms(c: Computad, sort: SortRef, max_depth: int) -> list[Term]:
         for sym in c.signature.symbols_at(sort):
             for fam in argument_families(c, sym.arity, max_depth - 1):
                 terms.append(app(sym.id, fam))
-    terms.sort(key=lambda t: t.key())
-    return terms
+    return canonical_sort(terms)[0]
 
 
 def terms_saturated(c: Computad, sort: SortRef, max_depth: int) -> bool:
@@ -54,10 +53,6 @@ def terms_saturated(c: Computad, sort: SortRef, max_depth: int) -> bool:
 
 
 # -- the term presheaf of a computad --------------------------------------------
-
-def _cell_name(t: Term) -> str:
-    return serialize(t)
-
 
 @dataclass
 class TermPresheafView:
@@ -92,9 +87,8 @@ def term_presheaf(c: Computad, max_depth: int) -> TermPresheafView:
     encode: dict[Term, str] = {}
     decode: dict[str, Term] = {}
     for s in c.base.sorts:
-        ordered = sorted(by_sort[s], key=lambda t: t.key())
-        names = tuple(_cell_name(t) for t in ordered)
-        cells[s] = names
+        ordered, names = canonical_sort(by_sort[s])
+        cells[s] = tuple(names)
         for t, n in zip(ordered, names):
             encode[t] = n
             decode[n] = t

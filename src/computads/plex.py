@@ -10,7 +10,7 @@ decreases along boundary families, so the trees stay finite).
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .base import FaceRef, SortRef, memoized
@@ -29,15 +29,13 @@ from .terms import App, Term, Var, app, boundary
 
 
 class Polyplex:
+    __slots__ = ()
     sort: SortRef
     weight: int  # enumeration rank: see enumerate_polyplexes
     app_depth: int  # depth of any term with this shape
 
-    def key(self) -> tuple:
-        return (self.weight, pserialize(self))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PVar(Polyplex):
     """Shape of a generator: the shapes of its boundaries, per face."""
 
@@ -53,7 +51,7 @@ class PVar(Polyplex):
         raise KeyError(face)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PApp(Polyplex):
     """Shape of an application: the symbol with the shapes of its arguments."""
 
@@ -80,13 +78,35 @@ def papp(sort: SortRef, symbol: str, args: dict[str, Polyplex]) -> PApp:
     return PApp(sort, symbol, items, weight=w, app_depth=d)
 
 
+def _pspell(p: Polyplex, memo: dict[int, str]) -> str:
+    """The serialisation of ``p``, memoising its proper subtrees as
+    ``terms._spell`` does (the same ``id`` caveat holds)."""
+    is_var = isinstance(p, PVar)
+    parts = []
+    for c, q in p.btype if is_var else p.args:
+        s = memo.get(id(q))
+        if s is None:
+            s = memo[id(q)] = _pspell(q, memo)
+        parts.append(f"{c}:{s}" if is_var else f"{c}={s}")
+    inner = ",".join(parts)
+    return f"<{p.sort}|{inner}>" if is_var else f"{p.symbol}[{inner}]"
+
+
 def pserialize(p: Polyplex) -> str:
-    if isinstance(p, PVar):
-        inner = ",".join(f"{f}:{pserialize(q)}" for f, q in p.btype)
-        return f"<{p.sort}|{inner}>"
-    assert isinstance(p, PApp)
-    inner = ",".join(f"{c}={pserialize(q)}" for c, q in p.args)
-    return f"{p.symbol}[{inner}]"
+    return _pspell(p, {})
+
+
+def pspellings(ps: list[Polyplex]) -> list[str]:
+    """``pserialize`` of each shape, spelling every distinct node once."""
+    memo: dict[int, str] = {}
+    return [_pspell(p, memo) for p in ps]
+
+
+def canonical_psort(ps: Iterable[Polyplex]) -> list[Polyplex]:
+    """``ps`` in canonical order: by weight, then serialisation, spelling each
+    distinct node once (see ``terms.canonical_sort``)."""
+    memo: dict[int, str] = {}
+    return sorted(ps, key=lambda p: (p.weight, _pspell(p, memo)))
 
 
 def is_plex(p: Polyplex) -> bool:
@@ -156,8 +176,7 @@ def enumerate_polyplexes(
         for sym in sig.symbols_at(sort):
             for fam in _families(sig, sym.arity, max_weight - 1):
                 out.append(papp(sort, sym.id, fam))
-    out.sort(key=lambda p: p.key())
-    return out
+    return canonical_psort(out)
 
 
 def _families(sig: Signature, x: Presheaf, w: int) -> Iterator[dict]:
@@ -302,7 +321,7 @@ def reconstruct_from_nerve(c: Computad) -> Computad:
     for _, gen in c.all_generators():
         p = classify(c, Var(gen))
         entries.append((p, gen, classifying_morphism(c, Var(gen))))
-    shapes = sorted({p for p, _, _ in entries}, key=lambda p: p.key())
+    shapes = canonical_psort({p for p, _, _ in entries})
 
     nodes: dict[str, Computad] = {
         gen: polyplex_computad(sig, p).computad for p, gen, _ in entries

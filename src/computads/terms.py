@@ -18,6 +18,7 @@ context over the free computad on an arity.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .base import FaceRef, SortRef
@@ -27,24 +28,30 @@ from .errors import IncompatibleArgs, SortMismatch
 class Term:
     """Base class for Var and App; never instantiated directly."""
 
+    __slots__ = ()
     depth: int
 
-    def key(self) -> tuple:
-        """Canonical ordering key: by depth, then serialised structure."""
-        return (self.depth, serialize(self))
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var(Term):
     gen: str
     depth: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Term):
+    """An application; build it with :func:`app`, which fills in ``depth``
+    and ``hash``."""
+
     symbol: str
     args: tuple[tuple[str, "Term"], ...]  # (arity cell, term), sorted by cell
     depth: int = field(default=0, compare=False)
+    # Computed once from the children's hashes, so hashing costs O(1) however
+    # deep the term is (the generated hash would walk the whole tree).
+    hash: int = field(default=0, compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        return self.hash
 
     def arg_map(self) -> dict[str, Term]:
         return dict(self.args)
@@ -57,15 +64,42 @@ def var(gen: str) -> Var:
 def app(symbol: str, args: dict[str, Term]) -> App:
     items = tuple(sorted(args.items()))
     d = 1 + max((t.depth for _, t in items), default=0)
-    return App(symbol, items, depth=d)
+    return App(symbol, items, depth=d, hash=hash((symbol, items)))
+
+
+def _spell(t: Term, memo: dict[int, str]) -> str:
+    """The serialisation of ``t``, built from its children's spellings.
+    ``memo`` keeps the spelling of every proper subterm met, keyed by ``id``,
+    so it is valid only while its owner holds the terms it was filled from."""
+    if isinstance(t, Var):
+        return f"v({t.gen})"
+    parts = []
+    for c, u in t.args:
+        s = memo.get(id(u))
+        if s is None:
+            s = memo[id(u)] = _spell(u, memo)
+        parts.append(f"{c}={s}")
+    return f"{t.symbol}[{','.join(parts)}]"
 
 
 def serialize(t: Term) -> str:
-    if isinstance(t, Var):
-        return f"v({t.gen})"
-    assert isinstance(t, App)
-    inner = ",".join(f"{c}={serialize(u)}" for c, u in t.args)
-    return f"{t.symbol}[{inner}]"
+    return _spell(t, {})
+
+
+def canonical_sort(ts: Iterable[Term]) -> tuple[list[Term], list[str]]:
+    """``ts`` in canonical order (by depth, then serialisation), with their
+    serialisations in the same order.
+
+    Enumerated terms share their subterms, so one memo for the whole sort
+    spells each shared subterm once, where a per-term ``serialize`` key would
+    spell it again for each term containing it.
+    """
+    ts = list(ts)
+    memo: dict[int, str] = {}
+    # The index breaks ties, so terms themselves are never compared.
+    keyed = [(t.depth, _spell(t, memo), i) for i, t in enumerate(ts)]
+    keyed.sort()
+    return [ts[i] for _, _, i in keyed], [s for _, s, _ in keyed]
 
 
 def term_sort(ctx, t: Term) -> SortRef:
@@ -92,17 +126,6 @@ def rename(t: Term, mapping: dict[str, str]) -> Term:
         return Var(mapping[t.gen])
     assert isinstance(t, App)
     return app(t.symbol, {c: rename(u, mapping) for c, u in t.args})
-
-
-def generators_of(t: Term) -> set[str]:
-    """The generators literally occurring in ``t`` (not the full support)."""
-    if isinstance(t, Var):
-        return {t.gen}
-    assert isinstance(t, App)
-    out: set[str] = set()
-    for _, u in t.args:
-        out |= generators_of(u)
-    return out
 
 
 def boundary(ctx, face: FaceRef, t: Term) -> Term:

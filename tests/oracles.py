@@ -10,7 +10,33 @@ grows them rank by rank, rather than recursing per call.
 from __future__ import annotations
 
 from computads.computad import Computad
+from computads.plex import PVar, Polyplex
 from computads.terms import Term, Var, app, boundary
+
+
+def spell_term(t: Term) -> str:
+    """From-scratch recursive spelling of a term: the reference for
+    ``terms.serialize`` and, with the depth, for the canonical term order."""
+    if isinstance(t, Var):
+        return "v(" + t.gen + ")"
+    return t.symbol + "[" + ",".join(c + "=" + spell_term(u) for c, u in t.args) + "]"
+
+
+def term_key(t: Term) -> tuple:
+    return (t.depth, spell_term(t))
+
+
+def spell_plex(p: Polyplex) -> str:
+    """From-scratch recursive spelling of a shape: the reference for
+    ``plex.pserialize``."""
+    if isinstance(p, PVar):
+        inner = ",".join(f + ":" + spell_plex(q) for f, q in p.btype)
+        return "<" + p.sort + "|" + inner + ">"
+    return p.symbol + "[" + ",".join(c + "=" + spell_plex(q) for c, q in p.args) + "]"
+
+
+def plex_key(p: Polyplex) -> tuple:
+    return (p.weight, spell_plex(p))
 
 
 def _profile(c: Computad, t: Term, sort: str) -> tuple:
@@ -42,7 +68,7 @@ def fixpoint_tables(c: Computad, max_depth: int):
                         t = app(sym.id, args)
                         table.setdefault(_profile(c, t, sort), []).append(t)
                 tables[(sort, gamma)] = {
-                    prof: sorted(set(ts), key=lambda t: t.key())
+                    prof: sorted(set(ts), key=term_key)
                     for prof, ts in table.items()
                 }
         # ranks above were only built up to max_depth; lower-dimensional
@@ -83,4 +109,4 @@ def fixpoint_terms(c: Computad, sort: str, max_depth: int) -> list[Term]:
     out: list[Term] = []
     for terms in tables[(sort, max_depth)].values():
         out.extend(terms)
-    return sorted(set(out), key=lambda t: t.key())
+    return sorted(set(out), key=term_key)

@@ -205,6 +205,21 @@ def _generators_as_string(doc):
     return doc
 
 
+def _generators_at_undeclared_sort(doc):
+    doc["generators"]["zzz"] = ["x"]
+    return doc
+
+
+def _gluing_of_undeclared_generator(doc):
+    doc["gluing"].append({"gen": "x", "face": "d", "term": {"var": "g"}})
+    return doc
+
+
+def _gluing_along_foreign_face(doc):
+    doc["gluing"].append({"gen": "g", "face": "d", "term": {"var": "g"}})
+    return doc
+
+
 def _cells_as_string(doc):
     return {"category": doc["signature"]["category"], "cells": {"o": "xy"}}
 
@@ -218,6 +233,9 @@ ENUMERATE = ("enumerate", "--computad", "{}", "--sort", "o", "--depth", "0")
         (_dim_true, [("check", "{}"), ENUMERATE], "DimensionViolation"),
         (_generators_as_string, [("check", "{}"), ENUMERATE], "GluingIllTyped"),
         (_cells_as_string, [("check", "{}")], "FunctorialityFailure"),
+        (_generators_at_undeclared_sort, [("check", "{}"), ENUMERATE], "UnknownSort"),
+        (_gluing_of_undeclared_generator, [("check", "{}"), ENUMERATE], "GluingIllTyped"),
+        (_gluing_along_foreign_face, [("check", "{}"), ENUMERATE], "GluingIllTyped"),
     ],
 )
 def test_json_boundary_rejects_misreadable_values(tmp_path, corrupt, commands, error):

@@ -5,6 +5,7 @@ from computads.terms import (
     app,
     boundary,
     boundary_along,
+    canonical_sort,
     check_term,
     mk_app,
     mk_var,
@@ -88,4 +89,6 @@ def test_depth_law():
 def test_canonical_key_orders_by_depth_then_structure():
     c = walk2()
     ts = [comp_uv(), var("u"), var("v")]
-    assert sorted(ts, key=lambda t: t.key()) == [var("u"), var("v"), comp_uv()]
+    ordered, names = canonical_sort(ts)
+    assert ordered == [var("u"), var("v"), comp_uv()]
+    assert names == [serialize(t) for t in ordered]
