@@ -11,6 +11,7 @@ callback functions (useful for arithmetic carriers); both share the interface.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -215,6 +216,24 @@ def morphism_from_generators(
     return ev
 
 
+def _rows(alg) -> Iterator[tuple[str, dict[str, str], str]]:
+    """``(symbol, env, value)`` for every row of every symbol's table in
+    ``alg``, symbols in name order; lazy, so a check that stops at its first
+    failure interprets no row beyond it."""
+    sig = alg.signature
+    for symbol_id in sorted(sig.symbols):
+        for row in enumerate_hom(sig.symbols[symbol_id].arity, alg.carrier):
+            yield symbol_id, row.component, alg.interpret(symbol_id, row.component)
+
+
+def _first_failure(rows, dst, component: dict[str, str]) -> tuple[str, tuple] | None:
+    for symbol_id, env, value in rows:
+        pushed = {c: component[v] for c, v in env.items()}
+        if component[value] != dst.interpret(symbol_id, pushed):
+            return symbol_id, hom_key(env)
+    return None
+
+
 def check_algebra_morphism(
     src, dst, component: dict[str, str]
 ) -> tuple[bool, tuple[str, tuple] | None]:
@@ -226,25 +245,25 @@ def check_algebra_morphism(
     """
     if src.carrier.base.dims != dst.carrier.base.dims:
         raise BaseMismatch("algebra morphism across different bases")
-    sig = src.signature
-    for symbol_id in sorted(sig.symbols):
-        sym = sig.symbols[symbol_id]
-        for row in enumerate_hom(sym.arity, src.carrier):
-            env = row.component
-            pushed = {c: component[v] for c, v in env.items()}
-            lhs = component[src.interpret(symbol_id, env)]
-            rhs = dst.interpret(symbol_id, pushed)
-            if lhs != rhs:
-                return False, (symbol_id, hom_key(env))
-    return True, None
+    failure = _first_failure(_rows(src), dst, component)
+    return failure is None, failure
 
 
 def algebra_morphisms(src, dst) -> list[PresheafMorphism]:
     """Brute force: all presheaf morphisms between carriers that preserve
-    every interpretation."""
+    every interpretation.  The rows of ``src`` are enumerated and
+    interpreted once, however many carrier maps are checked against them."""
+    rows = _rows(src)
+    seen: list[tuple] = []
+
+    def replay():
+        yield from seen  # only the loop below extends it, after this ends
+        for row in rows:
+            seen.append(row)
+            yield row
+
     out = []
-    for h in enumerate_hom(src.carrier, dst.carrier):
-        ok, _ = check_algebra_morphism(src, dst, h.component)
-        if ok:
+    for h in enumerate_hom(src.carrier, dst.carrier):  # raises BaseMismatch
+        if _first_failure(replay(), dst, h.component) is None:
             out.append(h)
     return out

@@ -246,11 +246,25 @@ def var_to_var_morphism(
 
 # -- isomorphism checking -------------------------------------------------------
 
+def _generators_named(ts: tuple[Term, ...]) -> set[str]:
+    """The generators at the leaves of the terms ``ts``."""
+    out: set[str] = set()
+    todo = list(ts)
+    while todo:
+        t = todo.pop()
+        if isinstance(t, Var):
+            out.add(t.gen)
+        else:
+            todo.extend(u for _, u in t.args)
+    return out
+
+
 def _gen_cells(c: Computad, d: Computad) -> list[tuple]:
     """The cells of ``presheaf.search`` for generator maps c -> d.
 
     The profile of a generator of c is its gluing renamed along the images
-    fixed so far; the candidates in d are bucketed by their own gluing.
+    fixed so far, so the cells it reads are the generators named in its
+    gluing terms; the candidates in d are bucketed by their own gluing.
     """
     cat = c.base
     cells = []
@@ -265,7 +279,7 @@ def _gen_cells(c: Computad, d: Computad) -> list[tuple]:
         for g in sources:
             glue = tuple(c.gluing(g, f) for f in faces)
             profile = lambda m, glue=glue: tuple(rename(t, m) for t in glue)
-            cells.append((g, profile, buckets))
+            cells.append((g, profile, buckets, _generators_named(glue)))
     return cells
 
 

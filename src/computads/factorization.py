@@ -9,7 +9,7 @@ support followed by such a mono.
 
 from __future__ import annotations
 
-from .base import SortRef, memoized
+from .base import SortRef
 from .computad import (
     Computad,
     ComputadMorphism,
@@ -24,22 +24,46 @@ from .presheaf import PresheafMorphism
 from .terms import App, Term, Var, rename, var
 
 
-@memoized("_supp_cache")
 def support(c: Computad, t: Term) -> dict[SortRef, frozenset[str]]:
-    """Support of a term at every sort, per the recursive definition."""
-    out: dict[SortRef, set[str]] = {s: set() for s in c.base.sorts}
-    if isinstance(t, Var):
-        sort = c.gen_sort(t.gen)
-        out[sort].add(t.gen)
-        for face in c.base.faces_into(sort):
-            for s, gens in support(c, c.gluing(t.gen, face)).items():
+    """Support of a term at every sort, per the recursive definition.
+
+    The walk is post-order over an explicit stack, so the depth of ``t`` is
+    not bounded by the recursion limit.  The support of every subterm and
+    gluing it meets is kept in the computad's ``_supp_cache`` table, under
+    the key ``(term,)``, as :func:`base.memoized` keeps its entries.
+    """
+    cache = c.__dict__.setdefault("_supp_cache", {})
+    known = cache.get((t,))
+    return known if known is not None else _support_walk(c, t, cache)
+
+
+def _support_walk(c: Computad, t: Term, cache: dict) -> dict[SortRef, frozenset[str]]:
+    sorts = c.base.sorts
+    todo = [t]
+    while todo:
+        u = todo[-1]
+        if (u,) in cache:
+            todo.pop()
+            continue
+        if isinstance(u, Var):
+            sort = c.gen_sort(u.gen)
+            parts = [c.gluing(u.gen, face) for face in c.base.faces_into(sort)]
+        else:
+            assert isinstance(u, App)
+            parts = [v for _, v in u.args]
+        found = [cache.get((v,)) for v in parts]
+        if None in found:
+            todo.extend(v for v, supp in zip(parts, found) if supp is None)
+            continue
+        todo.pop()
+        out: dict[SortRef, set[str]] = {s: set() for s in sorts}
+        if isinstance(u, Var):
+            out[sort].add(u.gen)
+        for supp in found:
+            for s, gens in supp.items():
                 out[s] |= gens
-    else:
-        assert isinstance(t, App)
-        for _, u in t.args:
-            for s, gens in support(c, u).items():
-                out[s] |= gens
-    return {s: frozenset(gens) for s, gens in out.items()}
+        cache[(u,)] = {s: frozenset(gens) for s, gens in out.items()}
+    return cache[(t,)]
 
 
 def support_term(c: Computad, t: Term, sort: SortRef) -> frozenset[str]:

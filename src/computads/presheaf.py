@@ -216,13 +216,23 @@ def search(cells: list[tuple], injective: bool = False) -> Iterator[dict]:
     """Yield every assignment of candidates to ``cells``, in canonical order.
 
     This is the one backtracking search of the kernel.  Each cell is
-    ``(name, profile, buckets)``: ``profile(assign)`` is the boundary profile
-    of the cell, computed from the candidates already assigned to earlier
-    cells, and ``buckets`` maps a boundary profile to the candidates that
-    have it, in canonical order.  Every face strictly lowers dimension, so
-    when cells are listed in increasing dimension the boundary profile of a
-    cell is forced by the cells before it: its candidates are exactly one
-    bucket, and none is tried only to be rejected for its boundary.
+    ``(name, profile, buckets, reads)``: ``profile(assign)`` is the boundary
+    profile of the cell, computed from the candidates already assigned to the
+    earlier cells named in ``reads``, and ``buckets`` maps a boundary profile
+    to the candidates that have it, in canonical order.  Every face strictly
+    lowers dimension, so when cells are listed in increasing dimension the
+    boundary profile of a cell is forced by the cells before it: its
+    candidates are exactly one bucket, and none is tried only to be rejected
+    for its boundary.
+
+    Forward checking (Haralick and Elliott, 1980) cuts a branch as soon as a
+    later cell is sure to have no candidate.  Once the last cell that a cell
+    reads is assigned, that cell's profile is fixed for every completion of
+    the partial assignment, so if its bucket is empty no completion exists
+    and the candidate just placed is rejected.  The check only removes
+    subtrees that hold no complete assignment; it changes neither which
+    candidates a cell tries nor their order, so the same assignments are
+    yielded in the same order as without it.
 
     Assignments are fresh dicts from names to candidates, yielded depth first
     in lexicographic order of candidate positions.  With ``injective`` no
@@ -231,9 +241,17 @@ def search(cells: list[tuple], injective: bool = False) -> Iterator[dict]:
     """
     assign: dict = {}
     used: set = set()
+    # checks[i]: the later cells (beyond i + 1, which is reached next anyway)
+    # whose profile is fixed once cell i is assigned
+    position = {cell[0]: i for i, cell in enumerate(cells)}
+    checks: list[list[tuple]] = [[] for _ in cells]
+    for j, (_, profile, buckets, reads) in enumerate(cells):
+        last = max((position[r] for r in reads), default=-1)
+        if 0 <= last < j - 1:
+            checks[last].append((profile, buckets))
 
     def options(i: int):
-        _, profile, buckets = cells[i]
+        _, profile, buckets, _ = cells[i]
         return iter(buckets.get(profile(assign), ()))
 
     if not cells:
@@ -242,17 +260,19 @@ def search(cells: list[tuple], injective: bool = False) -> Iterator[dict]:
     stack = [options(0)]
     while stack:
         i = len(stack) - 1
-        name = cells[i][0]
+        name, check = cells[i][0], checks[i]
         if injective and name in assign:  # release the previous candidate
             used.discard(assign[name])
         for cand in stack[-1]:
-            if not (injective and cand in used):
+            if injective and cand in used:
+                continue
+            assign[name] = cand
+            if not check or all(buckets.get(profile(assign)) for profile, buckets in check):
                 break
         else:
             assign.pop(name, None)
             stack.pop()
             continue
-        assign[name] = cand
         if injective:
             used.add(cand)
         if i + 1 == len(cells):
@@ -266,7 +286,8 @@ def hom_families(x: Presheaf, cells_at, act) -> list[tuple]:
 
     The target is any presheaf-shaped family: ``cells_at(sort)`` lists its
     cells in canonical order and ``act(face, cell)`` is its boundary action.
-    The profile of a cell of ``x`` is the image of its boundary.
+    The profile of a cell of ``x`` is the image of its boundary, so the cells
+    it reads are its boundary cells ``below``.
     """
     cells = []
     for sort in x.base.sorts:
@@ -280,7 +301,7 @@ def hom_families(x: Presheaf, cells_at, act) -> list[tuple]:
         for cell in sources:
             below = tuple(x.act(f, cell) for f in faces)
             profile = lambda assign, below=below: tuple(assign[b] for b in below)
-            cells.append((cell, profile, buckets))
+            cells.append((cell, profile, buckets, below))
     return cells
 
 

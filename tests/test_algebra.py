@@ -18,6 +18,7 @@ from computads.errors import (
     PartialTable,
 )
 from computads.monad import enumerate_terms
+from computads.packs import group_signature
 from computads.presheaf import enumerate_hom, make_presheaf
 from computads.terms import app, var
 
@@ -246,3 +247,56 @@ def test_universal_property_count_walk2_pathcat():
             assignments += 1
     assert len(morphs) == assignments
     assert assignments > 0
+
+
+def _cyclic(n):
+    """Z/n as an algebra of the group signature."""
+    sig = group_signature()
+    carrier = make_presheaf(sig.base, {"*": tuple(str(k) for k in range(n))}, {})
+    return algebra_from_callbacks(
+        sig,
+        carrier,
+        {
+            "plus": lambda env: str((int(env["plus.*0"]) + int(env["plus.*1"])) % n),
+            "zero": lambda env: "0",
+            "neg": lambda env: str(-int(env["neg.*0"]) % n),
+        },
+    )
+
+
+def _chain(k):
+    """The path category of the chain c0 -> ... -> c{k-1}: one arrow aij
+    per pair i <= j, composed by concatenation."""
+    sig = comp_signature()
+    objs = tuple(f"c{i}" for i in range(k))
+    arrows = {f"a{i}{j}": (i, j) for i in range(k) for j in range(i, k)}
+    action = {}
+    for name, (i, j) in arrows.items():
+        action[("s", name)] = objs[i]
+        action[("t", name)] = objs[j]
+    carrier = make_presheaf(sig.base, {"o": objs, "a": tuple(sorted(arrows))}, action)
+
+    def comp(env):
+        return f"a{arrows[env['f']][0]}{arrows[env['g']][1]}"
+
+    return algebra_from_callbacks(sig, carrier, {"comp": comp})
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(_cyclic(n), _cyclic(m)) for n in range(2, 6) for m in range(2, 6)],
+        [(_chain(k), _chain(l)) for k in (3, 4) for l in (3, 4)],
+    ],
+    ids=["cyclic", "chain"],
+)
+def test_algebra_morphisms_match_a_check_of_every_carrier_map(pairs):
+    for a, b in pairs:
+        reference = [
+            h
+            for h in enumerate_hom(a.carrier, b.carrier)
+            if check_algebra_morphism(a, b, h.component)[0]
+        ]
+        found = algebra_morphisms(a, b)
+        assert [h.component for h in found] == [h.component for h in reference]
+        assert found  # a map onto one identity element is always among them

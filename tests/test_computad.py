@@ -3,6 +3,7 @@ import random
 import pytest
 
 from computads.computad import (
+    _gen_cells,
     apply_morphism,
     colimit_var,
     compose_morphisms,
@@ -20,10 +21,17 @@ from computads.computad import (
     var_to_var_morphism,
 )
 from computads.errors import GluingIllTyped
-from computads.presheaf import boundary_representable, representable
+from computads.presheaf import boundary_representable, representable, search
 from computads.terms import rename, var
 
-from fixtures import arrow_arity, comp_signature, comp_uv, random_computad_comp, walk2
+from fixtures import (
+    arrow_arity,
+    comp_signature,
+    comp_uv,
+    random_computad_comp,
+    walk2,
+    walk_n,
+)
 
 
 def test_walk2_valid():
@@ -319,3 +327,35 @@ def test_var_to_var_and_isomorphism_match_brute_force():
             assert iso == next(iter(bijections), None)
             found.add(iso is None)
     assert found == {True, False}
+
+
+def _counted(cells, limit):
+    """``cells`` with every profile wrapped in a counter that fails the test
+    after ``limit`` evaluations, so a search that does too much work stops."""
+    calls = [0]
+
+    def wrap(profile):
+        def counted(assign):
+            calls[0] += 1
+            if calls[0] > limit:
+                pytest.fail(f"more than {limit} profile evaluations")
+            return profile(assign)
+
+        return counted
+
+    return [(name, wrap(profile), *rest) for name, profile, *rest in cells]
+
+
+def test_isomorphism_search_work_is_bounded():
+    sig = comp_signature()
+    rng = random.Random(5)
+    c = walk_n(sig, 20)
+    d = _relabelled(c, rng)
+    iso = next(search(_counted(_gen_cells(c, d), 50_000), injective=True), None)
+    assert iso is not None and len(set(iso.values())) == c.generator_count()
+    var_to_var_morphism(c, d, iso, check=True)
+    # the last arrow glued back onto the first object closes a cycle
+    glue = dict(c.glue)
+    glue[("e19", "t")] = var("o0")
+    broken = _relabelled(make_computad(sig, c.gens, glue), rng)
+    assert next(search(_counted(_gen_cells(c, broken), 50_000), injective=True), None) is None

@@ -17,11 +17,12 @@ from computads.factorization import (
     lift_through_mono,
     orthogonal_lift,
     split_idempotent,
+    support,
     support_term,
 )
 from computads.monad import enumerate_terms
 from computads.presheaf import representable
-from computads.terms import boundary, var
+from computads.terms import app, boundary, var
 
 from fixtures import comp_signature, comp_uv, random_computad_comp, walk2
 
@@ -43,6 +44,17 @@ def test_support_of_bare_generator():
     c = walk2()
     assert support_term(c, var("p"), "o") == {"p"}
     assert support_term(c, var("p"), "a") == frozenset()
+
+
+def test_support_of_a_deep_term_does_not_recurse():
+    from computads.computad import make_computad
+    from computads.packs import group_signature
+
+    c = make_computad(group_signature(), {"*": ("x",)}, {})
+    t = var("x")
+    for _ in range(2000):
+        t = app("neg", {"neg.*0": t})
+    assert support(c, t) == {"*": {"x"}}
 
 
 def test_support_closed_under_boundary():
