@@ -11,21 +11,27 @@ callback functions (useful for arithmetic carriers); both share the interface.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
 from .base import FaceRef, SortRef
 from .computad import Computad
 from .errors import (
-    BaseMismatch,
     BoundaryConditionFailure,
     DepthExceeded,
     PartialTable,
     SortMismatch,
 )
 from .monad import term_presheaf
-from .presheaf import Presheaf, PresheafMorphism, enumerate_hom
+from .presheaf import (
+    Presheaf,
+    PresheafMorphism,
+    check_same_base,
+    enumerate_hom,
+    hom_families,
+    search,
+)
 from .signature import Signature
 from .terms import App, Term, Var, app
 
@@ -216,22 +222,25 @@ def morphism_from_generators(
     return ev
 
 
-def _rows(alg) -> Iterator[tuple[str, dict[str, str], str]]:
+def _rows(alg) -> list[tuple[str, dict[str, str], str]]:
     """``(symbol, env, value)`` for every row of every symbol's table in
-    ``alg``, symbols in name order; lazy, so a check that stops at its first
-    failure interprets no row beyond it."""
+    ``alg``, symbols in name order.  Every row is interpreted here, before
+    any carrier map is looked at, so a depth-bounded free algebra whose
+    table leaves its bound raises ``DepthExceeded`` whatever the map."""
     sig = alg.signature
-    for symbol_id in sorted(sig.symbols):
-        for row in enumerate_hom(sig.symbols[symbol_id].arity, alg.carrier):
-            yield symbol_id, row.component, alg.interpret(symbol_id, row.component)
+    return [
+        (symbol_id, row.component, alg.interpret(symbol_id, row.component))
+        for symbol_id in sorted(sig.symbols)
+        for row in enumerate_hom(sig.symbols[symbol_id].arity, alg.carrier)
+    ]
 
 
-def _first_failure(rows, dst, component: dict[str, str]) -> tuple[str, tuple] | None:
-    for symbol_id, env, value in rows:
-        pushed = {c: component[v] for c, v in env.items()}
-        if component[value] != dst.interpret(symbol_id, pushed):
-            return symbol_id, hom_key(env)
-    return None
+def _preserves(dst, row: tuple, component: dict[str, str]) -> bool:
+    """Whether ``component`` commutes with the interpretations on ``row``."""
+    symbol_id, env, value = row
+    return component[value] == dst.interpret(
+        symbol_id, {c: component[v] for c, v in env.items()}
+    )
 
 
 def check_algebra_morphism(
@@ -242,28 +251,36 @@ def check_algebra_morphism(
     Returns (True, None) or (False, (symbol, row key)) for the first failure.
     Naturality of the carrier map is assumed checked by the caller (it is a
     PresheafMorphism); the interpretation condition is verified on every row.
+    All rows of ``src`` are interpreted first (see ``_rows``).  An error
+    raised by ``dst.interpret`` propagates; rows are checked in order and
+    the check stops at the first failure, so only rows up to it reach
+    ``dst``.
     """
-    if src.carrier.base.dims != dst.carrier.base.dims:
-        raise BaseMismatch("algebra morphism across different bases")
-    failure = _first_failure(_rows(src), dst, component)
-    return failure is None, failure
+    check_same_base(src.carrier.base, dst.carrier.base, "algebra morphism")
+    for row in _rows(src):
+        if not _preserves(dst, row, component):
+            return False, (row[0], hom_key(row[1]))
+    return True, None
 
 
 def algebra_morphisms(src, dst) -> list[PresheafMorphism]:
-    """Brute force: all presheaf morphisms between carriers that preserve
-    every interpretation.  The rows of ``src`` are enumerated and
-    interpreted once, however many carrier maps are checked against them."""
-    rows = _rows(src)
-    seen: list[tuple] = []
+    """All presheaf morphisms between carriers that preserve every
+    interpretation, in the order of ``enumerate_hom``.
 
-    def replay():
-        yield from seen  # only the loop below extends it, after this ends
-        for row in rows:
-            seen.append(row)
-            yield row
-
-    out = []
-    for h in enumerate_hom(src.carrier, dst.carrier):  # raises BaseMismatch
-        if _first_failure(replay(), dst, h.component) is None:
-            out.append(h)
-    return out
+    Each row ``(symbol, env, value)`` of ``src``, interpreted once up front
+    (see ``_rows``), is a ``search`` constraint over the carrier cells it
+    names: ``component[value] == dst.interpret(symbol, component . env)``.
+    The search checks it as soon as those cells are placed, so a partial map
+    that breaks a row is never extended.  An error raised by
+    ``dst.interpret`` propagates from the first partial map that reaches it.
+    """
+    check_same_base(src.carrier.base, dst.carrier.base, "algebra morphism")
+    constraints = [
+        ((*row[1].values(), row[2]), functools.partial(_preserves, dst, row))
+        for row in _rows(src)
+    ]
+    cells = hom_families(src.carrier, dst.carrier.cells_at, dst.carrier.act)
+    return [
+        PresheafMorphism(src=src.carrier, dst=dst.carrier, component=comp)
+        for comp in search(cells, constraints=constraints)
+    ]

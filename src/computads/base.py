@@ -32,9 +32,9 @@ _MISSING = object()
 def memoized(table: str):
     """Cache ``fn(owner, *key)`` in the dict ``owner.__dict__[table]``.
 
-    Sound because the kernel never changes a computad or signature after
-    building it.  Entries belong to one owner: two owners never share one,
-    even when they are equal.
+    Sound because the kernel never changes a category, signature or computad
+    after building it.  Entries belong to one owner: two owners never share
+    one, even when they are equal (a truncated category is a new owner).
     """
 
     def decorate(fn):
@@ -62,18 +62,26 @@ class Face:
 class DirectCategory:
     """A validated finite direct category.
 
-    Instances are produced by :func:`validate_category` and are immutable by
-    convention; all operations on them are pure.
+    Instances are produced by :func:`validate_category` and
+    :func:`truncate_category` and are immutable by convention; all operations
+    on them are pure.  ``sorts`` (in ``(dim, id)`` order) and the faces into
+    each sort are derived once, when the category is built.
     """
 
     dims: dict[SortRef, int]
     faces: dict[FaceRef, Face]
     table: dict[tuple[FaceRef, FaceRef], FaceRef]
-    _into: dict[SortRef, tuple[FaceRef, ...]] = field(default_factory=dict, repr=False)
+    sorts: tuple[SortRef, ...] = field(init=False, repr=False, compare=False)
+    _into: dict[SortRef, tuple[FaceRef, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
-    @property
-    def sorts(self) -> tuple[SortRef, ...]:
-        return tuple(sorted(self.dims, key=lambda s: (self.dims[s], s)))
+    def __post_init__(self):
+        self.sorts = tuple(sorted(self.dims, key=lambda s: (self.dims[s], s)))
+        self._into = {
+            s: tuple(sorted(f.id for f in self.faces.values() if f.dst == s))
+            for s in self.dims
+        }
 
     def dim(self, sort: SortRef) -> int:
         if sort not in self.dims:
@@ -190,10 +198,7 @@ def validate_category(raw: dict) -> DirectCategory:
                         f"({f.id};{g.id});{h.id} != {f.id};({g.id};{h.id})"
                     )
 
-    into: dict[str, tuple[str, ...]] = {
-        s: tuple(sorted(f.id for f in faces.values() if f.dst == s)) for s in dims
-    }
-    return DirectCategory(dims=dims, faces=faces, table=table, _into=into)
+    return DirectCategory(dims=dims, faces=faces, table=table)
 
 
 def truncate_category(cat: DirectCategory, n: int) -> DirectCategory:
@@ -201,8 +206,7 @@ def truncate_category(cat: DirectCategory, n: int) -> DirectCategory:
     dims = {s: d for s, d in cat.dims.items() if d <= n}
     faces = {f.id: f for f in cat.faces.values() if f.src in dims and f.dst in dims}
     table = {k: v for k, v in cat.table.items() if k[0] in faces and k[1] in faces}
-    into = {s: tuple(sorted(f.id for f in faces.values() if f.dst == s)) for s in dims}
-    return DirectCategory(dims=dims, faces=faces, table=table, _into=into)
+    return DirectCategory(dims=dims, faces=faces, table=table)
 
 
 def category_to_json(cat: DirectCategory) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import FaceRef, SortRef
+from .base import FaceRef, SortRef, memoized
 from .computad import (
     Computad,
     ComputadMorphism,
@@ -29,11 +29,16 @@ from .signature import Signature
 from .terms import Term, Var, boundary, serialize
 
 
+@memoized("_disk_cache")
 def disk_computad(sig: Signature, sort: SortRef) -> Computad:
+    """The representable computad on ``sort``, built once per signature."""
     return free_computad(representable(sig.base, sort), sig)
 
 
+@memoized("_sphere_cache")
 def sphere_computad(sig: Signature, sort: SortRef) -> Computad:
+    """The boundary of the representable computad on ``sort``, built once
+    per signature."""
     sub, _ = boundary_representable(sig.base, sort)
     return free_computad(sub, sig)
 

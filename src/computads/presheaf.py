@@ -6,7 +6,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .base import DirectCategory, FaceRef, SortRef, truncate_category
+from .base import DirectCategory, FaceRef, SortRef, memoized, truncate_category
 from .errors import (
     BaseMismatch,
     FunctorialityFailure,
@@ -148,8 +148,10 @@ def _identity_cell(cat: DirectCategory, sort: SortRef) -> str:
     return f"id_{sort}"
 
 
+@memoized("_representable_cache")
 def representable(cat: DirectCategory, sort: SortRef) -> Presheaf:
-    """The presheaf of maps into ``sort``: cells at j are hom(j, sort)."""
+    """The presheaf of maps into ``sort``: cells at j are hom(j, sort).
+    Built once per category and sort."""
     if sort not in cat.dims:
         raise UnknownSort(f"unknown sort {sort!r}")
     ident = _identity_cell(cat, sort)
@@ -170,11 +172,12 @@ def representable(cat: DirectCategory, sort: SortRef) -> Presheaf:
     return make_presheaf(cat, cells, action)
 
 
+@memoized("_boundary_representable_cache")
 def boundary_representable(
     cat: DirectCategory, sort: SortRef
 ) -> tuple[Presheaf, PresheafMorphism]:
     """The sub-presheaf of ``representable(sort)`` without the identity,
-    together with its inclusion."""
+    together with its inclusion.  Built once per category and sort."""
     full = representable(cat, sort)
     ident = _identity_cell(cat, sort)
     cells = {
@@ -192,10 +195,16 @@ def boundary_representable(
 
 # -- morphisms ----------------------------------------------------------------
 
+def check_same_base(x: DirectCategory, y: DirectCategory, what: str) -> None:
+    """Raise ``BaseMismatch`` unless ``x`` and ``y`` have the same sorts,
+    dimensions and faces."""
+    if x is not y and (x.dims != y.dims or x.faces.keys() != y.faces.keys()):
+        raise BaseMismatch(f"{what} across different bases")
+
+
 def check_morphism(h: PresheafMorphism) -> None:
     """Raise if ``h`` is not a natural transformation."""
-    if h.src.base is not h.dst.base and h.src.base.dims != h.dst.base.dims:
-        raise BaseMismatch("presheaf morphism across different bases")
+    check_same_base(h.src.base, h.dst.base, "presheaf morphism")
     for sort in h.src.base.sorts:
         for cell in h.src.cells_at(sort):
             img = h.component.get(cell)
@@ -212,8 +221,14 @@ def check_morphism(h: PresheafMorphism) -> None:
                     )
 
 
-def search(cells: list[tuple], injective: bool = False) -> Iterator[dict]:
-    """Yield every assignment of candidates to ``cells``, in canonical order.
+_HOLDS = {True: (True,)}
+
+
+def search(
+    cells: list[tuple], injective: bool = False, constraints=()
+) -> Iterator[dict]:
+    """Yield every assignment of candidates to ``cells`` that passes every
+    constraint, in canonical order.
 
     This is the one backtracking search of the kernel.  Each cell is
     ``(name, profile, buckets, reads)``: ``profile(assign)`` is the boundary
@@ -229,10 +244,19 @@ def search(cells: list[tuple], injective: bool = False) -> Iterator[dict]:
     later cell is sure to have no candidate.  Once the last cell that a cell
     reads is assigned, that cell's profile is fixed for every completion of
     the partial assignment, so if its bucket is empty no completion exists
-    and the candidate just placed is rejected.  The check only removes
-    subtrees that hold no complete assignment; it changes neither which
-    candidates a cell tries nor their order, so the same assignments are
-    yielded in the same order as without it.
+    and the candidate just placed is rejected.
+
+    Each constraint is ``(reads, predicate)``: ``predicate(assign)`` looks
+    only at the (at least one) cells named in ``reads``, and an assignment is
+    yielded only if every predicate holds.  The same forward-check step
+    evaluates a constraint as soon as the last cell it reads is assigned; its
+    verdict is then fixed for every completion, so a failure rejects the
+    candidate just placed.
+
+    Both checks only remove subtrees that hold no assignment passing every
+    constraint; they change neither which candidates a cell tries nor their
+    order.  So the assignments yielded, and their order, are exactly those
+    of the unchecked search filtered by the constraints.
 
     Assignments are fresh dicts from names to candidates, yielded depth first
     in lexicographic order of candidate positions.  With ``injective`` no
@@ -241,14 +265,18 @@ def search(cells: list[tuple], injective: bool = False) -> Iterator[dict]:
     """
     assign: dict = {}
     used: set = set()
-    # checks[i]: the later cells (beyond i + 1, which is reached next anyway)
-    # whose profile is fixed once cell i is assigned
+    # checks[i]: the (profile, buckets) pairs fixed once cell i is assigned,
+    # namely the profiles of later cells (beyond i + 1, which is reached next
+    # anyway) and the constraints whose last read cell is i.  A constraint is
+    # checked as a profile whose only non-empty bucket is True.
     position = {cell[0]: i for i, cell in enumerate(cells)}
     checks: list[list[tuple]] = [[] for _ in cells]
     for j, (_, profile, buckets, reads) in enumerate(cells):
         last = max((position[r] for r in reads), default=-1)
         if 0 <= last < j - 1:
             checks[last].append((profile, buckets))
+    for reads, predicate in constraints:
+        checks[max(position[r] for r in reads)].append((predicate, _HOLDS))
 
     def options(i: int):
         _, profile, buckets, _ = cells[i]
@@ -307,8 +335,7 @@ def hom_families(x: Presheaf, cells_at, act) -> list[tuple]:
 
 def enumerate_hom(x: Presheaf, y: Presheaf) -> list[PresheafMorphism]:
     """All natural transformations x -> y, in a canonical order."""
-    if x.base.dims != y.base.dims or x.base.faces.keys() != y.base.faces.keys():
-        raise BaseMismatch("hom enumeration across different bases")
+    check_same_base(x.base, y.base, "hom enumeration")
     return [
         PresheafMorphism(src=x, dst=y, component=comp)
         for comp in search(hom_families(x, y.cells_at, y.act))

@@ -300,3 +300,38 @@ def test_algebra_morphisms_match_a_check_of_every_carrier_map(pairs):
         found = algebra_morphisms(a, b)
         assert [h.component for h in found] == [h.component for h in reference]
         assert found  # a map onto one identity element is always among them
+
+
+def test_depth_bounded_source_is_rejected_before_any_carrier_map():
+    # terms of depth <= 1 on one generator: x, zero, neg(x), plus(x, x); rows
+    # such as neg(neg(x)) leave the bound, so no carrier map can be checked
+    sig = group_signature()
+    fa = free_algebra(make_computad(sig, {"*": ("x",)}, {}), 1)
+    z5 = _cyclic(5)
+    maps = enumerate_hom(fa.carrier, z5.carrier)
+    assert len(maps) == 625
+    for h in maps:
+        with pytest.raises(DepthExceeded):
+            check_algebra_morphism(fa, z5, h.component)
+    with pytest.raises(DepthExceeded):
+        algebra_morphisms(fa, z5)
+
+
+def test_algebra_morphism_search_work_is_bounded():
+    # 8**8 carrier maps; with the rows as constraints the search interprets
+    # about a thousand rows in the target
+    z8 = _cyclic(8)
+    target = _cyclic(8)
+    calls = [0]
+    interpret = target.interpret
+
+    def counted(symbol_id, assignment):
+        calls[0] += 1
+        assert calls[0] <= 20_000, "constraint search interpreted too many rows"
+        return interpret(symbol_id, assignment)
+
+    target.interpret = counted
+    found = algebra_morphisms(z8, target)
+    assert [h.component["1"] for h in found] == [str(k) for k in range(8)]
+    for h in found:
+        assert check_algebra_morphism(z8, _cyclic(8), h.component) == (True, None)

@@ -110,3 +110,23 @@ def test_boundary_representable_arrow():
     assert incl.component == {"s": "s", "t": "t"}
     empty, _ = boundary_representable(cat, "o")
     assert empty.is_empty()
+
+
+def test_sorts_are_computed_once_in_dimension_then_id_order():
+    raw = {
+        "sorts": [
+            {"id": "z", "dim": 0},
+            {"id": "b", "dim": 2},
+            {"id": "y", "dim": 1},
+            {"id": "a", "dim": 0},
+            {"id": "x", "dim": 1},
+        ],
+        "faces": [],
+        "compose": [],
+    }
+    cat = validate_category(raw)
+    assert cat.sorts == ("a", "z", "x", "y", "b")
+    assert cat.sorts is cat.sorts
+    tr = truncate_category(cat, 1)
+    assert tr.sorts == ("a", "z", "x", "y")
+    assert tr.sorts is tr.sorts

@@ -1,9 +1,12 @@
 """The contract of the kernel's derived-data caches (``base.memoized``)."""
 
+from computads.base import truncate_category
+from computads.cofibrant import disk_computad, sphere_computad
 from computads.computad import make_computad
 from computads.factorization import support
 from computads.monad import enumerate_terms
 from computads.plex import classify, enumerate_polyplexes, polyplex_computad
+from computads.presheaf import boundary_representable, representable
 from computads.terms import var
 
 from fixtures import comp_signature, comp_uv, walk2
@@ -36,3 +39,27 @@ def test_entries_belong_to_their_owner():
     assert twin == arrow
     assert support(twin, var("x")) == support(arrow, var("x"))
     assert support(twin, var("x")) is not support(arrow, var("x"))
+
+
+def test_representables_are_built_once_per_category_and_signature():
+    sig = comp_signature()
+    cat = sig.base
+    assert representable(cat, "a") is representable(cat, "a")
+    assert boundary_representable(cat, "a") is boundary_representable(cat, "a")
+    assert disk_computad(sig, "a") is disk_computad(sig, "a")
+    assert sphere_computad(sig, "a") is sphere_computad(sig, "a")
+    for table in ("_representable_cache", "_boundary_representable_cache"):
+        assert cat.__dict__[table]
+    for table in ("_disk_cache", "_sphere_cache"):
+        assert sig.__dict__[table]
+    # a truncated category is a new owner, even where it agrees with cat
+    low = truncate_category(cat, 0)
+    assert representable(low, "o").cells_at("o") == representable(cat, "o").cells_at("o")
+    assert representable(low, "o") is not representable(cat, "o")
+    assert boundary_representable(low, "o") is not boundary_representable(cat, "o")
+    # so is a second, equal signature
+    twin = comp_signature()
+    assert twin == sig
+    assert disk_computad(twin, "a") == disk_computad(sig, "a")
+    assert disk_computad(twin, "a") is not disk_computad(sig, "a")
+    assert sphere_computad(twin, "a") is not sphere_computad(sig, "a")
