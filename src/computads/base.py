@@ -123,6 +123,15 @@ class DirectCategory:
         return pairs
 
 
+def json_objects(raw: dict, key: str, error: type[Exception]) -> list[dict]:
+    """The list of objects under ``key`` (empty if absent); raises ``error``
+    on any other shape, before a field is read."""
+    entries = raw.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise error(f"{key!r} must be a list of objects")
+    return entries
+
+
 def validate_category(raw: dict) -> DirectCategory:
     """Validate a raw category description.
 
@@ -130,7 +139,7 @@ def validate_category(raw: dict) -> DirectCategory:
     compose: [{first, second, result}]}``.
     """
     dims: dict[str, int] = {}
-    for entry in raw.get("sorts", []):
+    for entry in json_objects(raw, "sorts", UnknownSort):
         sid, d = entry["id"], entry["dim"]
         if sid in dims:
             raise UnknownSort(f"duplicate sort id {sid!r}")
@@ -139,7 +148,7 @@ def validate_category(raw: dict) -> DirectCategory:
         dims[sid] = d
 
     faces: dict[str, Face] = {}
-    for entry in raw.get("faces", []):
+    for entry in json_objects(raw, "faces", UnknownFace):
         fid, src, dst = entry["id"], entry["src"], entry["dst"]
         if fid in faces:
             raise UnknownFace(f"duplicate face id {fid!r}")
@@ -152,7 +161,7 @@ def validate_category(raw: dict) -> DirectCategory:
         faces[fid] = Face(fid, src, dst)
 
     table: dict[tuple[str, str], str] = {}
-    for entry in raw.get("compose", []):
+    for entry in json_objects(raw, "compose", CompositionGap):
         key = (entry["first"], entry["second"])
         if key[0] not in faces or key[1] not in faces:
             raise CompositionGap(f"composition entry over unknown faces {key}")

@@ -22,7 +22,7 @@ from .cofibrant import (
     verify_stage_pushout,
 )
 from .computad import isomorphic
-from .errors import KernelError
+from .errors import DocumentTooDeep, KernelError
 from .factorization import image_factorize, split_idempotent, support_morphism
 from .io_json import (
     algebra_from_json,
@@ -43,7 +43,13 @@ from .computad import apply_morphism
 
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise DocumentTooDeep(
+                f"{path} nests deeper than the interpreter's recursion limit "
+                f"({sys.getrecursionlimit()} levels)"
+            ) from None
 
 
 def _emit(obj) -> None:

@@ -18,15 +18,16 @@ from .computad import (
     ComputadMorphism,
     colimit_var,
     free_computad,
-    make_computad,
+    inclusion,
+    isomorphic,
     make_morphism,
-    var_to_var_morphism,
+    pushout,
 )
 from .errors import NotCompatible, UnknownSort
 from .monad import argument_families, terms_saturated
 from .presheaf import boundary_representable, hom_families, representable, search
 from .signature import Signature
-from .terms import Term, Var, boundary, serialize
+from .terms import Term, Var, boundary, rename, serialize
 
 
 @memoized("_disk_cache")
@@ -47,10 +48,7 @@ def boundary_inclusion(sig: Signature, sort: SortRef) -> ComputadMorphism:
     """The inclusion of the boundary of the representable computad."""
     if sort not in sig.base.dims:
         raise UnknownSort(f"unknown sort {sort!r}")
-    sphere = sphere_computad(sig, sort)
-    disk = disk_computad(sig, sort)
-    gen_map = {g: g for _, g in sphere.all_generators()}
-    return var_to_var_morphism(sphere, disk, gen_map)
+    return inclusion(sphere_computad(sig, sort), disk_computad(sig, sort))
 
 
 def classify_term(c: Computad, t: Term, sort: SortRef) -> ComputadMorphism:
@@ -59,7 +57,7 @@ def classify_term(c: Computad, t: Term, sort: SortRef) -> ComputadMorphism:
     assign: dict[str, Term] = {f"id_{sort}": t}
     for face in c.base.faces_into(sort):
         assign[face] = boundary(c, face, t)
-    return make_morphism(disk, c, assign, check=True)
+    return make_morphism(disk, c, assign)
 
 
 def classify_type(
@@ -67,7 +65,7 @@ def classify_type(
 ) -> ComputadMorphism:
     """The morphism from the boundary computad picking out a type."""
     sphere = sphere_computad(c.signature, sort)
-    return make_morphism(sphere, c, dict(family), check=True)
+    return make_morphism(sphere, c, family)
 
 
 # -- skeletal filtration -----------------------------------------------------------
@@ -94,11 +92,9 @@ class SkeletalFiltration:
     stages: list[SkeletalStage]
 
     def inclusions(self) -> list[ComputadMorphism]:
-        out = []
-        for lo, hi in zip(self.stages, self.stages[1:]):
-            gen_map = {g: g for _, g in lo.computad.all_generators()}
-            out.append(var_to_var_morphism(lo.computad, hi.computad, gen_map))
-        return out
+        """Each stage's generator inclusion into the next, unchecked."""
+        pairs = zip(self.stages, self.stages[1:])
+        return [inclusion(lo.computad, hi.computad) for lo, hi in pairs]
 
 
 def _strata(c: Computad, below: int) -> Computad:
@@ -108,7 +104,7 @@ def _strata(c: Computad, below: int) -> Computad:
     }
     kept = {g for gs in gens.values() for g in gs}
     glue = {(g, f): t for (g, f), t in c.glue.items() if g in kept}
-    return make_computad(c.signature, gens, glue, check=False)
+    return Computad(c.signature, gens, glue)
 
 
 def skeletal_filtration(c: Computad) -> SkeletalFiltration:
@@ -138,14 +134,12 @@ def skeletal_filtration(c: Computad) -> SkeletalFiltration:
 
 def replay_filtration(filtration: SkeletalFiltration) -> Computad:
     """Rebuild the computad from the attaching data alone, with fresh
-    generator names; the result is isomorphic to the original."""
+    generator names; the result is isomorphic to the original (unchecked)."""
     sig = filtration.computad.signature
     renaming: dict[str, str] = {}
     gens: dict[SortRef, tuple[str, ...]] = {s: () for s in sig.base.sorts}
     glue: dict[tuple[str, FaceRef], Term] = {}
     counter = 0
-    from .terms import rename
-
     for stage in filtration.stages:
         for att in stage.attachments:
             fresh = f"g{counter}"
@@ -154,7 +148,7 @@ def replay_filtration(filtration: SkeletalFiltration) -> Computad:
             gens[att.sort] = gens[att.sort] + (fresh,)
             for face, t in att.family.items():
                 glue[(fresh, face)] = rename(t, renaming)
-    return make_computad(sig, gens, glue, check=True)
+    return Computad(sig, gens, glue)
 
 
 def verify_stage_pushout(
@@ -167,8 +161,6 @@ def verify_stage_pushout(
     requires generator-preserving legs); returns None otherwise.
     """
     if not stage.attachments:
-        from .computad import isomorphic
-
         return isomorphic(stage.computad, next_computad)
     if not all(att.phi.is_var_to_var() for att in stage.attachments):
         return None
@@ -177,8 +169,8 @@ def verify_stage_pushout(
     disk_nodes = {att.gen: disk_computad(sig, att.sort) for att in stage.attachments}
     sph_cop = colimit_var(sphere_nodes, [])
     disk_cop = colimit_var(disk_nodes, [])
-    # boundary inclusion on each tagged summand
-    incl = make_morphism(
+    # boundary inclusion on each tagged summand, a coproduct of inclusions
+    incl = ComputadMorphism(
         sph_cop.computad,
         disk_cop.computad,
         {
@@ -186,11 +178,8 @@ def verify_stage_pushout(
             for att in stage.attachments
             for _, g in att.phi.src.all_generators()
         },
-        check=True,
     )
     attach = sph_cop.mediate({att.gen: att.phi for att in stage.attachments})
-    from .computad import isomorphic, pushout
-
     po = pushout(incl, attach)
     return isomorphic(po.computad, next_computad)
 
@@ -217,7 +206,8 @@ def underlying_computad(alg, depth_bound: int) -> UndResult:
     Generators of sort i are pairs (boundary type of the part built so far,
     carrier cell) whose evaluations match; exact when term enumeration
     saturates at every sort feeding a boundary (in particular over a discrete
-    base, where the generators are exactly the carrier cells).
+    base, where the generators are exactly the carrier cells).  Unchecked: each
+    gluing family is an argument family over the part built so far.
     """
     sig = alg.signature
     cat = sig.base
@@ -232,7 +222,7 @@ def underlying_computad(alg, depth_bound: int) -> UndResult:
 
     dims = sorted({cat.dim(s) for s in cat.sorts})
     for d in dims:
-        lower = make_computad(sig, gens, glue, check=False)
+        lower = Computad(sig, gens, glue)
         from .algebra import GeneratorEvaluation
 
         evaluate = GeneratorEvaluation(computad=lower, algebra=alg, assign=r_assign)
@@ -255,7 +245,7 @@ def underlying_computad(alg, depth_bound: int) -> UndResult:
                         for face, t in family.items():
                             glue[(name, face)] = t
             gens[sort] = tuple(sorted(names))
-    computad = make_computad(sig, gens, glue, check=True)
+    computad = Computad(sig, gens, glue)
     exact = all(terms_saturated(computad, s, depth_bound) for s in sorted(relevant))
     return UndResult(
         computad=computad,
@@ -288,12 +278,9 @@ class CofibrantReplacement:
 
 
 def cofibrant_replacement(alg, depth_bound: int) -> CofibrantReplacement:
-    und = underlying_computad(alg, depth_bound)
-    from .algebra import morphism_from_generators
-
-    # validates the boundary conditions of the counit assignment
-    morphism_from_generators(und.computad, alg, und.r_assign)
-    return CofibrantReplacement(algebra=alg, und=und)
+    """The underlying computad; its counit is a morphism because each
+    generator's family evaluates to the boundary of its cell."""
+    return CofibrantReplacement(algebra=alg, und=underlying_computad(alg, depth_bound))
 
 
 # -- trivial fibrations ---------------------------------------------------------------

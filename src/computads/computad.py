@@ -5,6 +5,10 @@ of sort i carries, per non-identity face d : j -> i, a gluing term of sort j
 over the lower-dimensional truncation.  Because the sort category is direct,
 stratification is automatic: a term of sort j can only mention generators of
 dimension at most dim j.
+
+Validation happens once, at the boundary: ``make_computad``, ``make_morphism``
+and ``var_to_var_morphism`` check their input.  The kernel's own constructions
+build the dataclasses directly and name the invariant that makes them valid.
 """
 
 from __future__ import annotations
@@ -37,14 +41,23 @@ from .terms import (
 
 @dataclass
 class Computad:
+    """Unchecked: pads every sort to a tuple of generators, copies ``glue``
+    and rejects a repeated generator id, nothing more."""
+
     signature: Signature
     gens: dict[SortRef, tuple[str, ...]]
     glue: dict[tuple[str, FaceRef], Term]
-    _gen_sort: dict[str, SortRef] = field(default_factory=dict, repr=False, compare=False)
+    _gen_sort: dict[str, SortRef] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self._gen_sort:
-            self._gen_sort = {g: s for s, gs in self.gens.items() for g in gs}
+        self.gens = {s: tuple(self.gens.get(s, ())) for s in self.signature.base.sorts}
+        self.glue = dict(self.glue)
+        self._gen_sort = {}
+        for s, gs in self.gens.items():
+            for g in gs:
+                if g in self._gen_sort:
+                    raise GluingIllTyped(f"duplicate generator id {g!r}")
+                self._gen_sort[g] = s
 
     # term context interface
     @property
@@ -80,24 +93,15 @@ def make_computad(
     signature: Signature,
     gens: dict[SortRef, tuple[str, ...]],
     glue: dict[tuple[str, FaceRef], Term],
-    check: bool = True,
 ) -> Computad:
-    full = {s: tuple(gens.get(s, ())) for s in signature.base.sorts}
-    c = Computad(signature=signature, gens=full, glue=dict(glue))
-    seen: set[str] = set()
-    for gs in full.values():
-        for g in gs:
-            if g in seen:
-                raise GluingIllTyped(f"duplicate generator id {g!r}")
-            seen.add(g)
-    if not check:
-        return c
+    """The checked constructor: well-typed gluings satisfying the cocycle."""
+    c = Computad(signature=signature, gens=gens, glue=glue)
     cat = signature.base
     undeclared = set(gens) - set(cat.sorts)
     if undeclared:
         raise UnknownSort(f"generators at undeclared sorts {sorted(undeclared)}")
     for g, face in c.glue:
-        if g not in seen:
+        if g not in c._gen_sort:
             raise GluingIllTyped(f"gluing for undeclared generator {g!r}")
         if face not in cat.faces_into(c.gen_sort(g)):
             raise GluingIllTyped(
@@ -127,7 +131,8 @@ def make_computad(
 
 
 def free_computad(x: Presheaf, signature: Signature) -> Computad:
-    """The computad with one generator per cell, glued along the action."""
+    """The computad with one generator per cell, glued along the (functorial)
+    action."""
     if x.base.dims != signature.base.dims or x.base.faces.keys() != signature.base.faces.keys():
         raise BaseMismatch("presheaf and signature over different sort categories")
     gens = {s: x.cells_at(s) for s in signature.base.sorts}
@@ -136,10 +141,11 @@ def free_computad(x: Presheaf, signature: Signature) -> Computad:
         for cell in x.cells_at(s):
             for face in signature.base.faces_into(s):
                 glue[(cell, face)] = Var(x.act(face, cell))
-    return make_computad(signature, gens, glue, check=False)
+    return Computad(signature, gens, glue)
 
 
 def truncate_computad(c: Computad, n: int) -> Computad:
+    """The generators of dimension at most n; their gluings name no others."""
     sig = restrict_signature(c.signature, n)
     gens = {s: c.generators_at(s) for s in sig.base.sorts}
     glue = {
@@ -147,21 +153,17 @@ def truncate_computad(c: Computad, n: int) -> Computad:
         for (g, f), t in c.glue.items()
         if g in {x for gs in gens.values() for x in gs}
     }
-    return make_computad(sig, gens, glue, check=False)
+    return Computad(sig, gens, glue)
 
 
 def skeleton_computad(c: Computad, signature: Signature) -> Computad:
     """Re-extend a truncated computad over a larger signature by empty sets."""
-    gens = {s: c.generators_at(s) if s in c.gens else () for s in signature.base.sorts}
-    return make_computad(signature, gens, dict(c.glue), check=False)
+    return Computad(signature, c.gens, c.glue)
 
 
 def skeleton_counit(c: Computad, n: int) -> ComputadMorphism:
-    """The generator inclusion sk_n tr_n C -> C."""
-    sk = skeleton_computad(truncate_computad(c, n), c.signature)
-    return var_to_var_morphism(
-        sk, c, {g: g for _, g in sk.all_generators()}, check=True
-    )
+    """The generator inclusion sk_n tr_n C -> C, which keeps every gluing."""
+    return inclusion(skeleton_computad(truncate_computad(c, n), c.signature), c)
 
 
 @dataclass
@@ -201,11 +203,10 @@ def apply_morphism(m: ComputadMorphism, t: Term) -> Term:
 
 
 def make_morphism(
-    src: Computad, dst: Computad, assign: dict[str, Term], check: bool = True
+    src: Computad, dst: Computad, assign: dict[str, Term]
 ) -> ComputadMorphism:
+    """The checked constructor: terms of the right sort and boundaries."""
     m = ComputadMorphism(src=src, dst=dst, assign=dict(assign))
-    if not check:
-        return m
     cat = src.base
     for sort, gen in src.all_generators():
         if gen not in m.assign:
@@ -223,7 +224,13 @@ def make_morphism(
 
 
 def identity_morphism(c: Computad) -> ComputadMorphism:
-    return ComputadMorphism(src=c, dst=c, assign={g: Var(g) for _, g in c.all_generators()})
+    return inclusion(c, c)
+
+
+def inclusion(src: Computad, dst: Computad) -> ComputadMorphism:
+    """The generator inclusion src -> dst, unchecked: the caller knows that
+    ``dst`` has the generators of ``src`` with the same gluings."""
+    return ComputadMorphism(src, dst, {g: Var(g) for _, g in src.all_generators()})
 
 
 def compose_morphisms(
@@ -237,11 +244,9 @@ def compose_morphisms(
 
 
 def var_to_var_morphism(
-    src: Computad, dst: Computad, gen_map: dict[str, str], check: bool = True
+    src: Computad, dst: Computad, gen_map: dict[str, str]
 ) -> ComputadMorphism:
-    return make_morphism(
-        src, dst, {g: Var(v) for g, v in gen_map.items()}, check=check
-    )
+    return make_morphism(src, dst, {g: Var(v) for g, v in gen_map.items()})
 
 
 # -- isomorphism checking -------------------------------------------------------
@@ -341,6 +346,8 @@ def colimit_var(
     Generator sets are computed as colimits of sets (union-find over the
     edges); gluings are induced along the cocone legs.  Canonical class
     representatives are the lexicographic minima, making output deterministic.
+    Unchecked: identified generators carry the same renamed gluing, since
+    the edges are morphisms, and renaming commutes with typing and boundaries.
     """
     for _, _, m in edges:
         if not m.is_var_to_var():
@@ -407,9 +414,9 @@ def colimit_var(
                 glue[(cls, face)] = rename(
                     nodes[key].gluing(g, face), leg_maps[key]
                 )
-    colim = make_computad(signature, gens, glue, check=True)
+    colim = Computad(signature, gens, glue)
     legs = {
-        key: var_to_var_morphism(c, colim, leg_maps[key], check=True)
+        key: ComputadMorphism(c, colim, {g: Var(v) for g, v in leg_maps[key].items()})
         for key, c in nodes.items()
     }
     return Colimit(computad=colim, legs=legs, classes=classes)

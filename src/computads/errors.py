@@ -103,6 +103,10 @@ class DepthExceeded(KernelError):
     """A free-algebra view was asked for a term beyond its depth bound."""
 
 
+class DocumentTooDeep(KernelError):
+    """A JSON document nests deeper than the decoder's recursion limit."""
+
+
 # -- factorisation ------------------------------------------------------------
 
 class NotMono(KernelError):

@@ -16,8 +16,7 @@ from .computad import (
     compose_morphisms,
     free_computad,
     identity_morphism,
-    make_computad,
-    make_morphism,
+    inclusion,
 )
 from .errors import NotIdempotent, NotMono, SideConditionFailure
 from .presheaf import PresheafMorphism
@@ -117,10 +116,11 @@ def require_full_composite(
     """The side condition of the coherence constructors: ``t``, a term over
     the free computad ``whole`` on ``incl.dst``, must lift through the
     variable-to-variable mono that ``incl`` induces, to a term with full
-    support.  Raises SideConditionFailure(not_lifted) or (not_full)."""
+    support.  Raises SideConditionFailure(not_lifted) or (not_full).  The
+    mono is unchecked: ``incl`` commutes with the action gluing both sides."""
     part = free_computad(incl.src, whole.signature)
     assign = {g: var(h) for g, h in incl.component.items()}
-    mono = make_morphism(part, whole, assign, check=False)
+    mono = ComputadMorphism(part, whole, assign)
     lifted = lift_term_through_mono(mono, whole, t)
     if lifted is None:
         raise SideConditionFailure(not_lifted)
@@ -135,7 +135,8 @@ def lift_through_mono(
     """Factor ``sigma`` through the variable-to-variable mono ``rho``.
 
     Returns the unique morphism sigma' with rho . sigma' = sigma when the
-    support of sigma is contained in that of rho, and None otherwise.
+    support of sigma is contained in that of rho, and None otherwise.  It is
+    unchecked: renaming back along a mono preserves typing and boundaries.
     """
     inverse = _mono_inverse(rho)
     image = support_morphism(rho)
@@ -144,7 +145,7 @@ def lift_through_mono(
         if not gens <= image.get(s, frozenset()):
             return None
     assign = {g: rename(t, inverse) for g, t in sigma.assign.items()}
-    return make_morphism(sigma.src, rho.src, assign, check=True)
+    return ComputadMorphism(sigma.src, rho.src, assign)
 
 
 def image_factorize(
@@ -154,7 +155,7 @@ def image_factorize(
 
     The middle computad has the support of sigma as generators; its gluings
     are the target's gluings, which stay inside the support because supports
-    are closed under boundaries.
+    are closed under boundaries; so all three are built unchecked.
     """
     dst = sigma.dst
     supp = support_morphism(sigma)
@@ -167,12 +168,9 @@ def image_factorize(
         for (g, face), t in dst.glue.items()
         if g in {x for gs in gens.values() for x in gs}
     }
-    middle = make_computad(dst.signature, gens, glue, check=True)
-    iota = make_morphism(
-        middle, dst, {g: Var(g) for gs in gens.values() for g in gs}, check=True
-    )
-    pi = make_morphism(sigma.src, middle, dict(sigma.assign), check=True)
-    return pi, middle, iota
+    middle = Computad(dst.signature, gens, glue)
+    pi = ComputadMorphism(sigma.src, middle, dict(sigma.assign))
+    return pi, middle, inclusion(middle, dst)
 
 
 def split_idempotent(

@@ -8,7 +8,7 @@ from its top-level keys.
 from __future__ import annotations
 
 from .algebra import Algebra, algebra_from_interpretations, hom_key
-from .base import validate_category
+from .base import json_objects, validate_category
 from .computad import Computad, ComputadMorphism, make_computad, make_morphism
 from .errors import GluingIllTyped, KernelError
 from .plex import PApp, Polyplex, PVar, papp, pvar
@@ -24,11 +24,13 @@ from .signature import (
 def computad_from_json(raw: dict) -> Computad:
     sig = validate_signature(raw["signature"])
     gens = raw.get("generators", {})
+    if not isinstance(gens, dict):
+        raise GluingIllTyped(f"generators must be an object of id lists: {gens!r}")
     for s, ids in gens.items():
         if not isinstance(ids, list) or not all(isinstance(g, str) for g in ids):
             raise GluingIllTyped(f"generators at {s!r} must be a list of ids: {ids!r}")
     glue = {}
-    for entry in raw.get("gluing", []):
+    for entry in json_objects(raw, "gluing", GluingIllTyped):
         glue[(entry["gen"], entry["face"])] = term_from_json(entry["term"])
     return make_computad(sig, gens, glue)
 

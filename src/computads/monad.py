@@ -119,10 +119,11 @@ def _all_cells(x: Presheaf):
 
 def counit(c: Computad, depth: int) -> ComputadMorphism:
     """The counit at a computad: the free computad on the (depth-bounded)
-    terms of C maps back to C by reading each term cell as itself."""
+    terms of C maps back to C by reading each term cell as itself; unchecked,
+    as the term presheaf acts by taking boundaries."""
     view = term_presheaf(c, depth)
     free = free_computad(view.presheaf, c.signature)
-    return make_morphism(free, c, dict(view.decode), check=True)
+    return ComputadMorphism(free, c, dict(view.decode))
 
 
 def mult(t: Term, decode: dict[str, Term]) -> Term:
@@ -148,4 +149,4 @@ def untranspose(
     arity: Presheaf, signature: Signature, c: Computad, family: dict[str, Term]
 ) -> ComputadMorphism:
     free = free_computad(arity, signature)
-    return make_morphism(free, c, family, check=True)
+    return make_morphism(free, c, family)

@@ -20,8 +20,6 @@ from .computad import (
     ComputadMorphism,
     apply_morphism,
     colimit_var,
-    make_computad,
-    make_morphism,
 )
 from .presheaf import Presheaf, boundary_representable, hom_families, search
 from .signature import Signature
@@ -211,7 +209,8 @@ def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
     For a generator shape: the colimit of the representing computads of its
     boundary shapes, plus one fresh generator glued along the images of their
     universal terms.  For an application shape: the colimit over the category
-    of elements of the arity.
+    of elements of the arity.  Unchecked: the edges identify each boundary of
+    a glued universal term with the universal term of the composite face.
     """
     cat = sig.base
     if isinstance(p, PVar):
@@ -234,7 +233,7 @@ def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
             gens = {}
             glue = {}
         gens[p.sort] = tuple(sorted(set(gens.get(p.sort, ())) | {star}))
-        computad = make_computad(sig, gens, glue, check=True)
+        computad = Computad(sig, gens, glue)
         return PolyplexRep(
             polyplex=p,
             computad=computad,
@@ -262,7 +261,7 @@ def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
         args = {c: apply_morphism(colim.legs[c], r.universal) for c, r in reps.items()}
     else:
         colim = None
-        computad = make_computad(sig, {}, {}, check=False)
+        computad = Computad(sig, {}, {})
         args = {}
     return PolyplexRep(
         polyplex=p, computad=computad, universal=app(p.symbol, args), colimit=colim
@@ -271,7 +270,7 @@ def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
 
 def classifying_morphism(c: Computad, t: Term) -> ComputadMorphism:
     """The unique variable-to-variable morphism |classify(t)| -> c sending the
-    universal term to ``t``."""
+    universal term to ``t``, which is well typed over ``c`` (unchecked)."""
     sig = c.signature
     p = classify(c, t)
     rep = polyplex_computad(sig, p)
@@ -286,13 +285,13 @@ def classifying_morphism(c: Computad, t: Term) -> ComputadMorphism:
             mediated = rep.colimit.mediate(legs)
             assign.update(mediated.assign)
         assign[rep.star] = t
-        return make_morphism(rep.computad, c, assign, check=False)
+        return ComputadMorphism(rep.computad, c, assign)
     assert isinstance(t, App)
     if rep.colimit is None:
-        return make_morphism(rep.computad, c, {}, check=False)
+        return ComputadMorphism(rep.computad, c, {})
     legs = {cell: classifying_morphism(c, u) for cell, u in t.args}
     mediated = rep.colimit.mediate(legs)
-    return make_morphism(rep.computad, c, mediated.assign, check=False)
+    return ComputadMorphism(rep.computad, c, mediated.assign)
 
 
 # -- nerve -----------------------------------------------------------------------------
@@ -338,5 +337,5 @@ def reconstruct_from_nerve(c: Computad) -> Computad:
                 assert isinstance(restricted, Var)
                 edges.append((restricted.gen, gen, m))
     if not nodes:
-        return make_computad(sig, {}, {}, check=False)
+        return Computad(sig, {}, {})
     return colimit_var(nodes, edges).computad

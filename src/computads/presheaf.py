@@ -6,7 +6,14 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .base import DirectCategory, FaceRef, SortRef, memoized, truncate_category
+from .base import (
+    DirectCategory,
+    FaceRef,
+    SortRef,
+    json_objects,
+    memoized,
+    truncate_category,
+)
 from .errors import (
     BaseMismatch,
     FunctorialityFailure,
@@ -118,13 +125,15 @@ def validate_presheaf(raw: dict, base: DirectCategory | None = None) -> Presheaf
     if base is None:
         base = validate_category(raw["category"])
     cells = raw.get("cells", {})
+    if not isinstance(cells, dict):
+        raise FunctorialityFailure(f"cells must be an object of id lists: {cells!r}")
     for s, ids in cells.items():
         if s not in base.dims:
             raise UnknownSort(f"cells listed at unknown sort {s!r}")
         if not isinstance(ids, list) or not all(isinstance(c, str) for c in ids):
             raise FunctorialityFailure(f"cells at {s!r} must be a list of ids: {ids!r}")
     action = {}
-    for entry in raw.get("action", []):
+    for entry in json_objects(raw, "action", FunctorialityFailure):
         action[(entry["face"], entry["from"])] = entry["to"]
     return make_presheaf(base, cells, action)
 

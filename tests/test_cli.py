@@ -110,15 +110,14 @@ def test_support_factorize_split(tmp_path, capsys):
 
 
 def test_split_rejects_non_idempotent(tmp_path, capsys):
-    from computads.computad import make_morphism
+    from computads.computad import ComputadMorphism
     from computads.terms import var
 
     c = walk2()
-    shift = make_morphism(
-        c,
-        c,
-        {"p": var("q"), "q": var("r"), "r": var("r"), "u": var("v"), "v": var("r")},
-        check=False,
+    shift = ComputadMorphism(
+        src=c,
+        dst=c,
+        assign={"p": var("q"), "q": var("r"), "r": var("r"), "u": var("v"), "v": var("r")},
     )
     path = tmp_path / "shift.json"
     path.write_text(json.dumps(morphism_to_json(shift)), encoding="utf-8")
@@ -224,6 +223,20 @@ def _cells_as_string(doc):
     return {"category": doc["signature"]["category"], "cells": {"o": "xy"}}
 
 
+def _sorts_as_number(doc):
+    doc["signature"]["category"]["sorts"] = 5
+    return doc
+
+
+def _cells_as_list(doc):
+    return {"category": doc["signature"]["category"], "cells": ["x"]}
+
+
+def _generators_as_list(doc):
+    doc["generators"] = ["g"]
+    return doc
+
+
 ENUMERATE = ("enumerate", "--computad", "{}", "--sort", "o", "--depth", "0")
 
 
@@ -236,6 +249,9 @@ ENUMERATE = ("enumerate", "--computad", "{}", "--sort", "o", "--depth", "0")
         (_generators_at_undeclared_sort, [("check", "{}"), ENUMERATE], "UnknownSort"),
         (_gluing_of_undeclared_generator, [("check", "{}"), ENUMERATE], "GluingIllTyped"),
         (_gluing_along_foreign_face, [("check", "{}"), ENUMERATE], "GluingIllTyped"),
+        (_sorts_as_number, [("check", "{}"), ENUMERATE], "UnknownSort"),
+        (_cells_as_list, [("check", "{}")], "FunctorialityFailure"),
+        (_generators_as_list, [("check", "{}"), ENUMERATE], "GluingIllTyped"),
     ],
 )
 def test_json_boundary_rejects_misreadable_values(tmp_path, corrupt, commands, error):
@@ -249,6 +265,23 @@ def test_json_boundary_rejects_misreadable_values(tmp_path, corrupt, commands, e
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"{error}: ")
+
+
+def test_over_deep_document_is_a_typed_error(tmp_path):
+    from computads.packs import group_signature
+
+    c = make_computad(group_signature(), {"*": ("x",)}, {})
+    level = '{"app": {"symbol": "neg", "args": [{"cell": "neg.*0", "term": '
+    term = level * 300 + '{"var": "x"}' + "}]}}" * 300  # 1,200 nesting levels
+    path = tmp_path / "deep.json"
+    path.write_text(
+        '{"computad": ' + json.dumps(computad_to_json(c)) + ', "term": ' + term + "}",
+        encoding="utf-8",
+    )
+    proc = run_process("classify", "--term", str(path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("DocumentTooDeep: ")
 
 
 def test_cofrep_command(tmp_path, capsys):

@@ -353,7 +353,7 @@ def test_isomorphism_search_work_is_bounded():
     d = _relabelled(c, rng)
     iso = next(search(_counted(_gen_cells(c, d), 50_000), injective=True), None)
     assert iso is not None and len(set(iso.values())) == c.generator_count()
-    var_to_var_morphism(c, d, iso, check=True)
+    var_to_var_morphism(c, d, iso)
     # the last arrow glued back onto the first object closes a cycle
     glue = dict(c.glue)
     glue[("e19", "t")] = var("o0")

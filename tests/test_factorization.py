@@ -3,6 +3,7 @@ import random
 import pytest
 
 from computads.computad import (
+    ComputadMorphism,
     apply_morphism,
     compose_morphisms,
     free_computad,
@@ -190,11 +191,10 @@ def test_split_idempotent_collapse():
 def test_split_requires_idempotent():
     sig = comp_signature()
     c = walk2(sig)
-    swap_like = make_morphism(
-        c,
-        c,
-        {"p": var("q"), "q": var("r"), "r": var("r"), "u": var("v"), "v": var("r")},
-        check=False,
+    swap_like = ComputadMorphism(
+        src=c,
+        dst=c,
+        assign={"p": var("q"), "q": var("r"), "r": var("r"), "u": var("v"), "v": var("r")},
     )
     with pytest.raises(Exception):
         split_idempotent(swap_like)
@@ -265,5 +265,5 @@ def test_agreement_criterion_perturbation():
     assert apply_morphism(one, t) == apply_morphism(other, t)
     # perturbing inside the support changes the value
     swapped = dict(base, p=var("z"))
-    inside = make_morphism(c, c, swapped, check=False)
+    inside = ComputadMorphism(src=c, dst=c, assign=swapped)
     assert apply_morphism(inside, t) != apply_morphism(one, t)
