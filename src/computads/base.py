@@ -123,6 +123,14 @@ class DirectCategory:
         return pairs
 
 
+def json_object(raw, error: type[Exception], what: str) -> dict:
+    """``raw`` if it is a JSON object; raises ``error`` naming ``what``
+    otherwise, before a field is read."""
+    if not isinstance(raw, dict):
+        raise error(f"{what} must be an object, not {type(raw).__name__}")
+    return raw
+
+
 def json_objects(raw: dict, key: str, error: type[Exception]) -> list[dict]:
     """The list of objects under ``key`` (empty if absent); raises ``error``
     on any other shape, before a field is read."""
@@ -138,6 +146,7 @@ def validate_category(raw: dict) -> DirectCategory:
     ``raw`` has the JSON shape ``{sorts: [{id, dim}], faces: [{id, src, dst}],
     compose: [{first, second, result}]}``.
     """
+    json_object(raw, UnknownSort, "a category")
     dims: dict[str, int] = {}
     for entry in json_objects(raw, "sorts", UnknownSort):
         sid, d = entry["id"], entry["dim"]

@@ -22,12 +22,13 @@ from .computad import (
     isomorphic,
     make_morphism,
     pushout,
+    sub_computad,
 )
 from .errors import NotCompatible, UnknownSort
 from .monad import argument_families, terms_saturated
 from .presheaf import boundary_representable, hom_families, representable, search
 from .signature import Signature
-from .terms import Term, Var, boundary, rename, serialize
+from .terms import Term, Var, boundary, parts, rename, serialize
 
 
 @memoized("_disk_cache")
@@ -98,13 +99,8 @@ class SkeletalFiltration:
 
 
 def _strata(c: Computad, below: int) -> Computad:
-    gens = {
-        s: c.generators_at(s) if c.base.dim(s) < below else ()
-        for s in c.base.sorts
-    }
-    kept = {g for gs in gens.values() for g in gs}
-    glue = {(g, f): t for (g, f), t in c.glue.items() if g in kept}
-    return Computad(c.signature, gens, glue)
+    """The generators of dimension below ``below``, which glue to no others."""
+    return sub_computad(c, c.signature, lambda s, g: c.base.dim(s) < below)
 
 
 def skeletal_filtration(c: Computad) -> SkeletalFiltration:
@@ -119,10 +115,7 @@ def skeletal_filtration(c: Computad) -> SkeletalFiltration:
                 if c.base.dim(sort) != d:
                     continue
                 for gen in c.generators_at(sort):
-                    family = {
-                        face: c.gluing(gen, face)
-                        for face in c.base.faces_into(sort)
-                    }
+                    family = dict(parts(c, Var(gen)))
                     phi = classify_type(stage, sort, family)
                     psi = classify_term(next_stage, Var(gen), sort)
                     attachments.append(
@@ -286,7 +279,7 @@ def cofibrant_replacement(alg, depth_bound: int) -> CofibrantReplacement:
 # -- trivial fibrations ---------------------------------------------------------------
 
 def check_trivial_fibration(
-    src, dst, component: dict[str, str], sorts=None
+    src, dst, component: dict[str, str]
 ) -> tuple[bool, tuple | None]:
     """Check the right-lifting property against all boundary inclusions.
 
@@ -295,8 +288,7 @@ def check_trivial_fibration(
     element; equivalently (sigma, boundaries) is surjective onto the pullback.
     """
     cat = src.signature.base
-    sorts = list(sorts) if sorts is not None else list(cat.sorts)
-    for sort in sorts:
+    for sort in cat.sorts:
         faces = cat.faces_into(sort)
         fillers = {
             (component[x], tuple(src.act(f, x) for f in faces))

@@ -27,13 +27,15 @@ from .errors import (
     UnknownGenerator,
     UnknownSort,
 )
-from .presheaf import Presheaf, search
+from .presheaf import Presheaf, boundary_representable, search
 from .signature import FunctionSymbol, Signature, restrict_signature
 from .terms import (
     Term,
     Var,
     boundary,
+    check_family,
     check_term,
+    parts,
     rename,
     subst,
 )
@@ -115,18 +117,15 @@ def make_computad(
                     raise GluingIllTyped(
                         f"generator {g!r} has no gluing along {face!r}"
                     )
-                t = c.glue[(g, face)]
-                j = cat.face(face).src
                 try:
-                    check_term(c, t, expected_sort=j)
+                    check_term(c, c.glue[(g, face)], expected_sort=cat.face(face).src)
                 except (SortMismatch, IncompatibleArgs, UnknownGenerator) as exc:
                     raise GluingIllTyped(f"gluing of {g!r} along {face!r}: {exc}") from exc
-            for second, first in cat.composable_into(sort):
-                composite = cat.compose(first, second)
-                if boundary(c, first, c.glue[(g, second)]) != c.glue[(g, composite)]:
-                    raise CocycleFailure(
-                        f"gluing cocycle fails for {g!r} at {second!r} then {first!r}"
-                    )
+            sphere = boundary_representable(cat, sort)[0]
+            try:
+                check_family(c, sphere, dict(parts(c, Var(g))), f"gluing of {g!r}")
+            except IncompatibleArgs as exc:
+                raise CocycleFailure(str(exc)) from exc
     return c
 
 
@@ -144,16 +143,21 @@ def free_computad(x: Presheaf, signature: Signature) -> Computad:
     return Computad(signature, gens, glue)
 
 
+def sub_computad(c: Computad, signature: Signature, keep) -> Computad:
+    """The generators of ``c`` that ``keep(sort, gen)`` accepts, with their
+    gluings, over ``signature``.  Unchecked: the caller keeps every generator
+    that a kept gluing names."""
+    gens = {
+        s: tuple(g for g in c.generators_at(s) if keep(s, g))
+        for s in signature.base.sorts
+    }
+    kept = {g for gs in gens.values() for g in gs}
+    return Computad(signature, gens, {k: t for k, t in c.glue.items() if k[0] in kept})
+
+
 def truncate_computad(c: Computad, n: int) -> Computad:
     """The generators of dimension at most n; their gluings name no others."""
-    sig = restrict_signature(c.signature, n)
-    gens = {s: c.generators_at(s) for s in sig.base.sorts}
-    glue = {
-        (g, f): t
-        for (g, f), t in c.glue.items()
-        if g in {x for gs in gens.values() for x in gs}
-    }
-    return Computad(sig, gens, glue)
+    return sub_computad(c, restrict_signature(c.signature, n), lambda s, g: True)
 
 
 def skeleton_computad(c: Computad, signature: Signature) -> Computad:
@@ -207,16 +211,13 @@ def make_morphism(
 ) -> ComputadMorphism:
     """The checked constructor: terms of the right sort and boundaries."""
     m = ComputadMorphism(src=src, dst=dst, assign=dict(assign))
-    cat = src.base
     for sort, gen in src.all_generators():
         if gen not in m.assign:
             raise UnknownGenerator(f"morphism undefined on generator {gen!r}")
         t = m.assign[gen]
         check_term(dst, t, expected_sort=sort)
-        for face in cat.faces_into(sort):
-            lhs = boundary(dst, face, t)
-            rhs = apply_morphism(m, src.gluing(gen, face))
-            if lhs != rhs:
+        for face, u in parts(src, Var(gen)):
+            if boundary(dst, face, t) != apply_morphism(m, u):
                 raise GluingIllTyped(
                     f"morphism breaks the gluing of {gen!r} along {face!r}"
                 )
@@ -402,18 +403,12 @@ def colimit_var(
         for key, c in nodes.items()
     }
     glue: dict[tuple[str, FaceRef], Term] = {}
-    reps: dict[str, tuple[str, str]] = {}
-    for x in sorted(parent):
-        cls = classes[x]
-        if cls not in reps or find(x) < reps[cls]:
-            reps[cls] = find(x)
+    reps = {cls: find(x) for x, cls in classes.items()}
     for sort in cat.sorts:
         for cls in gens[sort]:
             key, g = reps[cls]
-            for face in cat.faces_into(sort):
-                glue[(cls, face)] = rename(
-                    nodes[key].gluing(g, face), leg_maps[key]
-                )
+            for face, t in parts(nodes[key], Var(g)):
+                glue[(cls, face)] = rename(t, leg_maps[key])
     colim = Computad(signature, gens, glue)
     legs = {
         key: ComputadMorphism(c, colim, {g: Var(v) for g, v in leg_maps[key].items()})

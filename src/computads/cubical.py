@@ -157,7 +157,6 @@ def grid_coherence(
     lower: Signature,
     grid: Grid,
     sides: dict[tuple[int, int], Term],
-    name: str | None = None,
     groupoid: bool = False,
 ) -> Signature:
     """Append a grid-composition coherence symbol to ``lower``.
@@ -216,7 +215,7 @@ def grid_coherence(
         cube_face_id(directions, {i: a}): t for (i, a), t in sides.items()
     }
     return extend_signature(
-        lower, (name or coherence_symbol_name(grid), sort, pos, boundary_terms)
+        lower, (coherence_symbol_name(grid), sort, pos, boundary_terms)
     )
 
 

@@ -103,6 +103,10 @@ class DepthExceeded(KernelError):
     """A free-algebra view was asked for a term beyond its depth bound."""
 
 
+class NegativeBound(KernelError):
+    """An enumeration was asked for terms or shapes below depth zero."""
+
+
 class DocumentTooDeep(KernelError):
     """A JSON document nests deeper than the decoder's recursion limit."""
 

@@ -17,10 +17,11 @@ from .computad import (
     free_computad,
     identity_morphism,
     inclusion,
+    sub_computad,
 )
 from .errors import NotIdempotent, NotMono, SideConditionFailure
 from .presheaf import PresheafMorphism
-from .terms import App, Term, Var, rename, var
+from .terms import Term, Var, parts, rename, var
 
 
 def support(c: Computad, t: Term) -> dict[SortRef, frozenset[str]]:
@@ -44,20 +45,15 @@ def _support_walk(c: Computad, t: Term, cache: dict) -> dict[SortRef, frozenset[
         if (u,) in cache:
             todo.pop()
             continue
-        if isinstance(u, Var):
-            sort = c.gen_sort(u.gen)
-            parts = [c.gluing(u.gen, face) for face in c.base.faces_into(sort)]
-        else:
-            assert isinstance(u, App)
-            parts = [v for _, v in u.args]
-        found = [cache.get((v,)) for v in parts]
+        below = [v for _, v in parts(c, u)]
+        found = [cache.get((v,)) for v in below]
         if None in found:
-            todo.extend(v for v, supp in zip(parts, found) if supp is None)
+            todo.extend(v for v, supp in zip(below, found) if supp is None)
             continue
         todo.pop()
         out: dict[SortRef, set[str]] = {s: set() for s in sorts}
         if isinstance(u, Var):
-            out[sort].add(u.gen)
+            out[c.gen_sort(u.gen)].add(u.gen)
         for supp in found:
             for s, gens in supp.items():
                 out[s] |= gens
@@ -159,16 +155,7 @@ def image_factorize(
     """
     dst = sigma.dst
     supp = support_morphism(sigma)
-    gens = {
-        s: tuple(g for g in dst.generators_at(s) if g in supp.get(s, frozenset()))
-        for s in dst.base.sorts
-    }
-    glue = {
-        (g, face): t
-        for (g, face), t in dst.glue.items()
-        if g in {x for gs in gens.values() for x in gs}
-    }
-    middle = Computad(dst.signature, gens, glue)
+    middle = sub_computad(dst, dst.signature, lambda s, g: g in supp[s])
     pi = ComputadMorphism(sigma.src, middle, dict(sigma.assign))
     return pi, middle, inclusion(middle, dst)
 

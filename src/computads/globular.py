@@ -203,7 +203,6 @@ def globe_coherence(
     dim: int,
     source: Term,
     target: Term,
-    name: str | None = None,
     groupoid: bool = False,
 ) -> Signature:
     """Append a pasting coherence of sort ``dim`` for ``tree`` to ``lower``.
@@ -243,7 +242,7 @@ def globe_coherence(
         globe_face("t", dim - 1, dim): target,
     }
     return extend_signature(
-        lower, (name or tree_symbol_name(tree), out_sort, pos, boundary_terms)
+        lower, (tree_symbol_name(tree), out_sort, pos, boundary_terms)
     )
 
 

@@ -8,9 +8,15 @@ from its top-level keys.
 from __future__ import annotations
 
 from .algebra import Algebra, algebra_from_interpretations, hom_key
-from .base import json_objects, validate_category
+from .base import json_object, json_objects, validate_category
 from .computad import Computad, ComputadMorphism, make_computad, make_morphism
-from .errors import GluingIllTyped, KernelError
+from .errors import (
+    GluingIllTyped,
+    KernelError,
+    MissingAction,
+    PartialTable,
+    UnknownGenerator,
+)
 from .plex import PApp, Polyplex, PVar, papp, pvar
 from .presheaf import presheaf_to_json, validate_presheaf
 from .signature import (
@@ -22,6 +28,7 @@ from .signature import (
 
 
 def computad_from_json(raw: dict) -> Computad:
+    json_object(raw, GluingIllTyped, "a computad")
     sig = validate_signature(raw["signature"])
     gens = raw.get("generators", {})
     if not isinstance(gens, dict):
@@ -49,10 +56,12 @@ def computad_to_json(c: Computad) -> dict:
 
 
 def morphism_from_json(raw: dict) -> ComputadMorphism:
+    json_object(raw, UnknownGenerator, "a morphism")
     src = computad_from_json(raw["src"])
     dst = computad_from_json(raw["dst"])
     assign = {
-        entry["gen"]: term_from_json(entry["term"]) for entry in raw.get("assign", [])
+        e["gen"]: term_from_json(e["term"])
+        for e in json_objects(raw, "assign", UnknownGenerator)
     }
     return make_morphism(src, dst, assign)
 
@@ -68,14 +77,15 @@ def morphism_to_json(m: ComputadMorphism) -> dict:
 
 
 def algebra_from_json(raw: dict) -> Algebra:
+    json_object(raw, PartialTable, "an algebra")
     sig = validate_signature(raw["signature"])
     carrier = validate_presheaf(raw["carrier"], base=sig.base)
     tables: dict[str, dict[tuple, str]] = {}
-    for entry in raw.get("interpretations", []):
+    for entry in json_objects(raw, "interpretations", PartialTable):
         rows = {}
-        for row in entry.get("rows", []):
-            assignment = {a["cell"]: a["value"] for a in row["hom"]}
-            rows[hom_key(assignment)] = row["value"]
+        for row in json_objects(entry, "rows", PartialTable):
+            hom = json_objects(row, "hom", PartialTable)
+            rows[hom_key({a["cell"]: a["value"] for a in hom})] = row["value"]
         tables[entry["symbol"]] = rows
     return algebra_from_interpretations(sig, carrier, tables)
 
@@ -108,51 +118,36 @@ def algebra_to_json(alg: Algebra) -> dict:
 
 
 def algebra_morphism_from_json(raw: dict) -> tuple[Algebra, Algebra, dict[str, str]]:
+    json_object(raw, MissingAction, "an algebra morphism")
     src = algebra_from_json(raw["src"])
     dst = algebra_from_json(raw["dst"])
-    component = {e["from"]: e["to"] for e in raw.get("components", [])}
+    entries = json_objects(raw, "components", MissingAction)
+    component = {e["from"]: e["to"] for e in entries}
     return src, dst, component
 
 
+# per shape kind: its key, the key of its parts and the key of their cells
+_PLEX_KEYS = {PVar: ("pvar", "boundary", "face"), PApp: ("papp", "args", "cell")}
+
+
 def polyplex_to_json(p: Polyplex) -> dict:
-    if isinstance(p, PVar):
-        return {
-            "pvar": {
-                "sort": p.sort,
-                "boundary": [
-                    {"face": f, "polyplex": polyplex_to_json(q)} for f, q in p.btype
-                ],
-            }
-        }
-    assert isinstance(p, PApp)
-    return {
-        "papp": {
-            "sort": p.sort,
-            "symbol": p.symbol,
-            "args": [
-                {"cell": c, "polyplex": polyplex_to_json(q)} for c, q in p.args
-            ],
-        }
-    }
+    kind, key, cell = _PLEX_KEYS[type(p)]
+    family = [{cell: c, "polyplex": polyplex_to_json(q)} for c, q in p.parts]
+    body = {"sort": p.sort, key: family}
+    if isinstance(p, PApp):
+        body["symbol"] = p.symbol
+    return {kind: body}
 
 
 def polyplex_from_json(raw: dict) -> Polyplex:
-    if "pvar" in raw:
-        body = raw["pvar"]
-        return pvar(
-            body["sort"],
-            {
-                e["face"]: polyplex_from_json(e["polyplex"])
-                for e in body.get("boundary", [])
-            },
-        )
-    if "papp" in raw:
-        body = raw["papp"]
-        return papp(
-            body["sort"],
-            body["symbol"],
-            {e["cell"]: polyplex_from_json(e["polyplex"]) for e in body.get("args", [])},
-        )
+    for kind, key, cell in _PLEX_KEYS.values():
+        if kind in raw:
+            body = raw[kind]
+            entries = body.get(key, [])
+            family = {e[cell]: polyplex_from_json(e["polyplex"]) for e in entries}
+            if kind == "pvar":
+                return pvar(body["sort"], family)
+            return papp(body["sort"], body["symbol"], family)
     raise KernelError(f"not a polyplex: {raw!r}")
 
 
@@ -167,6 +162,7 @@ KINDS = {
 
 
 def detect_kind(raw: dict) -> str:
+    json_object(raw, KernelError, "a document")
     for key, kind in KINDS.items():
         if key in raw:
             return kind

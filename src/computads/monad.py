@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .base import SortRef, memoized
 from .computad import Computad, ComputadMorphism, free_computad, make_morphism
+from .errors import NegativeBound
 from .presheaf import Presheaf, PresheafMorphism, hom_families, make_presheaf, search
 from .signature import Signature
 from .terms import Term, Var, app, boundary, canonical_sort, subst
@@ -36,6 +37,8 @@ def argument_families(
 def enumerate_terms(c: Computad, sort: SortRef, max_depth: int) -> list[Term]:
     """The terms of ``sort`` of depth at most ``max_depth``, canonically
     ordered (by depth, then serialisation) and duplicate-free."""
+    if max_depth < 0:
+        raise NegativeBound(f"term depth bound {max_depth} is negative")
     terms: list[Term] = [Var(g) for g in c.generators_at(sort)]
     if max_depth >= 1:
         for sym in c.signature.symbols_at(sort):
@@ -105,10 +108,10 @@ def term_presheaf(c: Computad, max_depth: int) -> TermPresheafView:
 
 # -- adjunction data -------------------------------------------------------------
 
-def unit(x: Presheaf, signature: Signature, depth: int = 0) -> PresheafMorphism:
+def unit(x: Presheaf, signature: Signature) -> PresheafMorphism:
     """The unit at a presheaf: each cell becomes the generator term over the
     free computad."""
-    view = term_presheaf(free_computad(x, signature), depth)
+    view = term_presheaf(free_computad(x, signature), 0)
     component = {cell: view.encode[Var(cell)] for _, cell in _all_cells(x)}
     return PresheafMorphism(src=x, dst=view.presheaf, component=component)
 

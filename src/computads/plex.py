@@ -6,6 +6,11 @@ a generator becomes its family of boundary shapes, an application keeps its
 symbol with the shapes of its arguments.  Shapes are self-contained finite
 trees (the terminal computad itself is never materialised; dimension strictly
 decreases along boundary families, so the trees stay finite).
+
+Either kind of shape lists its boundary or argument shapes as ``parts``, as
+``terms.parts`` does for terms.  Classification, representing computads and
+classifying morphisms take one path over the parts; only the universal term
+at the end differs, a fresh generator or an application.
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ from .computad import (
     apply_morphism,
     colimit_var,
 )
+from .errors import NegativeBound
 from .presheaf import Presheaf, boundary_representable, hom_families, search
 from .signature import Signature
-from .terms import App, Term, Var, app, boundary
+from .terms import App, Term, Var, app, boundary, parts
 
 
 class Polyplex:
@@ -42,6 +48,10 @@ class PVar(Polyplex):
     weight: int = field(default=0, compare=False)
     app_depth: int = field(default=0, compare=False)
 
+    @property
+    def parts(self) -> tuple[tuple[FaceRef, Polyplex], ...]:
+        return self.btype
+
     def boundary_at(self, face: FaceRef) -> Polyplex:
         for f, p in self.btype:
             if f == face:
@@ -58,6 +68,10 @@ class PApp(Polyplex):
     args: tuple[tuple[str, Polyplex], ...]
     weight: int = field(default=0, compare=False)
     app_depth: int = field(default=0, compare=False)
+
+    @property
+    def parts(self) -> tuple[tuple[str, Polyplex], ...]:
+        return self.args
 
     def arg_map(self) -> dict[str, Polyplex]:
         return dict(self.args)
@@ -80,13 +94,13 @@ def _pspell(p: Polyplex, memo: dict[int, str]) -> str:
     """The serialisation of ``p``, memoising its proper subtrees as
     ``terms._spell`` does (the same ``id`` caveat holds)."""
     is_var = isinstance(p, PVar)
-    parts = []
-    for c, q in p.btype if is_var else p.args:
+    spelled = []
+    for c, q in p.parts:
         s = memo.get(id(q))
         if s is None:
             s = memo[id(q)] = _pspell(q, memo)
-        parts.append(f"{c}:{s}" if is_var else f"{c}={s}")
-    inner = ",".join(parts)
+        spelled.append(f"{c}:{s}" if is_var else f"{c}={s}")
+    inner = ",".join(spelled)
     return f"<{p.sort}|{inner}>" if is_var else f"{p.symbol}[{inner}]"
 
 
@@ -136,18 +150,10 @@ def pboundary(sig: Signature, face: FaceRef, p: Polyplex) -> Polyplex:
 
 def classify(c: Computad, t: Term) -> Polyplex:
     """The shape of a term: image under the unique map to the terminal."""
+    shapes = {cell: classify(c, u) for cell, u in parts(c, t)}
     if isinstance(t, Var):
-        sort = c.gen_sort(t.gen)
-        return pvar(
-            sort,
-            {
-                face: classify(c, c.gluing(t.gen, face))
-                for face in c.base.faces_into(sort)
-            },
-        )
-    assert isinstance(t, App)
-    sym = c.symbol(t.symbol)
-    return papp(sym.sort, t.symbol, {cell: classify(c, u) for cell, u in t.args})
+        return pvar(c.gen_sort(t.gen), shapes)
+    return papp(c.symbol(t.symbol).sort, t.symbol, shapes)
 
 
 # -- enumeration --------------------------------------------------------------------
@@ -162,13 +168,13 @@ def enumerate_polyplexes(
     application adds one to its heaviest argument.  Bounding the weight keeps
     the enumeration finite and complete.
     """
-    out: list[Polyplex] = []
+    if max_weight < 0:
+        raise NegativeBound(f"shape weight bound {max_weight} is negative")
     # generator shapes: compatible boundary families, which are the maps out
-    # of the boundary of the representable on sort
-    for fam in _families(sig, boundary_representable(sig.base, sort)[0], max_weight):
-        p = pvar(sort, fam)
-        if p.weight <= max_weight:
-            out.append(p)
+    # of the boundary of the representable on sort; their members weigh at
+    # most max_weight, and so do they
+    sphere = boundary_representable(sig.base, sort)[0]
+    out = [pvar(sort, fam) for fam in _families(sig, sphere, max_weight)]
     # application shapes
     if max_weight >= 1:
         for sym in sig.symbols_at(sort):
@@ -198,7 +204,7 @@ class PolyplexRep:
     polyplex: Polyplex
     computad: Computad
     universal: Term
-    colimit: Colimit | None  # None only for symbol shapes with empty arity
+    colimit: Colimit | None  # None only for shapes without parts
     star: str | None = None  # the fresh generator, for generator shapes
 
 
@@ -206,92 +212,54 @@ class PolyplexRep:
 def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
     """Build the representing computad |p| with its universal term.
 
-    For a generator shape: the colimit of the representing computads of its
-    boundary shapes, plus one fresh generator glued along the images of their
-    universal terms.  For an application shape: the colimit over the category
-    of elements of the arity.  Unchecked: the edges identify each boundary of
-    a glued universal term with the universal term of the composite face.
+    The colimit of the representing computads of the parts of ``p``, over
+    the category of elements of the presheaf indexing them: the boundary of
+    the representable on its sort for a generator shape, the arity for an
+    application shape.  The images of the parts' universal terms are the
+    arguments of the universal term, or the gluing of one fresh generator.
+    Unchecked: the edges identify each boundary of a part's universal term
+    with the universal term of the part at the image cell.
     """
-    cat = sig.base
     if isinstance(p, PVar):
-        reps = {face: polyplex_computad(sig, q) for face, q in p.btype}
-        edges: list[tuple[str, str, ComputadMorphism]] = []
-        for face, rep_q in reps.items():
-            for further in cat.faces_into(cat.face(face).src):
-                lower = boundary(rep_q.computad, further, rep_q.universal)
-                m = classifying_morphism(rep_q.computad, lower)
-                edges.append((cat.compose(further, face), face, m))
-        star = f"*{p.sort}"
-        if reps:
-            colim = colimit_var({f: r.computad for f, r in reps.items()}, edges)
-            gens = dict(colim.computad.gens)
-            glue = dict(colim.computad.glue)
-            for face, rep_q in reps.items():
-                glue[(star, face)] = apply_morphism(colim.legs[face], rep_q.universal)
-        else:
-            colim = None
-            gens = {}
-            glue = {}
-        gens[p.sort] = tuple(sorted(set(gens.get(p.sort, ())) | {star}))
-        computad = Computad(sig, gens, glue)
-        return PolyplexRep(
-            polyplex=p,
-            computad=computad,
-            universal=Var(star),
-            colimit=colim,
-            star=star,
-        )
-    assert isinstance(p, PApp)
-    arity = sig.symbol(p.symbol).arity
-    pargs = p.arg_map()
-    reps = {
-        cell: polyplex_computad(sig, pargs[cell])
-        for sort in arity.base.sorts
-        for cell in arity.cells_at(sort)
-    }
-    edges = []
+        x = boundary_representable(sig.base, p.sort)[0]
+    else:
+        x = sig.symbol(p.symbol).arity
+    reps = {cell: polyplex_computad(sig, q) for cell, q in p.parts}
+    edges: list[tuple[str, str, ComputadMorphism]] = []
     for cell, rep_q in reps.items():
-        for face in arity.base.faces_into(arity.sort_of(cell)):
+        for face in x.base.faces_into(x.sort_of(cell)):
             lower = boundary(rep_q.computad, face, rep_q.universal)
             m = classifying_morphism(rep_q.computad, lower)
-            edges.append((arity.act(face, cell), cell, m))
+            edges.append((x.act(face, cell), cell, m))
     if reps:
-        colim = colimit_var({c: r.computad for c, r in reps.items()}, edges)
+        colim = colimit_var({cell: r.computad for cell, r in reps.items()}, edges)
         computad = colim.computad
-        args = {c: apply_morphism(colim.legs[c], r.universal) for c, r in reps.items()}
+        family = {
+            cell: apply_morphism(colim.legs[cell], r.universal) for cell, r in reps.items()
+        }
     else:
-        colim = None
-        computad = Computad(sig, {}, {})
-        args = {}
-    return PolyplexRep(
-        polyplex=p, computad=computad, universal=app(p.symbol, args), colimit=colim
-    )
+        colim, computad, family = None, Computad(sig, {}, {}), {}
+    if isinstance(p, PApp):
+        return PolyplexRep(p, computad, app(p.symbol, family), colim)
+    star = f"*{p.sort}"
+    gens = dict(computad.gens)
+    gens[p.sort] = (star,)  # the parts have lower sorts
+    glue = dict(computad.glue)
+    glue.update({(star, face): t for face, t in family.items()})
+    return PolyplexRep(p, Computad(sig, gens, glue), Var(star), colim, star)
 
 
 def classifying_morphism(c: Computad, t: Term) -> ComputadMorphism:
     """The unique variable-to-variable morphism |classify(t)| -> c sending the
     universal term to ``t``, which is well typed over ``c`` (unchecked)."""
-    sig = c.signature
-    p = classify(c, t)
-    rep = polyplex_computad(sig, p)
-    if isinstance(p, PVar):
-        assert isinstance(t, Var)
-        assign: dict[str, Term] = {}
-        if rep.colimit is not None:
-            legs = {
-                face: classifying_morphism(c, c.gluing(t.gen, face))
-                for face, _ in p.btype
-            }
-            mediated = rep.colimit.mediate(legs)
-            assign.update(mediated.assign)
+    rep = polyplex_computad(c.signature, classify(c, t))
+    assign: dict[str, Term] = {}
+    if rep.colimit is not None:
+        legs = {cell: classifying_morphism(c, u) for cell, u in parts(c, t)}
+        assign = rep.colimit.mediate(legs).assign
+    if rep.star is not None:
         assign[rep.star] = t
-        return ComputadMorphism(rep.computad, c, assign)
-    assert isinstance(t, App)
-    if rep.colimit is None:
-        return ComputadMorphism(rep.computad, c, {})
-    legs = {cell: classifying_morphism(c, u) for cell, u in t.args}
-    mediated = rep.colimit.mediate(legs)
-    return ComputadMorphism(rep.computad, c, mediated.assign)
+    return ComputadMorphism(rep.computad, c, assign)
 
 
 # -- nerve -----------------------------------------------------------------------------

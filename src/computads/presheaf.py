@@ -10,6 +10,7 @@ from .base import (
     DirectCategory,
     FaceRef,
     SortRef,
+    json_object,
     json_objects,
     memoized,
     truncate_category,
@@ -122,6 +123,7 @@ def validate_presheaf(raw: dict, base: DirectCategory | None = None) -> Presheaf
     [{face, from, to}]}``; ``base`` overrides the embedded category."""
     from .base import validate_category
 
+    json_object(raw, FunctorialityFailure, "a presheaf")
     if base is None:
         base = validate_category(raw["category"])
     cells = raw.get("cells", {})

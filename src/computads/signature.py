@@ -12,7 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import DirectCategory, FaceRef, SortRef, truncate_category
+from .base import (
+    DirectCategory,
+    FaceRef,
+    SortRef,
+    json_object,
+    json_objects,
+    truncate_category,
+    validate_category,
+)
 from .errors import (
     ArityDimensionViolation,
     BoundaryIllTyped,
@@ -23,8 +31,13 @@ from .errors import (
     UnknownSort,
     UnknownSymbol,
 )
-from .presheaf import Presheaf, truncate_presheaf, validate_presheaf
-from .terms import Term, Var, boundary, check_term
+from .presheaf import (
+    Presheaf,
+    boundary_representable,
+    truncate_presheaf,
+    validate_presheaf,
+)
+from .terms import App, Term, Var, app, boundary, check_family, check_term
 
 
 @dataclass(frozen=True)
@@ -69,31 +82,6 @@ class Signature:
         )
 
 
-class ArityContext:
-    """Term context over the free computad on an arity presheaf.
-
-    Generators are the arity cells and their gluings are variables again, so
-    boundary terms of a symbol can be validated before any computad exists.
-    """
-
-    def __init__(self, arity: Presheaf, signature: Signature):
-        self.arity = arity
-        self.signature = signature
-        self.base = signature.base
-
-    def gen_sort(self, gen: str) -> SortRef:
-        try:
-            return self.arity.sort_of(gen)
-        except KeyError:
-            raise UnknownGenerator(f"unknown arity cell {gen!r}") from None
-
-    def gluing(self, gen: str, face: FaceRef) -> Term:
-        return Var(self.arity.act(face, gen))
-
-    def symbol(self, symbol_id: str) -> FunctionSymbol:
-        return self.signature.symbol(symbol_id)
-
-
 COCYCLE_NOTE = (
     "convention: restricting the boundary term at a face d along a further "
     "face d' must equal the boundary term at the composite d.d'"
@@ -112,33 +100,25 @@ def complete_boundary(
     by restriction.  Raises BoundaryIllTyped when some face stays uncovered
     and CocycleFailure when the completed table is inconsistent.
     """
+    sphere = boundary_representable(cat, sort)[0]
     terms = dict(given)
-    changed = True
-    while changed:
-        changed = False
-        for second in cat.faces_into(sort):
+    for j in reversed(cat.sorts):  # a face's term is final before it is restricted
+        for second in sphere.cells_at(j):
             if second not in terms:
                 continue
-            j = cat.face(second).src
             for first in cat.faces_into(j):
-                composite = cat.compose(first, second)
+                composite = sphere.act(first, second)
                 if composite not in terms:
                     terms[composite] = boundary(ctx, first, terms[second])
-                    changed = True
     missing = [f for f in cat.faces_into(sort) if f not in terms]
     if missing:
         raise BoundaryIllTyped(
             f"no boundary term given or derivable at faces {missing}"
         )
-    for second in cat.faces_into(sort):
-        j = cat.face(second).src
-        for first in cat.faces_into(j):
-            composite = cat.compose(first, second)
-            if boundary(ctx, first, terms[second]) != terms[composite]:
-                raise CocycleFailure(
-                    f"boundary terms at {second!r} and {composite!r} disagree "
-                    f"({COCYCLE_NOTE})"
-                )
+    try:
+        check_family(ctx, sphere, terms, "boundary terms")
+    except IncompatibleArgs as exc:
+        raise CocycleFailure(f"{exc} ({COCYCLE_NOTE})") from exc
     return terms
 
 
@@ -147,7 +127,10 @@ def build_signature(
     symbols: list[tuple[str, SortRef, Presheaf, dict[FaceRef, Term]]],
 ) -> Signature:
     """Assemble and validate a signature from ``(id, sort, arity, boundary)``
-    declarations; declarations may arrive in any order."""
+    declarations; declarations may arrive in any order.  Boundary terms are
+    checked over the free computad on the arity."""
+    from .computad import free_computad  # computad imports this module
+
     sig = Signature(base=cat, symbols={})
     ordered = sorted(symbols, key=lambda s: (cat.dim(s[1]), s[0]))
     for symbol_id, sort, arity, given in ordered:
@@ -162,7 +145,7 @@ def build_signature(
                     f"symbol {symbol_id!r}: arity has cells at {s!r} above "
                     f"dimension {d}"
                 )
-        ctx = ArityContext(arity, sig)
+        ctx = free_computad(arity, sig)
         for face, t in given.items():
             f = cat.face(face)
             if f.dst != sort:
@@ -205,20 +188,16 @@ def restrict_signature(sig: Signature, n: int) -> Signature:
 # -- JSON ----------------------------------------------------------------------
 
 def term_from_json(obj: dict) -> Term:
-    from .terms import app
-
-    if "var" in obj:
+    if "var" in json_object(obj, BoundaryIllTyped, "a term"):
         return Var(obj["var"])
     if "app" in obj:
-        body = obj["app"]
-        args = {e["cell"]: term_from_json(e["term"]) for e in body.get("args", [])}
-        return app(body["symbol"], args)
+        body = json_object(obj["app"], BoundaryIllTyped, "an application")
+        args = json_objects(body, "args", BoundaryIllTyped)
+        return app(body["symbol"], {e["cell"]: term_from_json(e["term"]) for e in args})
     raise BoundaryIllTyped(f"not a term: {obj!r}")
 
 
 def term_to_json(t: Term) -> dict:
-    from .terms import App
-
     if isinstance(t, Var):
         return {"var": t.gen}
     assert isinstance(t, App)
@@ -230,19 +209,17 @@ def term_to_json(t: Term) -> dict:
     }
 
 
-def validate_signature(raw: dict, cat: DirectCategory | None = None) -> Signature:
+def validate_signature(raw: dict) -> Signature:
     """Validate the JSON shape ``{category, symbols: [{id, sort, arity,
     boundary: [{face, term}]}]}``."""
-    from .base import validate_category
-
-    if cat is None:
-        cat = validate_category(raw["category"])
+    json_object(raw, UnknownSymbol, "a signature")
+    cat = validate_category(raw["category"])
     decls = []
-    for entry in raw.get("symbols", []):
-        arity_raw = dict(entry["arity"])
-        arity = validate_presheaf(arity_raw, base=cat)
+    for entry in json_objects(raw, "symbols", UnknownSymbol):
+        arity = validate_presheaf(entry["arity"], base=cat)
         given = {
-            b["face"]: term_from_json(b["term"]) for b in entry.get("boundary", [])
+            b["face"]: term_from_json(b["term"])
+            for b in json_objects(entry, "boundary", BoundaryIllTyped)
         }
         decls.append((entry["id"], entry["sort"], arity, given))
     return build_signature(cat, decls)

@@ -12,17 +12,21 @@ A context is any object with
   - ``gluing(gen, face)``      the boundary term attached to a generator,
   - ``symbol(symbol_id)``      the function symbol (sort, arity, boundary).
 
-Computads implement this directly; signature validation uses a lightweight
-context over the free computad on an arity.
+Computads are the contexts (the free computad on an arity, for boundary
+terms).  A generator of sort i is attached along its gluings, a family over
+the boundary of the representable on i; an application along its arguments,
+a family over its symbol's arity.  :func:`parts` lists either family, and
+:func:`check_family` checks the cocycle condition on it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from .base import FaceRef, SortRef
 from .errors import IncompatibleArgs, SortMismatch
+from .presheaf import Presheaf
 
 
 class Term:
@@ -150,45 +154,48 @@ def boundary_along(ctx, face: FaceRef, t: Term) -> Term:
     return boundary(ctx, face, t)
 
 
+def parts(ctx, t: Term) -> Sequence[tuple[str, Term]]:
+    """The (cell, term) pairs ``t`` is attached along: a generator's gluing
+    at each face into its sort, or an application's arguments."""
+    if isinstance(t, Var):
+        faces = ctx.base.faces_into(ctx.gen_sort(t.gen))
+        return [(face, ctx.gluing(t.gen, face)) for face in faces]
+    return t.args
+
+
+def check_family(ctx, x: Presheaf, family: dict[str, Term], what: str) -> None:
+    """Check that ``family`` is a presheaf morphism from ``x`` into terms;
+    raises IncompatibleArgs or SortMismatch, naming ``what``."""
+    for sort in x.base.sorts:
+        for cell in x.cells_at(sort):
+            if cell not in family:
+                raise IncompatibleArgs(f"{what}: missing term at cell {cell!r}")
+            t = family[cell]
+            if term_sort(ctx, t) != sort:
+                raise SortMismatch(f"{what}: term at {cell!r} must have sort {sort!r}")
+            for face in x.base.faces_into(sort):
+                if boundary(ctx, face, t) != family[x.act(face, cell)]:
+                    raise IncompatibleArgs(
+                        f"{what}: boundary of the term at {cell!r} along "
+                        f"{face!r} disagrees with the term at {x.act(face, cell)!r}"
+                    )
+    extra = set(family) - {c for cs in x.cells.values() for c in cs}
+    if extra:
+        raise IncompatibleArgs(f"{what}: terms at unknown cells {sorted(extra)}")
+
+
 def check_args(ctx, symbol_id: str, args: dict[str, Term]) -> None:
     """Check that ``args`` is a presheaf morphism from the arity into terms."""
-    sym = ctx.symbol(symbol_id)
-    arity = sym.arity
-    for sort in arity.base.sorts:
-        for cell in arity.cells_at(sort):
-            if cell not in args:
-                raise IncompatibleArgs(
-                    f"{symbol_id!r}: missing argument for arity cell {cell!r}"
-                )
-            t = args[cell]
-            if term_sort(ctx, t) != sort:
-                raise SortMismatch(
-                    f"{symbol_id!r}: argument at {cell!r} must have sort {sort!r}"
-                )
-            for face in arity.base.faces_into(sort):
-                expected = args[arity.act(face, cell)]
-                if boundary(ctx, face, t) != expected:
-                    raise IncompatibleArgs(
-                        f"{symbol_id!r}: boundary of argument at {cell!r} along "
-                        f"{face!r} disagrees with the argument at "
-                        f"{arity.act(face, cell)!r}"
-                    )
-    extra = set(args) - {c for cs in arity.cells.values() for c in cs}
-    if extra:
-        raise IncompatibleArgs(f"{symbol_id!r}: arguments at unknown cells {sorted(extra)}")
+    check_family(ctx, ctx.symbol(symbol_id).arity, args, repr(symbol_id))
 
 
 def check_term(ctx, t: Term, expected_sort: SortRef | None = None) -> SortRef:
     """Recursively validate a term over ``ctx``; returns its sort."""
-    if isinstance(t, Var):
-        sort = ctx.gen_sort(t.gen)  # raises UnknownGenerator
-    else:
-        assert isinstance(t, App)
-        sym = ctx.symbol(t.symbol)  # raises UnknownSymbol
+    sort = term_sort(ctx, t)  # raises UnknownGenerator or UnknownSymbol
+    if isinstance(t, App):
         for _, u in t.args:
             check_term(ctx, u)
         check_args(ctx, t.symbol, t.arg_map())
-        sort = sym.sort
     if expected_sort is not None and sort != expected_sort:
         raise SortMismatch(f"term has sort {sort!r}, expected {expected_sort!r}")
     return sort

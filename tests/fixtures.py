@@ -73,6 +73,26 @@ def comp_uv() -> Term:
     )
 
 
+def globe2_glue() -> dict:
+    """Gluings of two parallel arrows f, g : x -> y and a 2-cell al : f => g
+    over the 2-globes."""
+    glue = {("f", "s0:1"): var("x"), ("f", "t0:1"): var("y")}
+    glue.update({("g", "s0:1"): var("x"), ("g", "t0:1"): var("y")})
+    glue.update({("al", "s1:2"): var("f"), ("al", "t1:2"): var("g")})
+    glue.update({("al", "s0:2"): var("x"), ("al", "t0:2"): var("y")})
+    return glue
+
+
+def globe2(glue: dict | None = None) -> Computad:
+    """The computad of ``globe2_glue`` (or of ``glue``) over the 2-globes,
+    with no function symbols."""
+    from computads.globular import globe_category
+
+    sig = Signature(base=globe_category(2), symbols={})
+    gens = {"g0": ("x", "y"), "g1": ("f", "g"), "g2": ("al",)}
+    return make_computad(sig, gens, glue or globe2_glue())
+
+
 def walk_n(sig: Signature, n: int) -> Computad:
     """A chain of n composable generator arrows over the comp signature."""
     gens_o = tuple(f"o{i}" for i in range(n + 1))

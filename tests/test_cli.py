@@ -237,6 +237,24 @@ def _generators_as_list(doc):
     return doc
 
 
+def _signature_category_as_number(doc):
+    doc["signature"]["category"] = 5
+    return doc
+
+
+def _symbols_as_number(doc):
+    doc["signature"]["symbols"] = 5
+    return doc
+
+
+def _assign_as_number(doc):
+    return {"src": doc, "dst": doc, "assign": 5}
+
+
+def _presheaf_category_as_number(doc):
+    return {"category": 5, "cells": {}}
+
+
 ENUMERATE = ("enumerate", "--computad", "{}", "--sort", "o", "--depth", "0")
 
 
@@ -252,6 +270,10 @@ ENUMERATE = ("enumerate", "--computad", "{}", "--sort", "o", "--depth", "0")
         (_sorts_as_number, [("check", "{}"), ENUMERATE], "UnknownSort"),
         (_cells_as_list, [("check", "{}")], "FunctorialityFailure"),
         (_generators_as_list, [("check", "{}"), ENUMERATE], "GluingIllTyped"),
+        (_signature_category_as_number, [("check", "{}"), ENUMERATE], "UnknownSort"),
+        (_symbols_as_number, [("check", "{}"), ENUMERATE], "UnknownSymbol"),
+        (_assign_as_number, [("check", "{}")], "UnknownGenerator"),
+        (_presheaf_category_as_number, [("check", "{}")], "UnknownSort"),
     ],
 )
 def test_json_boundary_rejects_misreadable_values(tmp_path, corrupt, commands, error):
@@ -359,3 +381,59 @@ def test_roundtrip_emitted_json_revalidates(tmp_path, capsys):
     status, out2 = run(capsys, "check", str(path))
     assert status == 0
     assert json.loads(out2)["kind"] == "signature"
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    import random
+
+    from computads.packs import sigma_kan
+    from fixtures import globe2, random_computad_comp, walk_n
+
+    sig = comp_signature()
+    docs = {
+        "walk": computad_to_json(walk_n(sig, 4)),
+        "random": computad_to_json(random_computad_comp(sig, random.Random(3), 5, 6)),
+        "globe": computad_to_json(globe2()),
+        "sig": signature_to_json(sig),
+        "kan": signature_to_json(sigma_kan(1)),
+        "term": {"computad": computad_to_json(walk2()), "term": term_to_json(comp_uv())},
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc), encoding="utf-8")
+    commands = [("classify", "--term", paths["term"])]
+    for name in ("walk", "random", "globe"):
+        commands.append(("nerve", "--computad", paths[name]))
+        commands.append(("filtration", "--computad", paths[name]))
+    commands.append(("enumerate", "--computad", paths["walk"], "--sort", "a", "--depth", "2"))
+    commands.append(("enumerate", "--computad", paths["globe"], "--sort", "g2", "--depth", "0"))
+    commands.append(("plexes", "--sig", paths["sig"], "--sort", "a", "--max-depth", "2"))
+    commands.append(("plexes", "--sig", paths["kan"], "--sort", "[1]", "--max-depth", "2"))
+    src = os.path.dirname(os.path.dirname(computads.__file__))
+    for command in commands:
+        outs = []
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "computads.cli", *map(str, command)],
+                capture_output=True,
+                text=True,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+                timeout=120,
+            )
+            assert proc.returncode == 0, (command, proc.stderr)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], command
+
+
+def test_negative_bounds_are_typed_errors(walk2_file, tmp_path):
+    sig_path = tmp_path / "sig.json"
+    sig_path.write_text(json.dumps(signature_to_json(comp_signature())), encoding="utf-8")
+    for command in [
+        ("enumerate", "--computad", str(walk2_file), "--sort", "a", "--depth", "-1"),
+        ("plexes", "--sig", str(sig_path), "--sort", "o", "--max-depth", "-1"),
+    ]:
+        proc = run_process(*command)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("NegativeBound: ")

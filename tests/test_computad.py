@@ -20,7 +20,7 @@ from computads.computad import (
     truncate_computad,
     var_to_var_morphism,
 )
-from computads.errors import GluingIllTyped
+from computads.errors import CocycleFailure, GluingIllTyped
 from computads.presheaf import boundary_representable, representable, search
 from computads.terms import rename, var
 
@@ -28,6 +28,8 @@ from fixtures import (
     arrow_arity,
     comp_signature,
     comp_uv,
+    globe2,
+    globe2_glue,
     random_computad_comp,
     walk2,
     walk_n,
@@ -55,6 +57,15 @@ def test_gluing_ill_typed():
         )
     with pytest.raises(GluingIllTyped):
         make_computad(sig, {"o": ("p",), "a": ("u",)}, {("u", "s"): var("p")})
+
+
+def test_gluing_cocycle_failure():
+    # the s0:2 gluing of a 2-cell must be the source of its s1:2 gluing
+    glue = globe2_glue()
+    assert globe2(glue).generators_at("g2") == ("al",)
+    glue[("al", "s0:2")] = var("y")
+    with pytest.raises(CocycleFailure):
+        globe2(glue)
 
 
 def test_empty_computad_valid():

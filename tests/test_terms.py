@@ -1,11 +1,13 @@
 import pytest
 
 from computads.errors import IncompatibleArgs, SortMismatch
+from computads.presheaf import boundary_representable
 from computads.terms import (
     app,
     boundary,
     boundary_along,
     canonical_sort,
+    check_family,
     check_term,
     mk_app,
     mk_var,
@@ -15,7 +17,7 @@ from computads.terms import (
     var,
 )
 
-from fixtures import comp_uv, walk2
+from fixtures import comp_uv, globe2, walk2
 
 
 def test_mk_var_sorts():
@@ -46,6 +48,34 @@ def test_incompatible_family_rejected():
             "comp",
             {"x": var("p"), "y": var("r"), "z": var("r"), "f": var("u"), "g": var("v")},
         )
+
+
+def test_check_family_over_an_arity():
+    c = walk2()
+    arity = c.symbol("comp").arity
+    args = {"x": var("p"), "y": var("q"), "z": var("r"), "f": var("u"), "g": var("v")}
+    check_family(c, arity, args, "comp")
+    with pytest.raises(IncompatibleArgs):  # f ends at q, not at y
+        check_family(c, arity, dict(args, y=var("r"), z=var("r")), "comp")
+    with pytest.raises(SortMismatch):
+        check_family(c, arity, dict(args, x=var("u")), "comp")
+    with pytest.raises(IncompatibleArgs):
+        check_family(c, arity, {k: t for k, t in args.items() if k != "g"}, "comp")
+    with pytest.raises(IncompatibleArgs):
+        check_family(c, arity, dict(args, w=var("p")), "comp")
+
+
+def test_check_family_over_a_representable_boundary():
+    # a gluing family of a 2-globe: cells of the boundary of the representable
+    # are the faces into g2, acted on by composition
+    c = globe2()
+    sphere = boundary_representable(c.base, "g2")[0]
+    family = {"s1:2": var("f"), "t1:2": var("g"), "s0:2": var("x"), "t0:2": var("y")}
+    check_family(c, sphere, family, "al")
+    with pytest.raises(IncompatibleArgs):  # the source of f is x, not y
+        check_family(c, sphere, dict(family, **{"s0:2": var("y")}), "al")
+    with pytest.raises(SortMismatch):
+        check_family(c, sphere, dict(family, **{"s1:2": var("x")}), "al")
 
 
 def test_boundary_of_var_is_gluing():
