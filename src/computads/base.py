@@ -13,6 +13,7 @@ obtained by applying ``first : k -> j`` and then ``second : j -> i``.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -217,6 +218,30 @@ def validate_category(raw: dict) -> DirectCategory:
                     )
 
     return DirectCategory(dims=dims, faces=faces, table=table)
+
+
+def category_from_faces(
+    dims: dict[SortRef, int],
+    faces: dict[FaceRef, tuple[SortRef, SortRef, object]],
+    compose: Callable[[object, object], FaceRef],
+) -> DirectCategory:
+    """The category on ``dims`` whose faces are ``faces`` (``id -> (src,
+    dst, data)``), with ``compose(first_data, second_data)`` naming the
+    composite of each composable pair; validated like any other category."""
+    out_of: dict[SortRef, list[FaceRef]] = {}
+    for fid, (src, _, _) in faces.items():
+        out_of.setdefault(src, []).append(fid)
+    return validate_category(
+        {
+            "sorts": [{"id": s, "dim": d} for s, d in dims.items()],
+            "faces": [{"id": f, "src": s, "dst": t} for f, (s, t, _) in faces.items()],
+            "compose": [
+                {"first": f, "second": g, "result": compose(data, faces[g][2])}
+                for f, (_, dst, data) in faces.items()
+                for g in out_of.get(dst, ())
+            ],
+        }
+    )
 
 
 def truncate_category(cat: DirectCategory, n: int) -> DirectCategory:

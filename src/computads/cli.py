@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from itertools import accumulate
 from operator import itemgetter
 
 from .algebra import eval_term
@@ -41,15 +43,33 @@ from .terms import boundary_along
 from .computad import apply_morphism
 
 
+MAX_NESTING = 1000
+"""The deepest a JSON document may nest arrays and objects.  A deeper one is
+rejected as ``DocumentTooDeep`` before it is decoded, on every interpreter."""
+
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
+_NOT_BRACKET = re.compile(r"[^][{}]+")
+_STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
+
+
+def _nesting(text: str) -> int:
+    """How deep ``text`` nests arrays and objects, counted without recursion:
+    strings are dropped, then the running count of open brackets is read."""
+    brackets = _NOT_BRACKET.sub("", _STRING.sub("", text))
+    return max(accumulate(map(_STEP.__getitem__, brackets)), default=0)
+
+
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
+        text = fh.read()
+    # a document cannot nest deeper than it has opening brackets
+    if text.count("[") + text.count("{") > MAX_NESTING:
+        depth = _nesting(text)
+        if depth > MAX_NESTING:
             raise DocumentTooDeep(
-                f"{path} nests deeper than the interpreter's recursion limit "
-                f"({sys.getrecursionlimit()} levels)"
-            ) from None
+                f"{path} nests {depth} levels deep, beyond the limit of {MAX_NESTING}"
+            )
+    return json.loads(text)
 
 
 def _emit(obj) -> None:
@@ -346,6 +366,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # Decoding, reading and emitting a document recurse about once per level
+    # of nesting, and the interpreter's default limit leaves fewer than
+    # MAX_NESTING levels on some versions.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 3 * MAX_NESTING))
     try:
         return args.fn(args)
     except KernelError as exc:
@@ -357,6 +382,8 @@ def main(argv=None) -> int:
     except (KeyError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"malformed document: {exc!r}\n")
         return 1
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 from .base import DirectCategory, FaceRef, SortRef
 from .errors import (
-    BaseMismatch,
     CocycleFailure,
     EndpointMismatch,
     GluingIllTyped,
@@ -27,7 +26,7 @@ from .errors import (
     UnknownGenerator,
     UnknownSort,
 )
-from .presheaf import Presheaf, boundary_representable, search
+from .presheaf import Presheaf, boundary_representable, check_same_base, search
 from .signature import FunctionSymbol, Signature, restrict_signature
 from .terms import (
     Term,
@@ -132,8 +131,7 @@ def make_computad(
 def free_computad(x: Presheaf, signature: Signature) -> Computad:
     """The computad with one generator per cell, glued along the (functorial)
     action."""
-    if x.base.dims != signature.base.dims or x.base.faces.keys() != signature.base.faces.keys():
-        raise BaseMismatch("presheaf and signature over different sort categories")
+    check_same_base(x.base, signature.base, "free computad")
     gens = {s: x.cells_at(s) for s in signature.base.sorts}
     glue = {}
     for s in signature.base.sorts:

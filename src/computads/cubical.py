@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 
-from .base import DirectCategory, SortRef, validate_category
-from .computad import free_computad
+from .base import DirectCategory, SortRef, category_from_faces
 from .errors import BadSubset, SideConditionFailure
-from .factorization import require_full_composite
+from .factorization import coherence
 from .presheaf import Presheaf, PresheafMorphism, make_presheaf
-from .signature import Signature, extend_signature
+from .signature import Signature
 from .terms import Term, app, rename, var
 
 Grid = dict[int, int]  # direction -> cell count
@@ -35,37 +34,29 @@ def cube_category(n: int) -> DirectCategory:
     """Subsets of {0..n} with the direction-forgetting faces."""
     if n < 0:
         raise BadSubset("direction bound must be a natural number")
-    universe = list(range(n + 1))
-    subsets = []
-    for size in range(n + 2):
-        subsets.extend(itertools.combinations(universe, size))
-    sorts = [{"id": subset_sort(s), "dim": len(s)} for s in subsets]
-    faces = []
-    face_data: dict[str, tuple[tuple[int, ...], dict[int, int]]] = {}
-    for target in subsets:
-        for jsize in range(1, len(target) + 1):
-            for j_set in itertools.combinations(target, jsize):
-                for alpha in itertools.product((0, 1), repeat=jsize):
-                    forgotten = dict(zip(j_set, alpha))
-                    fid = cube_face_id(target, forgotten)
-                    src = tuple(i for i in target if i not in forgotten)
-                    faces.append(
-                        {"id": fid, "src": subset_sort(src), "dst": subset_sort(target)}
-                    )
-                    face_data[fid] = (target, forgotten)
-    compose = []
-    for f1, (target1, forgotten1) in face_data.items():
-        src1 = tuple(i for i in target1 if i not in forgotten1)
-        for f2, (target2, forgotten2) in face_data.items():
-            src2 = tuple(i for i in target2 if i not in forgotten2)
-            if src2 != target1:
-                continue
-            merged = dict(forgotten2)
-            merged.update(forgotten1)
-            compose.append(
-                {"first": f1, "second": f2, "result": cube_face_id(target2, merged)}
-            )
-    return validate_category({"sorts": sorts, "faces": faces, "compose": compose})
+    subsets = [
+        subset
+        for size in range(n + 2)
+        for subset in itertools.combinations(range(n + 1), size)
+    ]
+    faces = {
+        cube_face_id(target, forgotten): (
+            subset_sort(tuple(i for i in target if i not in forgotten)),
+            subset_sort(target),
+            (target, forgotten),
+        )
+        for target in subsets
+        for jsize in range(1, len(target) + 1)
+        for j_set in itertools.combinations(target, jsize)
+        for forgotten in (
+            dict(zip(j_set, alpha)) for alpha in itertools.product((0, 1), repeat=jsize)
+        )
+    }
+    return category_from_faces(
+        {subset_sort(s): len(s) for s in subsets},
+        faces,
+        lambda first, second: cube_face_id(second[0], {**second[1], **first[1]}),
+    )
 
 
 def _position_name(point: dict[int, int], subset) -> str:
@@ -124,14 +115,12 @@ def grid_inclusion(
     cat: DirectCategory, grid: Grid, forgotten: dict[int, int]
 ) -> PresheafMorphism:
     """The inclusion of the positions of a sub-grid at a fixed side: the kept
-    coordinates stay, each forgotten direction is pinned to its chosen end."""
-    from .presheaf import check_morphism
-
+    coordinates stay, each forgotten direction is pinned to its chosen end.
+    Unchecked: pinning a coordinate commutes with every face, which moves
+    only kept coordinates."""
     if any(j not in grid for j in forgotten):
         raise BadSubset("forgotten directions must belong to the grid")
     restricted = restrict_grid(grid, forgotten)
-    sub = grid_positions(cat, restricted)
-    whole = grid_positions(cat, grid)
     component = {}
     kept = tuple(sorted(restricted))
     for size in range(len(kept) + 1):
@@ -143,9 +132,8 @@ def grid_inclusion(
                 component[_position_name(point, j_set)] = _position_name(
                     extended, j_set
                 )
-    m = PresheafMorphism(src=sub, dst=whole, component=component)
-    check_morphism(m)
-    return m
+    sub, whole = grid_positions(cat, restricted), grid_positions(cat, grid)
+    return PresheafMorphism(src=sub, dst=whole, component=component)
 
 
 def coherence_symbol_name(grid: Grid) -> str:
@@ -166,57 +154,27 @@ def grid_coherence(
     full composites of the boundary grids (the epimorphism condition, checked
     through supports) unless ``groupoid``.
     """
-    from .terms import boundary, check_term
-
     cat = lower.base
     directions = tuple(sorted(grid))
-    sort = subset_sort(directions)
     pos = grid_positions(cat, grid)
-    pos_computad = free_computad(pos, lower)
-
     for i in directions:
         for a in (0, 1):
             if (i, a) not in sides:
                 raise SideConditionFailure(f"missing side ({i}, {a})")
-    for (i, a), t in sides.items():
+    for i, a in sides:
         if i not in grid or a not in (0, 1):
             raise SideConditionFailure(f"side ({i}, {a}) is not a side of the grid")
-        check_term(
-            pos_computad,
+    boundary_sides = {
+        cube_face_id(directions, {i: a}): (
             t,
-            expected_sort=subset_sort(tuple(j for j in directions if j != i)),
+            grid_inclusion(cat, grid, {i: a}),
+            f"side ({i},{a}) does not come from the boundary grid",
+            f"side ({i},{a}) is not a full composite of its grid",
         )
-
-    # corner compatibility: restricting the i-side along j agrees with
-    # restricting the j-side along i
-    for (i, a), (j, b) in itertools.combinations(sorted(sides), 2):
-        if i == j:
-            continue
-        face_j = cube_face_id(tuple(d for d in directions if d != i), {j: b})
-        face_i = cube_face_id(tuple(d for d in directions if d != j), {i: a})
-        lhs = boundary(pos_computad, face_j, sides[(i, a)])
-        rhs = boundary(pos_computad, face_i, sides[(j, b)])
-        if lhs != rhs:
-            raise SideConditionFailure(
-                f"sides ({i},{a}) and ({j},{b}) disagree on their shared corner"
-            )
-
-    if not groupoid:
-        for (i, a), t in sides.items():
-            require_full_composite(
-                grid_inclusion(cat, grid, {i: a}),
-                pos_computad,
-                t,
-                f"side ({i},{a}) does not come from the boundary grid",
-                f"side ({i},{a}) is not a full composite of its grid",
-            )
-
-    boundary_terms = {
-        cube_face_id(directions, {i: a}): t for (i, a), t in sides.items()
+        for (i, a), t in sides.items()
     }
-    return extend_signature(
-        lower, (coherence_symbol_name(grid), sort, pos, boundary_terms)
-    )
+    name, sort = coherence_symbol_name(grid), subset_sort(directions)
+    return coherence(lower, name, sort, pos, boundary_sides, groupoid)
 
 
 def grid_composite(cat: DirectCategory, grid: Grid) -> tuple[Signature, Term]:
@@ -235,7 +193,7 @@ def grid_composite(cat: DirectCategory, grid: Grid) -> tuple[Signature, Term]:
             incl = grid_inclusion(cat, grid, {i: a})
             sides[(i, a)] = rename(sub_comp, incl.component)
     sig = grid_coherence(lower, grid, sides)
-    pos = grid_positions(cat, grid)
+    pos = sig.symbols[coherence_symbol_name(grid)].arity
     identity_args = {c: var(c) for cs in pos.cells.values() for c in cs}
     return sig, app(coherence_symbol_name(grid), identity_args)
 

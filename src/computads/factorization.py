@@ -4,12 +4,14 @@ The support of a term collects the generators it depends on, including
 recursively the generators appearing in the gluings of its variables.  A
 morphism factors through a variable-to-variable mono exactly when its support
 is contained in the mono's image, and every morphism factors as one with full
-support followed by such a mono.
+support followed by such a mono.  The coherence constructor behind the grid
+and globe packs asks that each side of a pasting shape factor this way
+through the inclusion of its boundary shape, with full support.
 """
 
 from __future__ import annotations
 
-from .base import SortRef
+from .base import FaceRef, SortRef
 from .computad import (
     Computad,
     ComputadMorphism,
@@ -19,9 +21,10 @@ from .computad import (
     inclusion,
     sub_computad,
 )
-from .errors import NotIdempotent, NotMono, SideConditionFailure
-from .presheaf import PresheafMorphism
-from .terms import Term, Var, parts, rename, var
+from .errors import CocycleFailure, NotIdempotent, NotMono, SideConditionFailure
+from .presheaf import Presheaf, PresheafMorphism
+from .signature import Signature, extend_signature
+from .terms import Term, Var, check_term, parts, rename
 
 
 def support(c: Computad, t: Term) -> dict[SortRef, frozenset[str]]:
@@ -93,38 +96,6 @@ def _mono_inverse(rho: ComputadMorphism) -> dict[str, str]:
     return {v: g for g, v in gen_map.items()}
 
 
-def lift_term_through_mono(
-    rho: ComputadMorphism, c_target: Computad, t: Term
-) -> Term | None:
-    """The unique term over rho.src that rho maps to ``t``, if supported."""
-    inverse = _mono_inverse(rho)
-    supp = support(c_target, t)
-    image = support_morphism(rho)
-    for s, gens in supp.items():
-        if not gens <= image.get(s, frozenset()):
-            return None
-    return rename(t, inverse)
-
-
-def require_full_composite(
-    incl: PresheafMorphism, whole: Computad, t: Term, not_lifted: str, not_full: str
-) -> None:
-    """The side condition of the coherence constructors: ``t``, a term over
-    the free computad ``whole`` on ``incl.dst``, must lift through the
-    variable-to-variable mono that ``incl`` induces, to a term with full
-    support.  Raises SideConditionFailure(not_lifted) or (not_full).  The
-    mono is unchecked: ``incl`` commutes with the action gluing both sides."""
-    part = free_computad(incl.src, whole.signature)
-    assign = {g: var(h) for g, h in incl.component.items()}
-    mono = ComputadMorphism(part, whole, assign)
-    lifted = lift_term_through_mono(mono, whole, t)
-    if lifted is None:
-        raise SideConditionFailure(not_lifted)
-    supp = support(part, lifted)
-    if any(set(part.generators_at(s)) - supp[s] for s in part.base.sorts):
-        raise SideConditionFailure(not_full)
-
-
 def lift_through_mono(
     rho: ComputadMorphism, sigma: ComputadMorphism
 ) -> ComputadMorphism | None:
@@ -188,3 +159,44 @@ def orthogonal_lift(
         return None
     diag = lift_through_mono(mono, bottom)
     return diag
+
+
+def coherence(
+    lower: Signature,
+    name: str,
+    sort: SortRef,
+    positions: Presheaf,
+    sides: dict[FaceRef, tuple[Term, PresheafMorphism, str, str]],
+    groupoid: bool,
+) -> Signature:
+    """``lower`` with the coherence symbol ``name`` of sort ``sort``, whose
+    arity is the pasting shape ``positions``.
+
+    ``sides[face]`` is ``(term, incl, not_lifted, not_full)``: the boundary
+    term at ``face``, over the free computad on ``positions``, and the
+    inclusion of the boundary shape it composes.  Unless ``groupoid``, each
+    term must be a full composite of its shape: it lifts through the
+    variable-to-variable mono that ``incl`` induces, to a term with full
+    support.  That mono's image is closed under the action and supports
+    commute with renaming along it, so this asks that the term's support lie
+    inside the image of ``incl`` (else SideConditionFailure(not_lifted)) and
+    cover it (else SideConditionFailure(not_full)).  The sides agree where
+    they meet exactly when the boundary terms satisfy the cocycle, so its
+    CocycleFailure is raised as SideConditionFailure.
+    """
+    whole = free_computad(positions, lower)
+    for face, (t, _, _, _) in sides.items():
+        check_term(whole, t, expected_sort=lower.base.face(face).src)
+    if not groupoid:
+        for t, incl, not_lifted, not_full in sides.values():
+            supp = frozenset().union(*support(whole, t).values())
+            image = set(incl.component.values())
+            if not supp <= image:
+                raise SideConditionFailure(not_lifted)
+            if supp != image:
+                raise SideConditionFailure(not_full)
+    boundary = {face: side[0] for face, side in sides.items()}
+    try:
+        return extend_signature(lower, (name, sort, positions, boundary))
+    except CocycleFailure as exc:
+        raise SideConditionFailure(str(exc)) from exc

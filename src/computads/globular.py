@@ -9,13 +9,12 @@ part of the kernel constructions.
 
 from __future__ import annotations
 
-from .base import DirectCategory, validate_category
-from .computad import free_computad
+from .base import DirectCategory, category_from_faces
 from .errors import BadIndex, SideConditionFailure
-from .factorization import require_full_composite
+from .factorization import coherence
 from .presheaf import Presheaf, PresheafMorphism, make_presheaf
-from .signature import Signature, extend_signature
-from .terms import Term, app, boundary, check_term, rename, var
+from .signature import Signature
+from .terms import Term, app, rename, var
 
 Tree = tuple  # a rooted planar tree: tuple of subtrees
 
@@ -33,32 +32,17 @@ def globe_category(n: int) -> DirectCategory:
     face (k) -> (m), the composite keeping the flavour of its innermost leg."""
     if n < 0:
         raise BadIndex("dimension bound must be a natural number")
-    sorts = [{"id": globe_sort(m), "dim": m} for m in range(n + 1)]
-    faces = []
-    for m in range(n + 1):
-        for k in range(m):
-            for flavor in ("s", "t"):
-                faces.append(
-                    {
-                        "id": globe_face(flavor, k, m),
-                        "src": globe_sort(k),
-                        "dst": globe_sort(m),
-                    }
-                )
-    compose = []
-    for m in range(n + 1):
-        for k in range(m):
-            for j in range(k):
-                for f1 in ("s", "t"):
-                    for f2 in ("s", "t"):
-                        compose.append(
-                            {
-                                "first": globe_face(f1, j, k),
-                                "second": globe_face(f2, k, m),
-                                "result": globe_face(f1, j, m),
-                            }
-                        )
-    return validate_category({"sorts": sorts, "faces": faces, "compose": compose})
+    faces = {
+        globe_face(flavor, k, m): (globe_sort(k), globe_sort(m), (flavor, k, m))
+        for m in range(n + 1)
+        for k in range(m)
+        for flavor in ("s", "t")
+    }
+    return category_from_faces(
+        {globe_sort(m): m for m in range(n + 1)},
+        faces,
+        lambda first, second: globe_face(first[0], first[1], second[2]),
+    )
 
 
 # -- trees and their positions -------------------------------------------------------
@@ -174,21 +158,20 @@ def _boundary_path(tree: Tree, path: tuple[int, ...], n: int, flavor: str) -> tu
 def tree_boundary_inclusion(
     cat: DirectCategory, tree: Tree, n: int, flavor: str
 ) -> PresheafMorphism:
-    """The source (flavor 's') or target ('t') inclusion of the cut tree."""
-    from .presheaf import check_morphism
-
+    """The source (flavor 's') or target ('t') inclusion of the cut tree.
+    Unchecked: it keeps each position below height ``n`` and sends one at
+    height ``n`` to the first ('s') or last ('t') position of its branch at
+    that height; all of those share one source and one target, so the map
+    is natural."""
     cut = boundary_tree(tree, n)
-    src = tree_presheaf(cat, cut)
-    dst = tree_presheaf(cat, tree)
     component = {}
     for m in range(tree_dim(cut) + 1):
         for path in tree_positions(cut, m):
             component[position_name(path)] = position_name(
                 _boundary_path(tree, path, n, flavor)
             )
-    m_ = PresheafMorphism(src=src, dst=dst, component=component)
-    check_morphism(m_)
-    return m_
+    src, dst = tree_presheaf(cat, cut), tree_presheaf(cat, tree)
+    return PresheafMorphism(src=src, dst=dst, component=component)
 
 
 # -- the coherence constructor --------------------------------------------------------
@@ -214,36 +197,17 @@ def globe_coherence(
     if dim < 1 or tree_dim(tree) > dim:
         raise SideConditionFailure("the tree must fit inside the output dimension")
     pos = tree_presheaf(cat, tree)
-    pos_computad = free_computad(pos, lower)
-    out_sort = globe_sort(dim)
-    below = globe_sort(dim - 1)
-    check_term(pos_computad, source, expected_sort=below)
-    check_term(pos_computad, target, expected_sort=below)
-    if dim >= 2:
-        for flavor in ("s", "t"):
-            face = globe_face(flavor, dim - 2, dim - 1)
-            if boundary(pos_computad, face, source) != boundary(
-                pos_computad, face, target
-            ):
-                raise SideConditionFailure(
-                    f"source and target disagree on their {flavor}-boundary"
-                )
-    if not groupoid:
-        for flavor, term in (("s", source), ("t", target)):
-            require_full_composite(
-                tree_boundary_inclusion(cat, tree, dim - 1, flavor),
-                pos_computad,
-                term,
-                f"the {flavor}-side does not come from the cut tree",
-                f"the {flavor}-side is not a full composite of the cut tree",
-            )
-    boundary_terms = {
-        globe_face("s", dim - 1, dim): source,
-        globe_face("t", dim - 1, dim): target,
+    sides = {
+        globe_face(flavor, dim - 1, dim): (
+            term,
+            tree_boundary_inclusion(cat, tree, dim - 1, flavor),
+            f"the {flavor}-side does not come from the cut tree",
+            f"the {flavor}-side is not a full composite of the cut tree",
+        )
+        for flavor, term in (("s", source), ("t", target))
     }
-    return extend_signature(
-        lower, (tree_symbol_name(tree), out_sort, pos, boundary_terms)
-    )
+    name, sort = tree_symbol_name(tree), globe_sort(dim)
+    return coherence(lower, name, sort, pos, sides, groupoid)
 
 
 def tree_composite(cat: DirectCategory, tree: Tree) -> tuple[Signature, Term]:
@@ -259,6 +223,6 @@ def tree_composite(cat: DirectCategory, tree: Tree) -> tuple[Signature, Term]:
     source = rename(cut_comp, src_incl.component)
     target = rename(cut_comp, tgt_incl.component)
     sig = globe_coherence(lower, tree, d, source, target)
-    pos = tree_presheaf(cat, tree)
+    pos = sig.symbols[tree_symbol_name(tree)].arity
     identity_args = {c: var(c) for cs in pos.cells.values() for c in cs}
     return sig, app(tree_symbol_name(tree), identity_args)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 
-from .base import DirectCategory, validate_category
+from .base import DirectCategory, category_from_faces
 from .errors import BadIndex
 from .presheaf import Presheaf, boundary_representable, make_presheaf, representable
 from .signature import Signature, build_signature
@@ -16,9 +16,7 @@ from .terms import app, var
 # -- many-sorted universal algebra ------------------------------------------------
 
 def discrete_category(sorts: list[str]) -> DirectCategory:
-    return validate_category(
-        {"sorts": [{"id": s, "dim": 0} for s in sorts], "faces": [], "compose": []}
-    )
+    return category_from_faces(dict.fromkeys(sorts, 0), {}, compose=None)
 
 
 def discrete_signature(
@@ -91,27 +89,17 @@ def delta_plus(n: int) -> DirectCategory:
     generated by the cofaces under the simplicial identity."""
     if n < 0:
         raise BadIndex("dimension bound must be a natural number")
-    sorts = [{"id": simplex_sort(m), "dim": m} for m in range(n + 1)]
-    monos: dict[str, tuple[tuple[int, ...], int]] = {}
-    faces = []
-    for m in range(n + 1):
-        for k in range(m):
-            for image in itertools.combinations(range(m + 1), k + 1):
-                fid = mono_id(image, m)
-                monos[fid] = (image, m)
-                faces.append(
-                    {"id": fid, "src": simplex_sort(k), "dst": simplex_sort(m)}
-                )
-    compose = []
-    for f1, (img1, n1) in monos.items():
-        for f2, (img2, n2) in monos.items():
-            if len(img2) - 1 != n1:
-                continue
-            composite = tuple(img2[a] for a in img1)
-            compose.append(
-                {"first": f1, "second": f2, "result": mono_id(composite, n2)}
-            )
-    return validate_category({"sorts": sorts, "faces": faces, "compose": compose})
+    faces = {
+        mono_id(image, m): (simplex_sort(k), simplex_sort(m), (image, m))
+        for m in range(n + 1)
+        for k in range(m)
+        for image in itertools.combinations(range(m + 1), k + 1)
+    }
+    return category_from_faces(
+        {simplex_sort(m): m for m in range(n + 1)},
+        faces,
+        lambda first, second: mono_id(tuple(second[0][a] for a in first[0]), second[1]),
+    )
 
 
 def simplex(cat: DirectCategory, m: int) -> Presheaf:

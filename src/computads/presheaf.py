@@ -162,10 +162,15 @@ def _identity_cell(cat: DirectCategory, sort: SortRef) -> str:
 @memoized("_representable_cache")
 def representable(cat: DirectCategory, sort: SortRef) -> Presheaf:
     """The presheaf of maps into ``sort``: cells at j are hom(j, sort).
-    Built once per category and sort."""
+    Built once per category and sort, without the functoriality check:
+    acting by precomposition is functorial because the category's table is
+    associative.  The cells are the identity and the faces into ``sort``, so
+    they are unique unless a face takes the identity's name."""
     if sort not in cat.dims:
         raise UnknownSort(f"unknown sort {sort!r}")
     ident = _identity_cell(cat, sort)
+    if ident in cat.faces_into(sort):
+        raise FunctorialityFailure(f"duplicate cell id {ident!r}")
     cells: dict[str, tuple[str, ...]] = {s: () for s in cat.sorts}
     cells[sort] = (ident,)
     for f in cat.faces_into(sort):
@@ -180,7 +185,7 @@ def representable(cat: DirectCategory, sort: SortRef) -> Presheaf:
                 action[(face, cell)] = (
                     face if cell == ident else cat.compose(face, cell)
                 )
-    return make_presheaf(cat, cells, action)
+    return Presheaf(base=cat, cells=cells, action=action)
 
 
 @memoized("_boundary_representable_cache")
@@ -188,7 +193,9 @@ def boundary_representable(
     cat: DirectCategory, sort: SortRef
 ) -> tuple[Presheaf, PresheafMorphism]:
     """The sub-presheaf of ``representable(sort)`` without the identity,
-    together with its inclusion.  Built once per category and sort."""
+    together with its inclusion.  Built once per category and sort,
+    unchecked: faces lower dimension, so no action gives the identity, the
+    one cell at ``sort``, and the other cells are closed under the action."""
     full = representable(cat, sort)
     ident = _identity_cell(cat, sort)
     cells = {
@@ -197,7 +204,7 @@ def boundary_representable(
     action = {
         k: v for k, v in full.action.items() if k[1] != ident
     }
-    sub = make_presheaf(cat, cells, action)
+    sub = Presheaf(base=cat, cells=cells, action=action)
     incl = PresheafMorphism(
         src=sub, dst=full, component={c: c for cs in cells.values() for c in cs}
     )

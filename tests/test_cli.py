@@ -306,6 +306,89 @@ def test_over_deep_document_is_a_typed_error(tmp_path):
     assert proc.stderr.startswith("DocumentTooDeep: ")
 
 
+def _neg_chain_document(path, depth: int):
+    """A term document holding ``neg`` applied ``depth`` times to ``x``; it
+    nests 4 * depth + 2 levels."""
+    from computads.packs import group_signature
+
+    c = make_computad(group_signature(), {"*": ("x",)}, {})
+    level = '{"app": {"symbol": "neg", "args": [{"cell": "neg.*0", "term": '
+    term = level * depth + '{"var": "x"}' + "}]}}" * depth
+    path.write_text(
+        '{"computad": ' + json.dumps(computad_to_json(c)) + ', "term": ' + term + "}",
+        encoding="utf-8",
+    )
+    return path
+
+
+@pytest.mark.parametrize("depth", [245, 249])
+def test_document_within_the_nesting_limit_is_read(tmp_path, depth):
+    # 982 and 998 levels, both within MAX_NESTING; under the default
+    # recursion limit the second fails to decode on Python 3.10 and 3.11 and
+    # to emit on 3.12
+    path = _neg_chain_document(tmp_path / "deep.json", depth)
+    proc = run_process("classify", "--term", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "" and proc.stdout.startswith('{\n  "papp": ')
+
+
+def test_document_beyond_the_nesting_limit_names_it(tmp_path):
+    from computads.cli import MAX_NESTING
+
+    path = _neg_chain_document(tmp_path / "deep.json", 250)  # 1,002 levels
+    proc = run_process("classify", "--term", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"DocumentTooDeep: {path} nests 1002 levels deep, "
+        f"beyond the limit of {MAX_NESTING}\n"
+    )
+
+
+def test_nesting_ignores_brackets_inside_strings(tmp_path, capsys):
+    from computads.cli import _nesting
+
+    assert _nesting('{"a": ["[[{", "\\"]]", {"b": "\\\\"}], "c": "}}"}') == 3
+    assert _nesting("[]") == 1 and _nesting('"x"') == 0
+    # more opening brackets than the limit, all of them inside one name
+    name = "[" * 2000
+    c = make_computad(comp_signature(), {"o": (name,)}, {})
+    path = tmp_path / "brackets.json"
+    path.write_text(json.dumps(computad_to_json(c)), encoding="utf-8")
+    status, out = run(capsys, "check", str(path))
+    assert status == 0
+    assert json.loads(out) == {"ok": True, "kind": "computad"}
+
+
+# SHA-256 of the stdout of `computads example ...`: the example categories and
+# coherence symbols may be built differently, but their output may not change.
+EXAMPLE_DIGESTS = {
+    "kan --dim 1": "2cec365583df63556acc9a2d681ca4974f2e95d27d275655ff04f47280541bbb",
+    "kan --dim 2": "3c5d63af249115ed61d7957f1120ec08859089513ce64d280db7b6163d234c5c",
+    "kan --dim 3": "3ef1870c6f4d60f2abf14756918517e33680119038f2aad6b5db678ea5eebacd",
+    "grid --counts 2": "e290e6830a1d4efd440db352f66fa4fca82bb5b445c211b96cc5f9dc7065c47b",
+    "grid --counts 2,1": "c743daaec2c093dbe12cfedb5dd4f713b7d38bc8931874d6dab3639f002cd799",
+    "grid --counts 1,1,1": "a0ded3cd9e993fd78970bec51fadcd1aecfbb2b35363c730dfbe262fd8281d37",
+    "grid --counts 2,2": "ec2c50c7ec0f252db121527ef3c2e6d356293cc36e95554b35adaa4e26141f90",
+    "grid --counts 4,1": "49f74a2170c54d56c9f5a6e5c08d60f06e6e6e611cf7df8c1e74ffc4739d6b4c",
+    "group": "16e32b868e631d283f75320814c6a0339c4cc5d683a3e165990820aef7aa42a4",
+    "module": "6407453e8f0fed6e96a92f621783dab64760139e4a4d21a4535660d2eaf2af4a",
+    "cat --tree [[],[]]": "4a95a4179e79471865a075e1bd7d2e2278c37b50d0650f096ed1d37623061edd",
+    "cat --tree [[[]],[]]": "d24c60c827ffceb1ea9781dd4fc7f97f741dc420ff5dc75959fbe9405e6e7cf0",
+    "cat --tree [[[],[]],[[]]]": "8930fb4c0409e7e32d3d79accf1ba001e3e0e156c2f477b3743212114334a270",
+    "cat --tree [[[[]]]]": "0eebecdb485bb42457251dd9e8d1b7fa627addad2f1fe95d4f75f8b8d8fe7139",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(EXAMPLE_DIGESTS))
+def test_example_output_is_pinned(argv, capsys):
+    import hashlib
+
+    status, out = run(capsys, "example", *argv.split())
+    assert status == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXAMPLE_DIGESTS[argv]
+
+
 def test_cofrep_command(tmp_path, capsys):
     alg_path = tmp_path / "pathcat.json"
     alg_path.write_text(json.dumps(algebra_to_json(pathcat_algebra())), encoding="utf-8")

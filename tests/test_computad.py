@@ -370,3 +370,11 @@ def test_isomorphism_search_work_is_bounded():
     glue[("e19", "t")] = var("o0")
     broken = _relabelled(make_computad(sig, c.gens, glue), rng)
     assert next(search(_counted(_gen_cells(c, broken), 50_000), injective=True), None) is None
+
+
+def test_free_computad_rejects_a_presheaf_over_another_base():
+    from computads.errors import BaseMismatch
+    from computads.packs import group_signature
+
+    with pytest.raises(BaseMismatch):
+        free_computad(arrow_arity(), group_signature())

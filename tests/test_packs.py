@@ -253,11 +253,39 @@ def test_grid_coherence_epi_condition():
     middle = var(_position_name({0: 1}, ()))
     # skipping the middle position: the side is just an endpoint variable,
     # which is a legitimate epi onto the boundary grid (a point), so this
-    # validates; a *wrong* endpoint fails the corner check instead
+    # validates; a *wrong* endpoint fails the full-composite check instead
+    # (a one-direction grid has no corners)
     sig = grid_coherence(lower, {0: 2}, {(0, 0): left, (0, 1): right})
     assert len(sig.symbols) == 1
     with pytest.raises(SideConditionFailure):
         grid_coherence(lower, {0: 2}, {(0, 0): middle, (0, 1): right})
+
+
+def test_grid_coherence_rejects_sides_that_disagree_on_a_corner():
+    from computads.cubical import (
+        coherence_symbol_name,
+        cube_category,
+        cube_face_id,
+        grid_coherence,
+        grid_composite,
+    )
+    from computads.signature import Signature
+
+    cat = cube_category(1)
+    grid = {0: 1, 1: 1}
+    sig, _ = grid_composite(cat, grid)
+    name = coherence_symbol_name(grid)
+    lower = Signature(base=cat, symbols=dict(sig.symbols))
+    boundary = lower.symbols.pop(name).boundary
+    sides = {
+        (i, a): boundary[cube_face_id((0, 1), {i: a})] for i in (0, 1) for a in (0, 1)
+    }
+    assert grid_coherence(lower, grid, sides, groupoid=True) == sig
+    # the two sides in direction 0 swapped: each still composes a boundary
+    # grid, but its ends are the other side's corners
+    sides[(0, 0)], sides[(0, 1)] = sides[(0, 1)], sides[(0, 0)]
+    with pytest.raises(SideConditionFailure):
+        grid_coherence(lower, grid, sides, groupoid=True)
 
 
 def test_square_grid_composite():
@@ -374,6 +402,23 @@ def test_globe_coherence_rejects_a_partial_composite():
     with pytest.raises(SideConditionFailure) as exc:
         globe_coherence(lower, parse_tree("[[],[]]"), 2, a, a)
     assert str(exc.value) == "the s-side is not a full composite of the cut tree"
+
+
+def test_globe_coherence_rejects_sides_with_different_ends():
+    from computads.globular import (
+        globe_category,
+        globe_coherence,
+        parse_tree,
+        position_name,
+    )
+    from computads.signature import Signature
+
+    lower = Signature(base=globe_category(2), symbols={})
+    tree = parse_tree("[[[]],[]]")
+    source = var(position_name((0, 0)))  # an arrow q0 -> q1
+    target = var(position_name((1, 0)))  # an arrow q1 -> q2
+    with pytest.raises(SideConditionFailure):
+        globe_coherence(lower, tree, 2, source, target, groupoid=True)
 
 
 def test_groupoid_flag_relaxes_epi():

@@ -142,3 +142,21 @@ def test_presheaf_json_roundtrip():
     again = validate_presheaf(raw)
     assert again.cells == b.cells
     assert again.action == b.action
+
+
+def test_representable_rejects_a_face_named_like_its_identity():
+    # the identity cell of the representable on b is named id_b, so a face
+    # with that name into b would give two cells one id
+    from computads.base import validate_category
+
+    cat = validate_category(
+        {
+            "sorts": [{"id": "a", "dim": 0}, {"id": "b", "dim": 1}],
+            "faces": [{"id": "id_b", "src": "a", "dst": "b"}],
+        }
+    )
+    with pytest.raises(FunctorialityFailure, match="duplicate cell id 'id_b'"):
+        representable(cat, "b")
+    with pytest.raises(FunctorialityFailure, match="duplicate cell id 'id_b'"):
+        boundary_representable(cat, "b")
+    assert representable(cat, "a").cells_at("a") == ("id_a",)

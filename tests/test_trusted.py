@@ -1,11 +1,14 @@
 """Oracle for the constructions the kernel builds without checking.
 
 Colimits, image factorisations, lifts through monos, counits, representing
-computads, replayed filtrations and underlying computads are well formed by
-construction, so the kernel builds them unchecked.  This test re-runs the
-checked constructors on every computad and morphism they return.
+computads, replayed filtrations, underlying computads, representable
+presheaves and their boundaries, and the grid and tree inclusions of the
+example packs are well formed by construction, so the kernel builds them
+unchecked.  This test re-runs the checked constructors on every presheaf,
+computad and morphism they return.
 """
 
+import itertools
 import random
 
 import pytest
@@ -28,14 +31,29 @@ from computads.computad import (
     pushout,
     skeleton_counit,
 )
+from computads.cubical import cube_category, grid_inclusion
 from computads.factorization import image_factorize, lift_through_mono
+from computads.globular import (
+    globe_category,
+    parse_tree,
+    tree_boundary_inclusion,
+    tree_dim,
+)
 from computads.monad import counit, enumerate_terms
-from computads.packs import sigma_kan
+from computads.packs import delta_plus, sigma_kan
 from computads.plex import (
     classifying_morphism,
     enumerate_polyplexes,
     polyplex_computad,
     reconstruct_from_nerve,
+)
+from computads.presheaf import (
+    Presheaf,
+    PresheafMorphism,
+    boundary_representable,
+    check_morphism,
+    make_presheaf,
+    representable,
 )
 from computads.terms import Var
 
@@ -177,8 +195,42 @@ def _underlying():
     return out
 
 
+def _representables():
+    out = []
+    for cat in (delta_plus(3), cube_category(2), globe_category(3)):
+        for sort in cat.sorts:
+            out.append(representable(cat, sort))
+            out.extend(boundary_representable(cat, sort))
+    return out
+
+
+def _pack_inclusions():
+    out = []
+    cat = cube_category(2)
+    grids = ({0: 2}, {0: 1, 1: 1}, {0: 3, 1: 2}, {0: 0, 1: 2}, {0: 1, 1: 2, 2: 1})
+    for grid in grids:
+        for size in range(len(grid) + 1):
+            for forgotten in itertools.combinations(sorted(grid), size):
+                for sides in itertools.product((0, 1), repeat=size):
+                    out.append(grid_inclusion(cat, grid, dict(zip(forgotten, sides))))
+    cat = globe_category(3)
+    trees = ("[]", "[[]]", "[[],[]]", "[[[]],[]]", "[[[],[]],[[]]]", "[[[[]]],[[],[]]]")
+    for text in trees:
+        tree = parse_tree(text)
+        for n in range(tree_dim(tree) + 1):
+            for flavor in ("s", "t"):
+                out.append(tree_boundary_inclusion(cat, tree, n, flavor))
+    return out
+
+
 def _recheck(obj) -> None:
-    if isinstance(obj, Computad):
+    if isinstance(obj, Presheaf):
+        assert make_presheaf(obj.base, obj.cells, obj.action) == obj
+    elif isinstance(obj, PresheafMorphism):
+        _recheck(obj.src)
+        _recheck(obj.dst)
+        check_morphism(obj)
+    elif isinstance(obj, Computad):
         assert make_computad(obj.signature, obj.gens, obj.glue) == obj
     else:
         _recheck(obj.src)
@@ -198,6 +250,8 @@ def _recheck(obj) -> None:
         _classifying_morphisms,
         _filtrations,
         _underlying,
+        _representables,
+        _pack_inclusions,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )
