@@ -221,23 +221,26 @@ def validate_category(raw: dict) -> DirectCategory:
 
 
 def category_from_faces(
-    dims: dict[SortRef, int],
-    faces: dict[FaceRef, tuple[SortRef, SortRef, object]],
-    compose: Callable[[object, object], FaceRef],
+    dims: list[tuple[SortRef, int]],
+    faces: list[tuple[FaceRef, tuple[SortRef, SortRef, object]]],
+    compose: Callable[[object, object], FaceRef] | None = None,
 ) -> DirectCategory:
-    """The category on ``dims`` whose faces are ``faces`` (``id -> (src,
-    dst, data)``), with ``compose(first_data, second_data)`` naming the
-    composite of each composable pair; validated like any other category."""
+    """The category on the ``(sort, dim)`` pairs ``dims`` whose faces are the
+    ``(id, (src, dst, data))`` pairs ``faces``, with ``compose(first_data,
+    second_data)`` naming the composite of each composable pair (needed only
+    when some pair composes); validated like any other category, so a sort
+    or face listed twice is rejected."""
+    data = {fid: d for fid, (_, _, d) in faces}
     out_of: dict[SortRef, list[FaceRef]] = {}
-    for fid, (src, _, _) in faces.items():
+    for fid, (src, _, _) in faces:
         out_of.setdefault(src, []).append(fid)
     return validate_category(
         {
-            "sorts": [{"id": s, "dim": d} for s, d in dims.items()],
-            "faces": [{"id": f, "src": s, "dst": t} for f, (s, t, _) in faces.items()],
+            "sorts": [{"id": s, "dim": d} for s, d in dims],
+            "faces": [{"id": f, "src": s, "dst": t} for f, (s, t, _) in faces],
             "compose": [
-                {"first": f, "second": g, "result": compose(data, faces[g][2])}
-                for f, (_, dst, data) in faces.items()
+                {"first": f, "second": g, "result": compose(d, data[g])}
+                for f, (_, dst, d) in faces
                 for g in out_of.get(dst, ())
             ],
         }

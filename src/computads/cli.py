@@ -47,7 +47,10 @@ MAX_NESTING = 1000
 """The deepest a JSON document may nest arrays and objects.  A deeper one is
 rejected as ``DocumentTooDeep`` before it is decoded, on every interpreter."""
 
-_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
+# the closing quote is optional, so an unterminated string takes the rest of
+# the text in one match (json.loads then reports it) instead of a retry at
+# every escaped quote
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?', re.S)
 _NOT_BRACKET = re.compile(r"[^][{}]+")
 _STEP = {"[": 1, "{": 1, "]": -1, "}": -1}
 
@@ -62,13 +65,11 @@ def _nesting(text: str) -> int:
 def _read_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    # a document cannot nest deeper than it has opening brackets
-    if text.count("[") + text.count("{") > MAX_NESTING:
-        depth = _nesting(text)
-        if depth > MAX_NESTING:
-            raise DocumentTooDeep(
-                f"{path} nests {depth} levels deep, beyond the limit of {MAX_NESTING}"
-            )
+    depth = _nesting(text)
+    if depth > MAX_NESTING:
+        raise DocumentTooDeep(
+            f"{path} nests {depth} levels deep, beyond the limit of {MAX_NESTING}"
+        )
     return json.loads(text)
 
 

@@ -39,11 +39,14 @@ def cube_category(n: int) -> DirectCategory:
         for size in range(n + 2)
         for subset in itertools.combinations(range(n + 1), size)
     ]
-    faces = {
-        cube_face_id(target, forgotten): (
-            subset_sort(tuple(i for i in target if i not in forgotten)),
-            subset_sort(target),
-            (target, forgotten),
+    faces = [
+        (
+            cube_face_id(target, forgotten),
+            (
+                subset_sort(tuple(i for i in target if i not in forgotten)),
+                subset_sort(target),
+                (target, forgotten),
+            ),
         )
         for target in subsets
         for jsize in range(1, len(target) + 1)
@@ -51,9 +54,9 @@ def cube_category(n: int) -> DirectCategory:
         for forgotten in (
             dict(zip(j_set, alpha)) for alpha in itertools.product((0, 1), repeat=jsize)
         )
-    }
+    ]
     return category_from_faces(
-        {subset_sort(s): len(s) for s in subsets},
+        [(subset_sort(s), len(s)) for s in subsets],
         faces,
         lambda first, second: cube_face_id(second[0], {**second[1], **first[1]}),
     )

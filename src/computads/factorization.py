@@ -199,4 +199,6 @@ def coherence(
     try:
         return extend_signature(lower, (name, sort, positions, boundary))
     except CocycleFailure as exc:
-        raise SideConditionFailure(str(exc)) from exc
+        raise SideConditionFailure(
+            f"the sides of {name} disagree where they meet: {exc}"
+        ) from exc

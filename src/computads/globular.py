@@ -32,14 +32,14 @@ def globe_category(n: int) -> DirectCategory:
     face (k) -> (m), the composite keeping the flavour of its innermost leg."""
     if n < 0:
         raise BadIndex("dimension bound must be a natural number")
-    faces = {
-        globe_face(flavor, k, m): (globe_sort(k), globe_sort(m), (flavor, k, m))
+    faces = [
+        (globe_face(flavor, k, m), (globe_sort(k), globe_sort(m), (flavor, k, m)))
         for m in range(n + 1)
         for k in range(m)
         for flavor in ("s", "t")
-    }
+    ]
     return category_from_faces(
-        {globe_sort(m): m for m in range(n + 1)},
+        [(globe_sort(m), m) for m in range(n + 1)],
         faces,
         lambda first, second: globe_face(first[0], first[1], second[2]),
     )

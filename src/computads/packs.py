@@ -16,7 +16,7 @@ from .terms import app, var
 # -- many-sorted universal algebra ------------------------------------------------
 
 def discrete_category(sorts: list[str]) -> DirectCategory:
-    return category_from_faces(dict.fromkeys(sorts, 0), {}, compose=None)
+    return category_from_faces([(s, 0) for s in sorts], [])
 
 
 def discrete_signature(
@@ -89,14 +89,14 @@ def delta_plus(n: int) -> DirectCategory:
     generated by the cofaces under the simplicial identity."""
     if n < 0:
         raise BadIndex("dimension bound must be a natural number")
-    faces = {
-        mono_id(image, m): (simplex_sort(k), simplex_sort(m), (image, m))
+    faces = [
+        (mono_id(image, m), (simplex_sort(k), simplex_sort(m), (image, m)))
         for m in range(n + 1)
         for k in range(m)
         for image in itertools.combinations(range(m + 1), k + 1)
-    }
+    ]
     return category_from_faces(
-        {simplex_sort(m): m for m in range(n + 1)},
+        [(simplex_sort(m), m) for m in range(n + 1)],
         faces,
         lambda first, second: mono_id(tuple(second[0][a] for a in first[0]), second[1]),
     )

@@ -1,10 +1,11 @@
 import pytest
 
-from computads.base import truncate_category, validate_category
+from computads.base import category_from_faces, truncate_category, validate_category
 from computads.errors import (
     AssociativityFailure,
     CompositionGap,
     DimensionViolation,
+    UnknownFace,
     UnknownSort,
 )
 from computads.presheaf import boundary_representable, representable
@@ -130,3 +131,14 @@ def test_sorts_are_computed_once_in_dimension_then_id_order():
     tr = truncate_category(cat, 1)
     assert tr.sorts == ("a", "z", "x", "y")
     assert tr.sorts is tr.sorts
+
+
+def test_category_from_faces_rejects_repeated_ids():
+    from computads.packs import discrete_category
+
+    with pytest.raises(UnknownSort, match="duplicate sort id 'a'"):
+        discrete_category(["a", "a"])
+    dims = [("a", 0), ("b", 1)]
+    faces = [("f", ("a", "b", None)), ("f", ("a", "b", None))]
+    with pytest.raises(UnknownFace, match="duplicate face id 'f'"):
+        category_from_faces(dims, faces)

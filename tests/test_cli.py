@@ -360,6 +360,24 @@ def test_nesting_ignores_brackets_inside_strings(tmp_path, capsys):
     assert json.loads(out) == {"ok": True, "kind": "computad"}
 
 
+def test_unterminated_string_is_read_in_linear_time(tmp_path):
+    # an unterminated string followed by many escaped quotes: a string
+    # pattern that needs its closing quote retries at each of them and scans
+    # to the end every time, which takes minutes for this document
+    path = tmp_path / "unterminated.json"
+    path.write_text('"' + '\\"' * 50_000 + "[" * 1001, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(computads.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "computads.cli", "check", str(path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=10,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("malformed document: JSONDecodeError(")
+
+
 # SHA-256 of the stdout of `computads example ...`: the example categories and
 # coherence symbols may be built differently, but their output may not change.
 EXAMPLE_DIGESTS = {

@@ -284,8 +284,9 @@ def test_grid_coherence_rejects_sides_that_disagree_on_a_corner():
     # the two sides in direction 0 swapped: each still composes a boundary
     # grid, but its ends are the other side's corners
     sides[(0, 0)], sides[(0, 1)] = sides[(0, 1)], sides[(0, 0)]
-    with pytest.raises(SideConditionFailure):
+    with pytest.raises(SideConditionFailure) as exc:
         grid_coherence(lower, grid, sides, groupoid=True)
+    assert str(exc.value).startswith(f"the sides of {name} disagree where they meet: ")
 
 
 def test_square_grid_composite():
@@ -410,6 +411,7 @@ def test_globe_coherence_rejects_sides_with_different_ends():
         globe_coherence,
         parse_tree,
         position_name,
+        tree_symbol_name,
     )
     from computads.signature import Signature
 
@@ -417,8 +419,11 @@ def test_globe_coherence_rejects_sides_with_different_ends():
     tree = parse_tree("[[[]],[]]")
     source = var(position_name((0, 0)))  # an arrow q0 -> q1
     target = var(position_name((1, 0)))  # an arrow q1 -> q2
-    with pytest.raises(SideConditionFailure):
+    with pytest.raises(SideConditionFailure) as exc:
         globe_coherence(lower, tree, 2, source, target, groupoid=True)
+    assert str(exc.value).startswith(
+        f"the sides of {tree_symbol_name(tree)} disagree where they meet: "
+    )
 
 
 def test_groupoid_flag_relaxes_epi():
