@@ -124,20 +124,33 @@ class DirectCategory:
         return pairs
 
 
-def json_object(raw, error: type[Exception], what: str) -> dict:
-    """``raw`` if it is a JSON object; raises ``error`` naming ``what``
-    otherwise, before a field is read."""
+def json_object(
+    raw, error: type[Exception], what: str, strings: tuple[str, ...] = ()
+) -> dict:
+    """``raw`` if it is a JSON object whose fields named in ``strings`` hold
+    strings where present; raises ``error`` naming ``what`` otherwise, before
+    a field is read."""
     if not isinstance(raw, dict):
         raise error(f"{what} must be an object, not {type(raw).__name__}")
+    for name in strings:
+        if name in raw and not isinstance(raw[name], str):
+            raise error(
+                f"{what}: {name!r} must be a string, not {type(raw[name]).__name__}"
+            )
     return raw
 
 
-def json_objects(raw: dict, key: str, error: type[Exception]) -> list[dict]:
-    """The list of objects under ``key`` (empty if absent); raises ``error``
+def json_objects(
+    raw: dict, key: str, error: type[Exception], strings: tuple[str, ...] = ()
+) -> list[dict]:
+    """The list of objects under ``key`` (empty if absent), each checked by
+    :func:`json_object` for the string fields ``strings``; raises ``error``
     on any other shape, before a field is read."""
     entries = raw.get(key, [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise error(f"{key!r} must be a list of objects")
+    for entry in entries:
+        json_object(entry, error, f"an entry of {key!r}", strings)
     return entries
 
 
@@ -149,7 +162,7 @@ def validate_category(raw: dict) -> DirectCategory:
     """
     json_object(raw, UnknownSort, "a category")
     dims: dict[str, int] = {}
-    for entry in json_objects(raw, "sorts", UnknownSort):
+    for entry in json_objects(raw, "sorts", UnknownSort, ("id",)):
         sid, d = entry["id"], entry["dim"]
         if sid in dims:
             raise UnknownSort(f"duplicate sort id {sid!r}")
@@ -158,7 +171,7 @@ def validate_category(raw: dict) -> DirectCategory:
         dims[sid] = d
 
     faces: dict[str, Face] = {}
-    for entry in json_objects(raw, "faces", UnknownFace):
+    for entry in json_objects(raw, "faces", UnknownFace, ("id", "src", "dst")):
         fid, src, dst = entry["id"], entry["src"], entry["dst"]
         if fid in faces:
             raise UnknownFace(f"duplicate face id {fid!r}")
@@ -171,7 +184,9 @@ def validate_category(raw: dict) -> DirectCategory:
         faces[fid] = Face(fid, src, dst)
 
     table: dict[tuple[str, str], str] = {}
-    for entry in json_objects(raw, "compose", CompositionGap):
+    for entry in json_objects(
+        raw, "compose", CompositionGap, ("first", "second", "result")
+    ):
         key = (entry["first"], entry["second"])
         if key[0] not in faces or key[1] not in faces:
             raise CompositionGap(f"composition entry over unknown faces {key}")

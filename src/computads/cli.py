@@ -23,7 +23,7 @@ from .cofibrant import (
     skeletal_filtration,
     verify_stage_pushout,
 )
-from .computad import isomorphic
+from .computad import apply_morphism, free_computad, isomorphic
 from .errors import DocumentTooDeep, KernelError
 from .factorization import image_factorize, split_idempotent, support_morphism
 from .io_json import (
@@ -39,8 +39,7 @@ from .io_json import (
 from .monad import enumerate_terms
 from .plex import classify, enumerate_polyplexes, nerve, pspellings
 from .signature import signature_to_json, term_from_json, term_to_json, validate_signature
-from .terms import boundary_along
-from .computad import apply_morphism
+from .terms import boundary_along, check_term
 
 
 MAX_NESTING = 1000
@@ -81,8 +80,6 @@ def _load_term_document(path: str):
     raw = _read_json(path)
     c = computad_from_json(raw["computad"])
     t = term_from_json(raw["term"])
-    from .terms import check_term
-
     check_term(c, t)
     return c, t
 
@@ -104,8 +101,6 @@ def cmd_boundary(args) -> int:
 def cmd_apply(args) -> int:
     m = morphism_from_json(_read_json(args.morphism))
     t = term_from_json(_read_json(args.term)["term"])
-    from .terms import check_term
-
     check_term(m.src, t)
     _emit(term_to_json(apply_morphism(m, t)))
     return 0
@@ -177,9 +172,6 @@ def cmd_split(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .computad import free_computad
-    from .terms import check_term
-
     alg = algebra_from_json(_read_json(args.algebra))
     t = term_from_json(_read_json(args.term)["term"])
     # terms are evaluated over the free computad on the carrier, so their

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import GeneratorEvaluation, eval_in_env
 from .base import FaceRef, SortRef, memoized
 from .computad import (
     Computad,
@@ -21,7 +22,6 @@ from .computad import (
     inclusion,
     isomorphic,
     make_morphism,
-    pushout,
     sub_computad,
 )
 from .errors import NotCompatible, UnknownSort
@@ -75,9 +75,7 @@ def classify_type(
 class Attachment:
     gen: str
     sort: SortRef
-    family: dict[FaceRef, Term]  # boundary type over the previous stage
-    phi: ComputadMorphism  # sphere -> previous stage
-    psi: ComputadMorphism  # disk -> next stage
+    phi: ComputadMorphism  # sphere -> previous stage: the gluing of ``gen``
 
 
 @dataclass
@@ -104,23 +102,23 @@ def _strata(c: Computad, below: int) -> Computad:
 
 
 def skeletal_filtration(c: Computad) -> SkeletalFiltration:
+    """The stages of ``c`` by dimension, each with the generators attached to
+    it.  Each attaching map ``phi`` is built unchecked: the gluing of a
+    generator satisfies the cocycle condition, which ``make_computad``
+    checked, so it is a morphism from the sphere into the stage below."""
+    sig = c.signature
     top = c.base.dimension() + 1
     stages: list[SkeletalStage] = []
     for d in range(top + 1):
         stage = _strata(c, d)
         attachments: list[Attachment] = []
-        if d < top:
-            next_stage = _strata(c, d + 1)
-            for sort in c.base.sorts:
-                if c.base.dim(sort) != d:
-                    continue
-                for gen in c.generators_at(sort):
-                    family = dict(parts(c, Var(gen)))
-                    phi = classify_type(stage, sort, family)
-                    psi = classify_term(next_stage, Var(gen), sort)
-                    attachments.append(
-                        Attachment(gen=gen, sort=sort, family=family, phi=phi, psi=psi)
-                    )
+        for sort in c.base.sorts:
+            if c.base.dim(sort) != d:
+                continue
+            sphere = sphere_computad(sig, sort)
+            for gen in c.generators_at(sort):
+                phi = ComputadMorphism(sphere, stage, dict(parts(c, Var(gen))))
+                attachments.append(Attachment(gen, sort, phi))
         stages.append(SkeletalStage(dim=d, computad=stage, attachments=attachments))
     return SkeletalFiltration(computad=c, stages=stages)
 
@@ -139,7 +137,7 @@ def replay_filtration(filtration: SkeletalFiltration) -> Computad:
             counter += 1
             renaming[att.gen] = fresh
             gens[att.sort] = gens[att.sort] + (fresh,)
-            for face, t in att.family.items():
+            for face, t in att.phi.assign.items():
                 glue[(fresh, face)] = rename(t, renaming)
     return Computad(sig, gens, glue)
 
@@ -149,32 +147,25 @@ def verify_stage_pushout(
 ) -> bool | None:
     """Check the attaching square against an actual computad pushout.
 
-    Only applies when every attaching morphism is variable-to-variable (the
-    pushout of algebras always exists, but the computad colimit machinery
-    requires generator-preserving legs); returns None otherwise.
+    The next stage is the pushout of the stage along the coproduct of the
+    boundary inclusions of its attachments, which is one colimit: the stage,
+    and per attachment a sphere node with two legs, ``phi`` into the stage
+    and the boundary inclusion into a disk node.  Only applies when every
+    attaching morphism is variable-to-variable (the computad colimit
+    machinery requires generator-preserving legs); returns None otherwise.
     """
-    if not stage.attachments:
-        return isomorphic(stage.computad, next_computad)
     if not all(att.phi.is_var_to_var() for att in stage.attachments):
         return None
     sig = stage.computad.signature
-    sphere_nodes = {att.gen: att.phi.src for att in stage.attachments}
-    disk_nodes = {att.gen: disk_computad(sig, att.sort) for att in stage.attachments}
-    sph_cop = colimit_var(sphere_nodes, [])
-    disk_cop = colimit_var(disk_nodes, [])
-    # boundary inclusion on each tagged summand, a coproduct of inclusions
-    incl = ComputadMorphism(
-        sph_cop.computad,
-        disk_cop.computad,
-        {
-            sph_cop.classes[(att.gen, g)]: Var(disk_cop.classes[(att.gen, g)])
-            for att in stage.attachments
-            for _, g in att.phi.src.all_generators()
-        },
-    )
-    attach = sph_cop.mediate({att.gen: att.phi for att in stage.attachments})
-    po = pushout(incl, attach)
-    return isomorphic(po.computad, next_computad)
+    nodes = {"stage": stage.computad}
+    edges: list[tuple[str, str, ComputadMorphism]] = []
+    for att in stage.attachments:
+        sphere, disk = f"sphere:{att.gen}", f"disk:{att.gen}"
+        nodes[sphere] = att.phi.src
+        nodes[disk] = disk_computad(sig, att.sort)
+        edges.append((sphere, "stage", att.phi))
+        edges.append((sphere, disk, boundary_inclusion(sig, att.sort)))
+    return isomorphic(colimit_var(nodes, edges).computad, next_computad)
 
 
 # -- the underlying computad of an algebra ------------------------------------------
@@ -216,8 +207,6 @@ def underlying_computad(alg, depth_bound: int) -> UndResult:
     dims = sorted({cat.dim(s) for s in cat.sorts})
     for d in dims:
         lower = Computad(sig, gens, glue)
-        from .algebra import GeneratorEvaluation
-
         evaluate = GeneratorEvaluation(computad=lower, algebra=alg, assign=r_assign)
         for sort in cat.sorts:
             if cat.dim(sort) != d:
@@ -256,8 +245,6 @@ class CofibrantReplacement:
 
     def r(self, t: Term) -> str:
         """Evaluate a term of the replacement computad in the algebra."""
-        from .algebra import eval_in_env
-
         return eval_in_env(self.algebra, t, self.und.r_assign)
 
     def lift_v(self, sort: SortRef, family: dict[FaceRef, Term], cell: str) -> Term:

@@ -7,7 +7,7 @@ from its top-level keys.
 
 from __future__ import annotations
 
-from .algebra import Algebra, algebra_from_interpretations, hom_key
+from .algebra import Algebra, algebra_from_interpretations, hom_key, tabulate
 from .base import json_object, json_objects, validate_category
 from .computad import Computad, ComputadMorphism, make_computad, make_morphism
 from .errors import (
@@ -18,7 +18,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .plex import PApp, Polyplex, PVar, papp, pvar
-from .presheaf import presheaf_to_json, validate_presheaf
+from .presheaf import enumerate_hom, presheaf_to_json, validate_presheaf
 from .signature import (
     signature_to_json,
     term_from_json,
@@ -37,7 +37,7 @@ def computad_from_json(raw: dict) -> Computad:
         if not isinstance(ids, list) or not all(isinstance(g, str) for g in ids):
             raise GluingIllTyped(f"generators at {s!r} must be a list of ids: {ids!r}")
     glue = {}
-    for entry in json_objects(raw, "gluing", GluingIllTyped):
+    for entry in json_objects(raw, "gluing", GluingIllTyped, ("gen", "face")):
         glue[(entry["gen"], entry["face"])] = term_from_json(entry["term"])
     return make_computad(sig, gens, glue)
 
@@ -61,7 +61,7 @@ def morphism_from_json(raw: dict) -> ComputadMorphism:
     dst = computad_from_json(raw["dst"])
     assign = {
         e["gen"]: term_from_json(e["term"])
-        for e in json_objects(raw, "assign", UnknownGenerator)
+        for e in json_objects(raw, "assign", UnknownGenerator, ("gen",))
     }
     return make_morphism(src, dst, assign)
 
@@ -81,19 +81,16 @@ def algebra_from_json(raw: dict) -> Algebra:
     sig = validate_signature(raw["signature"])
     carrier = validate_presheaf(raw["carrier"], base=sig.base)
     tables: dict[str, dict[tuple, str]] = {}
-    for entry in json_objects(raw, "interpretations", PartialTable):
+    for entry in json_objects(raw, "interpretations", PartialTable, ("symbol",)):
         rows = {}
-        for row in json_objects(entry, "rows", PartialTable):
-            hom = json_objects(row, "hom", PartialTable)
+        for row in json_objects(entry, "rows", PartialTable, ("value",)):
+            hom = json_objects(row, "hom", PartialTable, ("cell", "value"))
             rows[hom_key({a["cell"]: a["value"] for a in hom})] = row["value"]
         tables[entry["symbol"]] = rows
     return algebra_from_interpretations(sig, carrier, tables)
 
 
 def algebra_to_json(alg: Algebra) -> dict:
-    from .algebra import tabulate
-    from .presheaf import enumerate_hom
-
     tabled = tabulate(alg)
     out = []
     for symbol_id in sorted(alg.signature.symbols):
@@ -121,7 +118,7 @@ def algebra_morphism_from_json(raw: dict) -> tuple[Algebra, Algebra, dict[str, s
     json_object(raw, MissingAction, "an algebra morphism")
     src = algebra_from_json(raw["src"])
     dst = algebra_from_json(raw["dst"])
-    entries = json_objects(raw, "components", MissingAction)
+    entries = json_objects(raw, "components", MissingAction, ("from", "to"))
     component = {e["from"]: e["to"] for e in entries}
     return src, dst, component
 

@@ -15,7 +15,7 @@ from .computad import Computad, ComputadMorphism, free_computad, make_morphism
 from .errors import NegativeBound
 from .presheaf import Presheaf, PresheafMorphism, hom_families, make_presheaf, search
 from .signature import Signature
-from .terms import Term, Var, app, boundary, canonical_sort, subst
+from .terms import Term, Var, app, boundary, canonical_sort, rename, subst
 
 
 def argument_families(
@@ -138,8 +138,6 @@ def mult(t: Term, decode: dict[str, Term]) -> Term:
 def term_action(t: Term, component: dict[str, str]) -> Term:
     """Functorial action of a presheaf morphism on terms over the free
     computads: relabel generator leaves."""
-    from .terms import rename
-
     return rename(t, component)
 
 

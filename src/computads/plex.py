@@ -25,6 +25,7 @@ from .computad import (
     ComputadMorphism,
     apply_morphism,
     colimit_var,
+    enumerate_var_to_var,
 )
 from .errors import NegativeBound
 from .presheaf import Presheaf, boundary_representable, hom_families, search
@@ -251,14 +252,24 @@ def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
 
 def classifying_morphism(c: Computad, t: Term) -> ComputadMorphism:
     """The unique variable-to-variable morphism |classify(t)| -> c sending the
-    universal term to ``t``, which is well typed over ``c`` (unchecked)."""
+    universal term to ``t``, which is well typed over ``c`` (unchecked).
+
+    The universal term and ``t`` have the same shape, so their parts pair up
+    cell by cell, down to the generators; one walk over an explicit stack
+    sends each generator of |p| to the first term of ``t`` it is paired with.
+    The universal term has full support, so the walk meets every generator.
+    """
     rep = polyplex_computad(c.signature, classify(c, t))
     assign: dict[str, Term] = {}
-    if rep.colimit is not None:
-        legs = {cell: classifying_morphism(c, u) for cell, u in parts(c, t)}
-        assign = rep.colimit.mediate(legs).assign
-    if rep.star is not None:
-        assign[rep.star] = t
+    todo = [(rep.universal, t)]
+    while todo:
+        u, v = todo.pop()
+        if isinstance(u, Var):
+            if u.gen in assign:
+                continue
+            assign[u.gen] = v
+        for (_, u_part), (_, v_part) in zip(parts(rep.computad, u), parts(c, v)):
+            todo.append((u_part, v_part))
     return ComputadMorphism(rep.computad, c, assign)
 
 
@@ -281,8 +292,6 @@ def reconstruct_from_nerve(c: Computad) -> Computad:
     along plex morphisms.  The computad is recovered as the colimit of the
     representing computads over the category of elements of that presheaf.
     """
-    from .computad import enumerate_var_to_var
-
     sig = c.signature
     entries: list[tuple[Polyplex, str, ComputadMorphism]] = []
     for _, gen in c.all_generators():

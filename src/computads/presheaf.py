@@ -10,10 +10,12 @@ from .base import (
     DirectCategory,
     FaceRef,
     SortRef,
+    category_to_json,
     json_object,
     json_objects,
     memoized,
     truncate_category,
+    validate_category,
 )
 from .errors import (
     BaseMismatch,
@@ -35,13 +37,10 @@ class Presheaf:
     base: DirectCategory
     cells: dict[SortRef, tuple[str, ...]]
     action: dict[tuple[FaceRef, str], str]
-    _sort_of: dict[str, SortRef] = field(default_factory=dict, repr=False)
+    _sort_of: dict[str, SortRef] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self._sort_of:
-            self._sort_of = {
-                c: s for s, cs in self.cells.items() for c in cs
-            }
+        self._sort_of = {c: s for s, cs in self.cells.items() for c in cs}
 
     def cells_at(self, sort: SortRef) -> tuple[str, ...]:
         if sort not in self.base.dims:
@@ -121,8 +120,6 @@ def make_presheaf(
 def validate_presheaf(raw: dict, base: DirectCategory | None = None) -> Presheaf:
     """Validate the JSON shape ``{category, cells: {sort: [ids]}, action:
     [{face, from, to}]}``; ``base`` overrides the embedded category."""
-    from .base import validate_category
-
     json_object(raw, FunctorialityFailure, "a presheaf")
     if base is None:
         base = validate_category(raw["category"])
@@ -135,14 +132,14 @@ def validate_presheaf(raw: dict, base: DirectCategory | None = None) -> Presheaf
         if not isinstance(ids, list) or not all(isinstance(c, str) for c in ids):
             raise FunctorialityFailure(f"cells at {s!r} must be a list of ids: {ids!r}")
     action = {}
-    for entry in json_objects(raw, "action", FunctorialityFailure):
+    for entry in json_objects(
+        raw, "action", FunctorialityFailure, ("face", "from", "to")
+    ):
         action[(entry["face"], entry["from"])] = entry["to"]
     return make_presheaf(base, cells, action)
 
 
 def presheaf_to_json(p: Presheaf) -> dict:
-    from .base import category_to_json
-
     return {
         "category": category_to_json(p.base),
         "cells": {s: list(p.cells_at(s)) for s in p.base.sorts if p.cells_at(s)},

@@ -16,6 +16,7 @@ from .base import (
     DirectCategory,
     FaceRef,
     SortRef,
+    category_to_json,
     json_object,
     json_objects,
     truncate_category,
@@ -34,6 +35,7 @@ from .errors import (
 from .presheaf import (
     Presheaf,
     boundary_representable,
+    presheaf_to_json,
     truncate_presheaf,
     validate_presheaf,
 )
@@ -188,11 +190,11 @@ def restrict_signature(sig: Signature, n: int) -> Signature:
 # -- JSON ----------------------------------------------------------------------
 
 def term_from_json(obj: dict) -> Term:
-    if "var" in json_object(obj, BoundaryIllTyped, "a term"):
+    if "var" in json_object(obj, BoundaryIllTyped, "a term", ("var",)):
         return Var(obj["var"])
     if "app" in obj:
-        body = json_object(obj["app"], BoundaryIllTyped, "an application")
-        args = json_objects(body, "args", BoundaryIllTyped)
+        body = json_object(obj["app"], BoundaryIllTyped, "an application", ("symbol",))
+        args = json_objects(body, "args", BoundaryIllTyped, ("cell",))
         return app(body["symbol"], {e["cell"]: term_from_json(e["term"]) for e in args})
     raise BoundaryIllTyped(f"not a term: {obj!r}")
 
@@ -215,20 +217,17 @@ def validate_signature(raw: dict) -> Signature:
     json_object(raw, UnknownSymbol, "a signature")
     cat = validate_category(raw["category"])
     decls = []
-    for entry in json_objects(raw, "symbols", UnknownSymbol):
+    for entry in json_objects(raw, "symbols", UnknownSymbol, ("id", "sort")):
         arity = validate_presheaf(entry["arity"], base=cat)
         given = {
             b["face"]: term_from_json(b["term"])
-            for b in json_objects(entry, "boundary", BoundaryIllTyped)
+            for b in json_objects(entry, "boundary", BoundaryIllTyped, ("face",))
         }
         decls.append((entry["id"], entry["sort"], arity, given))
     return build_signature(cat, decls)
 
 
 def signature_to_json(sig: Signature) -> dict:
-    from .base import category_to_json
-    from .presheaf import presheaf_to_json
-
     out_symbols = []
     for symbol_id in sorted(
         sig.symbols, key=lambda s: (sig.base.dim(sig.symbols[s].sort), s)

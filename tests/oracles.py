@@ -5,13 +5,16 @@ bounded recursion rank, iterated jointly to a fixed point.
 This is deliberately a separate implementation from the library's
 enumerator: it builds depth-indexed tables keyed by boundary profiles and
 grows them rank by rank, rather than recursing per call.
+
+Also here: from-scratch spellings of terms and shapes, and the classifying
+morphism of a term read off the colimit presentation of its shape.
 """
 
 from __future__ import annotations
 
-from computads.computad import Computad
-from computads.plex import PVar, Polyplex
-from computads.terms import Term, Var, app, boundary
+from computads.computad import Computad, ComputadMorphism
+from computads.plex import PVar, Polyplex, classify, polyplex_computad
+from computads.terms import Term, Var, app, boundary, parts
 
 
 def spell_term(t: Term) -> str:
@@ -110,3 +113,19 @@ def fixpoint_terms(c: Computad, sort: str, max_depth: int) -> list[Term]:
     for terms in tables[(sort, max_depth)].values():
         out.extend(terms)
     return sorted(set(out), key=term_key)
+
+
+def mediated_classifying_morphism(c: Computad, t: Term) -> ComputadMorphism:
+    """The classifying morphism |classify(t)| -> c by the universal property
+    of the colimit that builds |p|: the classifying morphisms of the parts
+    of ``t`` form a cocone, whose mediating map is the morphism, with the
+    fresh generator of a generator shape sent to ``t``.  The reference for
+    ``plex.classifying_morphism``."""
+    rep = polyplex_computad(c.signature, classify(c, t))
+    assign: dict[str, Term] = {}
+    if rep.colimit is not None:
+        legs = {cell: mediated_classifying_morphism(c, u) for cell, u in parts(c, t)}
+        assign = rep.colimit.mediate(legs).assign
+    if rep.star is not None:
+        assign[rep.star] = t
+    return ComputadMorphism(rep.computad, c, assign)

@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 import computads
+from computads import errors
 from computads.cli import main
 from computads.computad import make_computad
 from computads.io_json import (
@@ -287,6 +289,70 @@ def test_json_boundary_rejects_misreadable_values(tmp_path, corrupt, commands, e
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.startswith(f"{error}: ")
+
+
+def _string_fields(doc, path=()):
+    """The path to every string-valued field of a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(value, str) and isinstance(doc, dict):
+            yield path + (key,)
+        elif isinstance(value, (dict, list)):
+            yield from _string_fields(value, path + (key,))
+
+
+def _scalar_mutations():
+    """Each document set to ``5`` or ``[5]`` at one string field, one field
+    per document and place (list positions merged).  The algebra's carrier
+    repeats the signature's category, which the decoder does not read, so
+    its fields are left alone."""
+    from computads.computad import identity_morphism
+
+    alg = algebra_to_json(pathcat_algebra())
+    cells = [c for cs in pathcat_algebra().carrier.cells.values() for c in cs]
+    term_doc = {"computad": computad_to_json(walk2()), "term": term_to_json(comp_uv())}
+    docs = [
+        (computad_to_json(walk2()), ("check", "{}")),
+        (morphism_to_json(identity_morphism(walk2())), ("check", "{}")),
+        (alg, ("check", "{}")),
+        (term_doc, ("classify", "--term", "{}")),
+        (
+            {"src": alg, "dst": alg, "components": [{"from": c, "to": c} for c in cells]},
+            ("check-tfib", "--morphism", "{}"),
+        ),
+    ]
+    for doc, command in docs:
+        places = set()
+        for path in _string_fields(doc):
+            place = tuple("*" if isinstance(k, int) else k for k in path)
+            if place in places or "carrier" in place and "category" in place:
+                continue
+            places.add(place)
+            for value in (5, [5]):
+                mutated = copy.deepcopy(doc)
+                node = mutated
+                for key in path[:-1]:
+                    node = node[key]
+                node[path[-1]] = value
+                yield mutated, command, place, value
+
+
+def test_scalar_fields_of_the_wrong_type_are_typed_errors(tmp_path, capsys):
+    kernel_errors = {
+        name
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.KernelError)
+    }
+    path = tmp_path / "doc.json"
+    count = 0
+    for doc, command, place, value in _scalar_mutations():
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        status = main([arg.format(path) for arg in command])
+        err = capsys.readouterr().err
+        assert status == 1, (place, value)
+        assert err.split(":")[0] in kernel_errors, (place, value, err)
+        count += 1
+    assert count > 200
 
 
 def test_over_deep_document_is_a_typed_error(tmp_path):

@@ -34,6 +34,7 @@ from fixtures import (
     pathcat_algebra,
     random_computad_comp,
     walk2,
+    walk_n,
     z5_algebra,
 )
 
@@ -104,6 +105,16 @@ def test_filtration_replay_and_pushouts():
         for lo, hi in zip(filt.stages, filt.stages[1:]):
             verdict = verify_stage_pushout(lo, hi.computad)
             assert verdict is True  # all fixtures here attach along generators
+
+
+def test_stage_pushout_against_the_wrong_next_stage_is_false():
+    # each stage of a 2-chain, pushed out along its attachments, against the
+    # next stage of a 3-chain: one object short, then one arrow short
+    sig = comp_signature()
+    short = skeletal_filtration(walk_n(sig, 2)).stages
+    long = skeletal_filtration(walk_n(sig, 3)).stages
+    verdicts = [verify_stage_pushout(lo, hi.computad) for lo, hi in zip(short, long[1:])]
+    assert verdicts == [False, False]
 
 
 def test_filtration_replay_nonvar_attachment():

@@ -21,7 +21,8 @@ from computads.plex import (
 from computads.presheaf import representable
 from computads.terms import Var, boundary, var
 
-from fixtures import comp_signature, comp_uv, random_computad_comp, walk2
+from fixtures import comp_signature, comp_uv, random_computad_comp, walk2, walk_n
+from oracles import mediated_classifying_morphism
 
 
 def generic_object():
@@ -229,3 +230,17 @@ def test_representability_with_app_boundaries():
 def test_reconstruct_kan_fixture():
     _, c = _kan_fixture()
     assert isomorphic(reconstruct_from_nerve(c), c)
+
+
+def test_classifying_morphism_matches_the_mediating_oracle():
+    sig = comp_signature()
+    rng = random.Random(29)
+    cases = [(walk2(sig), 2), (walk_n(sig, 3), 2), (_kan_fixture()[1], 2)]
+    cases += [(random_computad_comp(sig, rng, tag=f"c{i}"), 1) for i in range(8)]
+    checked = 0
+    for c, depth in cases:
+        for sort in c.base.sorts:
+            for t in enumerate_terms(c, sort, depth):
+                assert classifying_morphism(c, t) == mediated_classifying_morphism(c, t), t
+                checked += 1
+    assert checked > 50
