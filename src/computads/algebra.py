@@ -33,7 +33,7 @@ from .presheaf import (
     search,
 )
 from .signature import Signature
-from .terms import App, Term, Var, app
+from .terms import Term, app, fold_term
 
 
 Interp = Union[dict[tuple, str], Callable[[dict[str, str]], str]]
@@ -64,19 +64,13 @@ class Algebra:
 
 def eval_in_env(alg, t: Term, env: dict[str, str]) -> str:
     """Evaluate a term whose generators are bound by ``env`` to carrier cells."""
-    if isinstance(t, Var):
-        return env[t.gen]
-    assert isinstance(t, App)
-    return alg.interpret(t.symbol, {c: eval_in_env(alg, u, env) for c, u in t.args})
+    return fold_term(t, env.__getitem__, lambda u, cells: alg.interpret(u.symbol, dict(cells)))
 
 
 def eval_term(alg, t: Term) -> str:
     """Evaluate a term over the free computad on the carrier: generators are
     carrier cells themselves."""
-    if isinstance(t, Var):
-        return t.gen
-    assert isinstance(t, App)
-    return alg.interpret(t.symbol, {c: eval_term(alg, u) for c, u in t.args})
+    return fold_term(t, lambda gen: gen, lambda u, cells: alg.interpret(u.symbol, dict(cells)))
 
 
 def _check_boundary_conditions(alg: Algebra) -> None:

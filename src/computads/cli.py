@@ -37,9 +37,9 @@ from .io_json import (
     polyplex_to_json,
 )
 from .monad import enumerate_terms
-from .plex import classify, enumerate_polyplexes, nerve, pspellings
+from .plex import classify, enumerate_polyplexes, nerve
 from .signature import signature_to_json, term_from_json, term_to_json, validate_signature
-from .terms import boundary_along, check_term
+from .terms import boundary_along, check_term, spellings
 
 
 MAX_NESTING = 1000
@@ -133,7 +133,7 @@ def cmd_nerve(args) -> int:
     _emit(
         [
             {"plex": polyplex_to_json(p), "generators": list(fibres[p])}
-            for _, p in sorted(zip(pspellings(shapes), shapes), key=itemgetter(0))
+            for _, p in sorted(zip(spellings(shapes), shapes), key=itemgetter(0))
         ]
     )
     return 0
@@ -359,9 +359,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # Decoding, reading and emitting a document recurse about once per level
-    # of nesting, and the interpreter's default limit leaves fewer than
-    # MAX_NESTING levels on some versions.
+    # The kernel walks terms and shapes without recursion, but the json
+    # module's decoder and the indented emitter recurse once per level of
+    # nesting, and the default limit leaves fewer than MAX_NESTING levels on
+    # some versions.
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 3 * MAX_NESTING))
     try:

@@ -28,7 +28,7 @@ from .errors import NotCompatible, UnknownSort
 from .monad import argument_families, terms_saturated
 from .presheaf import boundary_representable, hom_families, representable, search
 from .signature import Signature
-from .terms import Term, Var, boundary, parts, rename, serialize
+from .terms import Term, boundary, parts, rename, serialize, var
 
 
 @memoized("_disk_cache")
@@ -117,7 +117,7 @@ def skeletal_filtration(c: Computad) -> SkeletalFiltration:
                 continue
             sphere = sphere_computad(sig, sort)
             for gen in c.generators_at(sort):
-                phi = ComputadMorphism(sphere, stage, dict(parts(c, Var(gen))))
+                phi = ComputadMorphism(sphere, stage, dict(parts(c, var(gen))))
                 attachments.append(Attachment(gen, sort, phi))
         stages.append(SkeletalStage(dim=d, computad=stage, attachments=attachments))
     return SkeletalFiltration(computad=c, stages=stages)
@@ -254,7 +254,7 @@ class CofibrantReplacement:
             raise NotCompatible(
                 f"({cell!r}, family) is not a generator of the replacement"
             )
-        return Var(name)
+        return var(name)
 
 
 def cofibrant_replacement(alg, depth_bound: int) -> CofibrantReplacement:

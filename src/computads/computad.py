@@ -34,9 +34,11 @@ from .terms import (
     boundary,
     check_family,
     check_term,
+    fold_term,
     parts,
     rename,
     subst,
+    var,
 )
 
 
@@ -122,7 +124,7 @@ def make_computad(
                     raise GluingIllTyped(f"gluing of {g!r} along {face!r}: {exc}") from exc
             sphere = boundary_representable(cat, sort)[0]
             try:
-                check_family(c, sphere, dict(parts(c, Var(g))), f"gluing of {g!r}")
+                check_family(c, sphere, dict(parts(c, var(g))), f"gluing of {g!r}")
             except IncompatibleArgs as exc:
                 raise CocycleFailure(str(exc)) from exc
     return c
@@ -137,7 +139,7 @@ def free_computad(x: Presheaf, signature: Signature) -> Computad:
     for s in signature.base.sorts:
         for cell in x.cells_at(s):
             for face in signature.base.faces_into(s):
-                glue[(cell, face)] = Var(x.act(face, cell))
+                glue[(cell, face)] = var(x.act(face, cell))
     return Computad(signature, gens, glue)
 
 
@@ -214,7 +216,7 @@ def make_morphism(
             raise UnknownGenerator(f"morphism undefined on generator {gen!r}")
         t = m.assign[gen]
         check_term(dst, t, expected_sort=sort)
-        for face, u in parts(src, Var(gen)):
+        for face, u in parts(src, var(gen)):
             if boundary(dst, face, t) != apply_morphism(m, u):
                 raise GluingIllTyped(
                     f"morphism breaks the gluing of {gen!r} along {face!r}"
@@ -229,7 +231,7 @@ def identity_morphism(c: Computad) -> ComputadMorphism:
 def inclusion(src: Computad, dst: Computad) -> ComputadMorphism:
     """The generator inclusion src -> dst, unchecked: the caller knows that
     ``dst`` has the generators of ``src`` with the same gluings."""
-    return ComputadMorphism(src, dst, {g: Var(g) for _, g in src.all_generators()})
+    return ComputadMorphism(src, dst, {g: var(g) for _, g in src.all_generators()})
 
 
 def compose_morphisms(
@@ -245,22 +247,18 @@ def compose_morphisms(
 def var_to_var_morphism(
     src: Computad, dst: Computad, gen_map: dict[str, str]
 ) -> ComputadMorphism:
-    return make_morphism(src, dst, {g: Var(v) for g, v in gen_map.items()})
+    return make_morphism(src, dst, {g: var(v) for g, v in gen_map.items()})
 
 
 # -- isomorphism checking -------------------------------------------------------
 
 def _generators_named(ts: tuple[Term, ...]) -> set[str]:
     """The generators at the leaves of the terms ``ts``."""
-    out: set[str] = set()
-    todo = list(ts)
-    while todo:
-        t = todo.pop()
-        if isinstance(t, Var):
-            out.add(t.gen)
-        else:
-            todo.extend(u for _, u in t.args)
-    return out
+
+    def union(u, family) -> set[str]:
+        return set().union(*[gens for _, gens in family])
+
+    return set().union(*[fold_term(t, lambda gen: {gen}, union) for t in ts])
 
 
 def _gen_cells(c: Computad, d: Computad) -> list[tuple]:
@@ -304,7 +302,7 @@ def isomorphic(c: Computad, d: Computad) -> bool:
 def enumerate_var_to_var(c: Computad, d: Computad) -> list[ComputadMorphism]:
     """All variable-to-variable morphisms c -> d, in a canonical order."""
     return [
-        ComputadMorphism(src=c, dst=d, assign={g: Var(v) for g, v in m.items()})
+        ComputadMorphism(src=c, dst=d, assign={g: var(v) for g, v in m.items()})
         for m in search(_gen_cells(c, d))
     ]
 
@@ -405,11 +403,11 @@ def colimit_var(
     for sort in cat.sorts:
         for cls in gens[sort]:
             key, g = reps[cls]
-            for face, t in parts(nodes[key], Var(g)):
+            for face, t in parts(nodes[key], var(g)):
                 glue[(cls, face)] = rename(t, leg_maps[key])
     colim = Computad(signature, gens, glue)
     legs = {
-        key: ComputadMorphism(c, colim, {g: Var(v) for g, v in leg_maps[key].items()})
+        key: ComputadMorphism(c, colim, {g: var(v) for g, v in leg_maps[key].items()})
         for key, c in nodes.items()
     }
     return Colimit(computad=colim, legs=legs, classes=classes)

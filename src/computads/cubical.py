@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import itertools
 
-from .base import DirectCategory, SortRef, category_from_faces
+from .base import DirectCategory, SortRef, category_from_faces, memoized
 from .errors import BadSubset, SideConditionFailure
 from .factorization import coherence
-from .presheaf import Presheaf, PresheafMorphism, make_presheaf
+from .presheaf import Presheaf, PresheafMorphism
 from .signature import Signature
 from .terms import Term, app, rename, var
 
@@ -80,8 +80,16 @@ def grid_positions(cat: DirectCategory, grid: Grid) -> Presheaf:
 
     A cell over a subset J is a lattice point whose coordinates are strict in
     the J directions; forgetting a direction shifts the point to the chosen
-    side of the cube it named.
+    side of the cube it named.  Built once per category and grid, unchecked:
+    a shifted point is a position over the smaller subset, and forgetting
+    directions one after another shifts by the sum of the sides.
     """
+    return _grid_positions(cat, tuple(sorted(grid.items())))
+
+
+@memoized("_grid_positions_cache")
+def _grid_positions(cat: DirectCategory, items: tuple[tuple[int, int], ...]) -> Presheaf:
+    grid = dict(items)
     directions = tuple(sorted(grid))
     if subset_sort(directions) not in cat.dims:
         raise BadSubset(f"directions {directions} exceed the cube category")
@@ -107,7 +115,7 @@ def grid_positions(cat: DirectCategory, grid: Grid) -> Presheaf:
                                 tuple(i for i in j_set if i not in forgotten),
                             )
             cells[subset_sort(j_set)] = tuple(sorted(names))
-    return make_presheaf(cat, cells, action)
+    return Presheaf(cat, {s: cells.get(s, ()) for s in cat.sorts}, action)
 
 
 def restrict_grid(grid: Grid, forgotten) -> Grid:

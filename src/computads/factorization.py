@@ -23,44 +23,28 @@ from .computad import (
 from .errors import CocycleFailure, NotIdempotent, NotMono, SideConditionFailure
 from .presheaf import Presheaf, PresheafMorphism
 from .signature import Signature, extend_signature
-from .terms import Term, Var, check_term, parts, rename
+from .terms import Term, Var, check_term, fold, parts, rename
 
 
 def support(c: Computad, t: Term) -> dict[SortRef, frozenset[str]]:
-    """Support of a term at every sort, per the recursive definition.
+    """Support of a term at every sort, per the recursive definition: the
+    generators of ``t`` and, through the parts of each, of its gluings.
 
-    The walk is post-order over an explicit stack, so the depth of ``t`` is
-    not bounded by the recursion limit.  The support of every subterm and
-    gluing it meets is kept in the computad's ``_supp_cache`` table, under
-    the key ``(term,)``, as :func:`base.memoized` keeps its entries.
+    One fold over the parts; its memo is the computad's ``_supp_cache``
+    table, which keeps the support of every subterm and gluing it meets.
     """
-    cache = c.__dict__.setdefault("_supp_cache", {})
-    known = cache.get((t,))
-    return known if known is not None else _support_walk(c, t, cache)
 
-
-def _support_walk(c: Computad, t: Term, cache: dict) -> dict[SortRef, frozenset[str]]:
-    sorts = c.base.sorts
-    todo = [t]
-    while todo:
-        u = todo[-1]
-        if (u,) in cache:
-            todo.pop()
-            continue
-        below = [v for _, v in parts(c, u)]
-        found = [cache.get((v,)) for v in below]
-        if None in found:
-            todo.extend(v for v, supp in zip(below, found) if supp is None)
-            continue
-        todo.pop()
-        out: dict[SortRef, set[str]] = {s: set() for s in sorts}
+    def build(u: Term, below) -> dict[SortRef, frozenset[str]]:
+        out: dict[SortRef, set[str]] = {s: set() for s in c.base.sorts}
         if isinstance(u, Var):
             out[c.gen_sort(u.gen)].add(u.gen)
-        for supp in found:
+        for _, supp in below:
             for s, gens in supp.items():
                 out[s] |= gens
-        cache[(u,)] = {s: frozenset(gens) for s, gens in out.items()}
-    return cache[(t,)]
+        return {s: frozenset(gens) for s, gens in out.items()}
+
+    memo = c.__dict__.setdefault("_supp_cache", {})
+    return fold(t, lambda u: parts(c, u), build, memo)
 
 
 def support_term(c: Computad, t: Term, sort: SortRef) -> frozenset[str]:

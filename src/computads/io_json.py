@@ -11,6 +11,8 @@ from .algebra import Algebra, algebra_from_interpretations, hom_key, tabulate
 from .base import json_object, json_objects, validate_category
 from .computad import Computad, ComputadMorphism, make_computad, make_morphism
 from .errors import (
+    BaseMismatch,
+    FunctorialityFailure,
     GluingIllTyped,
     KernelError,
     MissingAction,
@@ -20,11 +22,13 @@ from .errors import (
 from .plex import PApp, Polyplex, PVar, papp, pvar
 from .presheaf import enumerate_hom, presheaf_to_json, validate_presheaf
 from .signature import (
+    fold_document,
     signature_to_json,
     term_from_json,
     term_to_json,
     validate_signature,
 )
+from .terms import children_of, fold
 
 
 def computad_from_json(raw: dict) -> Computad:
@@ -79,7 +83,10 @@ def morphism_to_json(m: ComputadMorphism) -> dict:
 def algebra_from_json(raw: dict) -> Algebra:
     json_object(raw, PartialTable, "an algebra")
     sig = validate_signature(raw["signature"])
-    carrier = validate_presheaf(raw["carrier"], base=sig.base)
+    carrier_raw = json_object(raw["carrier"], FunctorialityFailure, "a presheaf")
+    if validate_category(carrier_raw["category"]) != sig.base:
+        raise BaseMismatch("the carrier is a presheaf over another category")
+    carrier = validate_presheaf(carrier_raw, base=sig.base)
     tables: dict[str, dict[tuple, str]] = {}
     for entry in json_objects(raw, "interpretations", PartialTable, ("symbol",)):
         rows = {}
@@ -127,25 +134,33 @@ def algebra_morphism_from_json(raw: dict) -> tuple[Algebra, Algebra, dict[str, s
 _PLEX_KEYS = {PVar: ("pvar", "boundary", "face"), PApp: ("papp", "args", "cell")}
 
 
-def polyplex_to_json(p: Polyplex) -> dict:
+def _plex_json(p: Polyplex, family) -> dict:
     kind, key, cell = _PLEX_KEYS[type(p)]
-    family = [{cell: c, "polyplex": polyplex_to_json(q)} for c, q in p.parts]
-    body = {"sort": p.sort, key: family}
+    body = {"sort": p.sort, key: [{cell: c, "polyplex": q} for c, q in family]}
     if isinstance(p, PApp):
         body["symbol"] = p.symbol
     return {kind: body}
 
 
-def polyplex_from_json(raw: dict) -> Polyplex:
+def polyplex_to_json(p: Polyplex) -> dict:
+    return fold(p, children_of, _plex_json)
+
+
+def _plex_args(raw: dict) -> list[tuple[str, dict]]:
     for kind, key, cell in _PLEX_KEYS.values():
         if kind in raw:
-            body = raw[kind]
-            entries = body.get(key, [])
-            family = {e[cell]: polyplex_from_json(e["polyplex"]) for e in entries}
-            if kind == "pvar":
-                return pvar(body["sort"], family)
-            return papp(body["sort"], body["symbol"], family)
+            return [(e[cell], e["polyplex"]) for e in raw[kind].get(key, [])]
     raise KernelError(f"not a polyplex: {raw!r}")
+
+
+def _plex_from_json(raw: dict, family) -> Polyplex:
+    if "pvar" in raw:
+        return pvar(raw["pvar"]["sort"], dict(family))
+    return papp(raw["papp"]["sort"], raw["papp"]["symbol"], dict(family))
+
+
+def polyplex_from_json(raw: dict) -> Polyplex:
+    return fold_document(raw, _plex_args, _plex_from_json)
 
 
 KINDS = {

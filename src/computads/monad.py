@@ -15,7 +15,7 @@ from .computad import Computad, ComputadMorphism, free_computad, make_morphism
 from .errors import NegativeBound
 from .presheaf import Presheaf, PresheafMorphism, hom_families, make_presheaf, search
 from .signature import Signature
-from .terms import Term, Var, app, boundary, canonical_sort, rename, subst
+from .terms import Term, app, boundary, canonical_sort, rename, subst, var
 
 
 def argument_families(
@@ -39,7 +39,7 @@ def enumerate_terms(c: Computad, sort: SortRef, max_depth: int) -> list[Term]:
     ordered (by depth, then serialisation) and duplicate-free."""
     if max_depth < 0:
         raise NegativeBound(f"term depth bound {max_depth} is negative")
-    terms: list[Term] = [Var(g) for g in c.generators_at(sort)]
+    terms: list[Term] = [var(g) for g in c.generators_at(sort)]
     if max_depth >= 1:
         for sym in c.signature.symbols_at(sort):
             for fam in argument_families(c, sym.arity, max_depth - 1):
@@ -112,7 +112,7 @@ def unit(x: Presheaf, signature: Signature) -> PresheafMorphism:
     """The unit at a presheaf: each cell becomes the generator term over the
     free computad."""
     view = term_presheaf(free_computad(x, signature), 0)
-    component = {cell: view.encode[Var(cell)] for _, cell in _all_cells(x)}
+    component = {cell: view.encode[var(cell)] for _, cell in _all_cells(x)}
     return PresheafMorphism(src=x, dst=view.presheaf, component=component)
 
 

@@ -5,18 +5,20 @@ A polyplex records everything about a term except which generators it uses:
 a generator becomes its family of boundary shapes, an application keeps its
 symbol with the shapes of its arguments.  Shapes are self-contained finite
 trees (the terminal computad itself is never materialised; dimension strictly
-decreases along boundary families, so the trees stay finite).
+decreases along boundary families, so the trees stay finite).  They are
+interned like terms, so equal shapes are the same object.
 
-Either kind of shape lists its boundary or argument shapes as ``parts``, as
-``terms.parts`` does for terms.  Classification, representing computads and
-classifying morphisms take one path over the parts; only the universal term
-at the end differs, a fresh generator or an application.
+Either kind of shape lists its boundary or argument shapes as ``args``, as
+``terms.parts`` lists a term's.  Classification, representing computads and
+classifying morphisms each take one fold over the parts; only the universal
+term at the end differs, a fresh generator or an application.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .base import FaceRef, SortRef, memoized
 from .computad import (
@@ -30,96 +32,86 @@ from .computad import (
 from .errors import NegativeBound
 from .presheaf import Presheaf, boundary_representable, hom_families, search
 from .signature import Signature
-from .terms import App, Term, Var, app, boundary, parts
+from .terms import (
+    Term,
+    Var,
+    app,
+    boundary,
+    canonical_sort,
+    children_of,
+    fold,
+    fold_term,
+    interned,
+    labelled,
+    parts,
+    serialize,
+    spell_application,
+    var,
+)
 
 
 class Polyplex:
-    __slots__ = ()
+    """A generator or application shape; see :class:`terms.Term`."""
+
+    __slots__ = ("__weakref__",)
     sort: SortRef
+    args: tuple
     weight: int  # enumeration rank: see enumerate_polyplexes
-    app_depth: int  # depth of any term with this shape
+    rank = property(attrgetter("weight"))
+
+    def arg_map(self) -> dict:
+        return dict(self.args)
+
+    def heaviest(self) -> int:
+        """The largest weight among the parts, or 0; a loop, as in
+        ``terms.App``."""
+        weight = 0
+        for _, p in self.args:
+            if p.weight > weight:
+                weight = p.weight
+        return weight
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class PVar(Polyplex):
     """Shape of a generator: the shapes of its boundaries, per face."""
 
     sort: SortRef
-    btype: tuple[tuple[FaceRef, Polyplex], ...]
-    weight: int = field(default=0, compare=False)
-    app_depth: int = field(default=0, compare=False)
+    args: tuple[tuple[FaceRef, Polyplex], ...]  # (face, shape), sorted by face
+    weight: int = field(init=False)
+    btype = property(attrgetter("args"))
 
-    @property
-    def parts(self) -> tuple[tuple[FaceRef, Polyplex], ...]:
-        return self.btype
+    def __post_init__(self):
+        self.weight = self.heaviest()
 
-    def boundary_at(self, face: FaceRef) -> Polyplex:
-        for f, p in self.btype:
-            if f == face:
-                return p
-        raise KeyError(face)
+    def spell(self, family) -> str:
+        return "<" + self.sort + "|" + ",".join(map(":".join, family)) + ">"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class PApp(Polyplex):
     """Shape of an application: the symbol with the shapes of its arguments."""
 
     sort: SortRef
     symbol: str
     args: tuple[tuple[str, Polyplex], ...]
-    weight: int = field(default=0, compare=False)
-    app_depth: int = field(default=0, compare=False)
+    weight: int = field(init=False)
+    spell = spell_application
 
-    @property
-    def parts(self) -> tuple[tuple[str, Polyplex], ...]:
-        return self.args
-
-    def arg_map(self) -> dict[str, Polyplex]:
-        return dict(self.args)
+    def __post_init__(self):
+        self.weight = 1 + self.heaviest()
 
 
-def pvar(sort: SortRef, btype: dict[FaceRef, Polyplex]) -> PVar:
-    items = tuple(sorted(btype.items()))
-    w = max((p.weight for _, p in items), default=0)
-    return PVar(sort, items, weight=w, app_depth=0)
+def pvar(sort: SortRef, btype) -> PVar:
+    """``btype``: a dict from faces to shapes, or pairs in face order."""
+    return interned(PVar, sort, labelled(btype))
 
 
-def papp(sort: SortRef, symbol: str, args: dict[str, Polyplex]) -> PApp:
-    items = tuple(sorted(args.items()))
-    w = 1 + max((p.weight for _, p in items), default=0)
-    d = 1 + max((p.app_depth for _, p in items), default=0)
-    return PApp(sort, symbol, items, weight=w, app_depth=d)
+def papp(sort: SortRef, symbol: str, args) -> PApp:
+    return interned(PApp, sort, symbol, labelled(args))
 
 
-def _pspell(p: Polyplex, memo: dict[int, str]) -> str:
-    """The serialisation of ``p``, memoising its proper subtrees as
-    ``terms._spell`` does (the same ``id`` caveat holds)."""
-    is_var = isinstance(p, PVar)
-    spelled = []
-    for c, q in p.parts:
-        s = memo.get(id(q))
-        if s is None:
-            s = memo[id(q)] = _pspell(q, memo)
-        spelled.append(f"{c}:{s}" if is_var else f"{c}={s}")
-    inner = ",".join(spelled)
-    return f"<{p.sort}|{inner}>" if is_var else f"{p.symbol}[{inner}]"
-
-
-def pserialize(p: Polyplex) -> str:
-    return _pspell(p, {})
-
-
-def pspellings(ps: list[Polyplex]) -> list[str]:
-    """``pserialize`` of each shape, spelling every distinct node once."""
-    memo: dict[int, str] = {}
-    return [_pspell(p, memo) for p in ps]
-
-
-def canonical_psort(ps: Iterable[Polyplex]) -> list[Polyplex]:
-    """``ps`` in canonical order: by weight, then serialisation, spelling each
-    distinct node once (see ``terms.canonical_sort``)."""
-    memo: dict[int, str] = {}
-    return sorted(ps, key=lambda p: (p.weight, _pspell(p, memo)))
+pserialize = serialize
 
 
 def is_plex(p: Polyplex) -> bool:
@@ -128,33 +120,28 @@ def is_plex(p: Polyplex) -> bool:
 
 # -- boundaries of polyplexes ------------------------------------------------------
 
-def psubst(sig: Signature, t: Term, args: dict[str, Polyplex]) -> Polyplex:
-    """Substitute argument shapes into a boundary term over an arity."""
-    if isinstance(t, Var):
-        return args[t.gen]
-    assert isinstance(t, App)
-    return papp(
-        sig.symbol(t.symbol).sort,
-        t.symbol,
-        {c: psubst(sig, u, args) for c, u in t.args},
-    )
-
-
 def pboundary(sig: Signature, face: FaceRef, p: Polyplex) -> Polyplex:
-    """Boundary shape of a shape, computed without any computad."""
+    """Boundary shape of a shape, computed without any computad: for an
+    application, its symbol's boundary term with the argument shapes
+    substituted in."""
     if isinstance(p, PVar):
-        return p.boundary_at(face)
-    assert isinstance(p, PApp)
-    sym = sig.symbol(p.symbol)
-    return psubst(sig, sym.boundary[face], p.arg_map())
+        return p.arg_map()[face]
+
+    def node(u, shapes) -> PApp:
+        return papp(sig.symbol(u.symbol).sort, u.symbol, shapes)
+
+    return fold_term(sig.symbol(p.symbol).boundary[face], p.arg_map().__getitem__, node)
 
 
 def classify(c: Computad, t: Term) -> Polyplex:
     """The shape of a term: image under the unique map to the terminal."""
-    shapes = {cell: classify(c, u) for cell, u in parts(c, t)}
-    if isinstance(t, Var):
-        return pvar(c.gen_sort(t.gen), shapes)
-    return papp(c.symbol(t.symbol).sort, t.symbol, shapes)
+
+    def build(u: Term, shapes) -> Polyplex:
+        if isinstance(u, Var):
+            return pvar(c.gen_sort(u.gen), shapes)
+        return papp(c.symbol(u.symbol).sort, u.symbol, shapes)
+
+    return fold(t, lambda u: parts(c, u), build)
 
 
 # -- enumeration --------------------------------------------------------------------
@@ -181,7 +168,7 @@ def enumerate_polyplexes(
         for sym in sig.symbols_at(sort):
             for fam in _families(sig, sym.arity, max_weight - 1):
                 out.append(papp(sort, sym.id, fam))
-    return canonical_psort(out)
+    return canonical_sort(out)[0]
 
 
 def _families(sig: Signature, x: Presheaf, w: int) -> Iterator[dict]:
@@ -209,7 +196,6 @@ class PolyplexRep:
     star: str | None = None  # the fresh generator, for generator shapes
 
 
-@memoized("_rep_cache")
 def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
     """Build the representing computad |p| with its universal term.
 
@@ -219,35 +205,41 @@ def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
     application shape.  The images of the parts' universal terms are the
     arguments of the universal term, or the gluing of one fresh generator.
     Unchecked: the edges identify each boundary of a part's universal term
-    with the universal term of the part at the image cell.
+    with the universal term of the part at the image cell.  One fold builds
+    the parts first, memoised in the signature's ``_rep_cache`` table.
     """
-    if isinstance(p, PVar):
-        x = boundary_representable(sig.base, p.sort)[0]
-    else:
-        x = sig.symbol(p.symbol).arity
-    reps = {cell: polyplex_computad(sig, q) for cell, q in p.parts}
-    edges: list[tuple[str, str, ComputadMorphism]] = []
-    for cell, rep_q in reps.items():
-        for face in x.base.faces_into(x.sort_of(cell)):
-            lower = boundary(rep_q.computad, face, rep_q.universal)
-            m = classifying_morphism(rep_q.computad, lower)
-            edges.append((x.act(face, cell), cell, m))
-    if reps:
-        colim = colimit_var({cell: r.computad for cell, r in reps.items()}, edges)
-        computad = colim.computad
-        family = {
-            cell: apply_morphism(colim.legs[cell], r.universal) for cell, r in reps.items()
-        }
-    else:
-        colim, computad, family = None, Computad(sig, {}, {}), {}
-    if isinstance(p, PApp):
-        return PolyplexRep(p, computad, app(p.symbol, family), colim)
-    star = f"*{p.sort}"
-    gens = dict(computad.gens)
-    gens[p.sort] = (star,)  # the parts have lower sorts
-    glue = dict(computad.glue)
-    glue.update({(star, face): t for face, t in family.items()})
-    return PolyplexRep(p, Computad(sig, gens, glue), Var(star), colim, star)
+
+    def build(p: Polyplex, family) -> PolyplexRep:
+        reps = dict(family)
+        if isinstance(p, PVar):
+            x = boundary_representable(sig.base, p.sort)[0]
+        else:
+            x = sig.symbol(p.symbol).arity
+        edges: list[tuple[str, str, ComputadMorphism]] = []
+        for cell, rep_q in reps.items():
+            for face in x.base.faces_into(x.sort_of(cell)):
+                lower = boundary(rep_q.computad, face, rep_q.universal)
+                m = classifying_morphism(rep_q.computad, lower)
+                edges.append((x.act(face, cell), cell, m))
+        if reps:
+            colim = colimit_var({cell: r.computad for cell, r in reps.items()}, edges)
+            computad = colim.computad
+            family = {
+                cell: apply_morphism(colim.legs[cell], r.universal)
+                for cell, r in reps.items()
+            }
+        else:
+            colim, computad, family = None, Computad(sig, {}, {}), {}
+        if isinstance(p, PApp):
+            return PolyplexRep(p, computad, app(p.symbol, family), colim)
+        star = f"*{p.sort}"
+        gens = dict(computad.gens)
+        gens[p.sort] = (star,)  # the parts have lower sorts
+        glue = dict(computad.glue)
+        glue.update({(star, face): t for face, t in family.items()})
+        return PolyplexRep(p, Computad(sig, gens, glue), var(star), colim, star)
+
+    return fold(p, children_of, build, sig.__dict__.setdefault("_rep_cache", {}))
 
 
 def classifying_morphism(c: Computad, t: Term) -> ComputadMorphism:
@@ -279,7 +271,7 @@ def nerve(c: Computad) -> dict[Polyplex, tuple[str, ...]]:
     """Per-plex generator fibres: which generators have which shape."""
     fibres: dict[Polyplex, list[str]] = {}
     for _, gen in c.all_generators():
-        p = classify(c, Var(gen))
+        p = classify(c, var(gen))
         fibres.setdefault(p, []).append(gen)
     return {p: tuple(sorted(gs)) for p, gs in fibres.items()}
 
@@ -293,26 +285,24 @@ def reconstruct_from_nerve(c: Computad) -> Computad:
     representing computads over the category of elements of that presheaf.
     """
     sig = c.signature
-    entries: list[tuple[Polyplex, str, ComputadMorphism]] = []
-    for _, gen in c.all_generators():
-        p = classify(c, Var(gen))
-        entries.append((p, gen, classifying_morphism(c, Var(gen))))
-    shapes = canonical_psort({p for p, _, _ in entries})
-
+    fibres = nerve(c)
+    shapes = canonical_sort(fibres)[0]
     nodes: dict[str, Computad] = {
-        gen: polyplex_computad(sig, p).computad for p, gen, _ in entries
+        gen: polyplex_computad(sig, p).computad for p, gens in fibres.items() for gen in gens
     }
     edges: list[tuple[str, str, ComputadMorphism]] = []
-    for p, gen, sigma in entries:
+    for p, gens in fibres.items():
         rep_p = polyplex_computad(sig, p)
-        for q in shapes:
-            rep_q = polyplex_computad(sig, q)
-            for m in enumerate_var_to_var(rep_q.computad, rep_p.computad):
-                # the restriction action of the nerve along the plex morphism m:
-                # sigma . m classifies a generator, namely its universal image
-                restricted = apply_morphism(sigma, apply_morphism(m, rep_q.universal))
-                assert isinstance(restricted, Var)
-                edges.append((restricted.gen, gen, m))
+        for gen in gens:
+            sigma = classifying_morphism(c, var(gen))
+            for q in shapes:
+                rep_q = polyplex_computad(sig, q)
+                for m in enumerate_var_to_var(rep_q.computad, rep_p.computad):
+                    # the restriction action of the nerve along the plex morphism
+                    # m: sigma . m classifies a generator, its universal image
+                    restricted = apply_morphism(sigma, apply_morphism(m, rep_q.universal))
+                    assert isinstance(restricted, Var)
+                    edges.append((restricted.gen, gen, m))
     if not nodes:
         return Computad(sig, {}, {})
     return colimit_var(nodes, edges).computad

@@ -39,7 +39,16 @@ from .presheaf import (
     truncate_presheaf,
     validate_presheaf,
 )
-from .terms import App, Term, Var, app, boundary, check_family, check_term
+from .terms import (
+    Term,
+    app,
+    boundary,
+    check_family,
+    check_term,
+    fold,
+    fold_term,
+    var,
+)
 
 
 @dataclass(frozen=True)
@@ -189,26 +198,44 @@ def restrict_signature(sig: Signature, n: int) -> Signature:
 
 # -- JSON ----------------------------------------------------------------------
 
-def term_from_json(obj: dict) -> Term:
+def fold_document(raw, children, build):
+    """:func:`terms.fold` over a JSON document, whose objects cannot be
+    hashed: each is keyed by its ``id`` while the document holds it.
+    ``children(obj)`` lists ``(label, child object)`` pairs and
+    ``build(obj, family)`` makes the node of ``obj``."""
+    objects = {id(raw): raw}
+
+    def below(key: int) -> list[tuple[str, int]]:
+        family = children(objects[key])
+        objects.update((id(child), child) for _, child in family)
+        return [(label, id(child)) for label, child in family]
+
+    return fold(id(raw), below, lambda key, family: build(objects[key], family))
+
+
+def _term_args(obj) -> list[tuple[str, dict]]:
     if "var" in json_object(obj, BoundaryIllTyped, "a term", ("var",)):
-        return Var(obj["var"])
-    if "app" in obj:
-        body = json_object(obj["app"], BoundaryIllTyped, "an application", ("symbol",))
-        args = json_objects(body, "args", BoundaryIllTyped, ("cell",))
-        return app(body["symbol"], {e["cell"]: term_from_json(e["term"]) for e in args})
-    raise BoundaryIllTyped(f"not a term: {obj!r}")
+        return []
+    if "app" not in obj:
+        raise BoundaryIllTyped(f"not a term: {obj!r}")
+    body = json_object(obj["app"], BoundaryIllTyped, "an application", ("symbol",))
+    args = json_objects(body, "args", BoundaryIllTyped, ("cell",))
+    return [(e["cell"], e["term"]) for e in args]
+
+
+def term_from_json(obj: dict) -> Term:
+    def build(raw: dict, family) -> Term:
+        return var(raw["var"]) if "var" in raw else app(raw["app"]["symbol"], dict(family))
+
+    return fold_document(obj, _term_args, build)
 
 
 def term_to_json(t: Term) -> dict:
-    if isinstance(t, Var):
-        return {"var": t.gen}
-    assert isinstance(t, App)
-    return {
-        "app": {
-            "symbol": t.symbol,
-            "args": [{"cell": c, "term": term_to_json(u)} for c, u in t.args],
-        }
-    }
+    def node(u, family) -> dict:
+        args = [{"cell": c, "term": v} for c, v in family]
+        return {"app": {"symbol": u.symbol, "args": args}}
+
+    return fold_term(t, lambda gen: {"var": gen}, node)
 
 
 def validate_signature(raw: dict) -> Signature:

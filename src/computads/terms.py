@@ -1,10 +1,15 @@
 """The inductive term language.
 
-A term over a computad C is either a generator ``Var(v)`` or a formal
-application ``App(f, args)`` of a function symbol to a family of lower terms
-indexed by the cells of the symbol's arity.  Terms are pure syntax: equality
-is structural, and well-formedness is always relative to a *context* that can
-resolve generators and symbols.
+A term over a computad C is either a generator ``var(v)`` or a formal
+application ``app(f, args)`` of a function symbol to a family of lower terms
+indexed by the cells of the symbol's arity.  Terms are pure syntax, and
+well-formedness is always relative to a *context* that can resolve
+generators and symbols.
+
+Terms and shapes are hash-consed (Filliatre & Conchon, 2006): ``var``,
+``app``, ``pvar`` and ``papp`` return the live node with the same fields if
+there is one, so equal nodes are the same object and ``==`` and ``hash``
+never walk a tree.  Every walk over a tree is one :func:`fold`.
 
 A context is any object with
   - ``base``                   the sort category,
@@ -21,89 +26,162 @@ a family over its symbol's arity.  :func:`parts` lists either family, and
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .base import FaceRef, SortRef
 from .errors import IncompatibleArgs, SortMismatch
 from .presheaf import Presheaf
 
 
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+
+# (node class, *fields) -> weak entry of the live node with those fields
+_table: dict[tuple, _Entry] = {}
+
+
+def _forget(entry: _Entry) -> None:
+    """Drop a dead node's entry, unless a new node has the key already."""
+    if _table.get(entry.key) is entry:
+        del _table[entry.key]
+
+
+def interned(cls, *fields):
+    """The live node ``cls(*fields)``, made and interned if there is none;
+    its children among ``fields`` are interned, so they key by identity."""
+    key = (cls, *fields)
+    entry = _table.get(key)
+    node = None if entry is None else entry()
+    if node is None:
+        node = cls(*fields)
+        entry = _table[key] = _Entry(node, _forget)
+        entry.key = key
+    return node
+
+
+def labelled(family) -> tuple:
+    """Children as a node keeps them: a dict sorted by label, or pairs from
+    a fold over a node's children, which are in label order already."""
+    return tuple(sorted(family.items())) if isinstance(family, dict) else tuple(family)
+
+
 class Term:
-    """Base class for Var and App; never instantiated directly."""
+    """A generator or an application, never changed once built.  ``args``
+    pairs each label with a child, for terms and shapes alike; the
+    ``__weakref__`` slot lets the intern table hold nodes without pinning."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__",)
     depth: int
+    args: tuple
+    rank = property(attrgetter("depth"))
 
-
-@dataclass(frozen=True, slots=True)
-class Var(Term):
-    gen: str
-    depth: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True, slots=True)
-class App(Term):
-    """An application; build it with :func:`app`, which fills in ``depth``
-    and ``hash``."""
-
-    symbol: str
-    args: tuple[tuple[str, "Term"], ...]  # (arity cell, term), sorted by cell
-    depth: int = field(default=0, compare=False)
-    # Computed once from the children's hashes, so hashing costs O(1) however
-    # deep the term is (the generated hash would walk the whole tree).
-    hash: int = field(default=0, compare=False, repr=False)
-
-    def __hash__(self) -> int:
-        return self.hash
-
-    def arg_map(self) -> dict[str, Term]:
+    def arg_map(self) -> dict:
         return dict(self.args)
 
 
+def spell_application(node, family: list[tuple[str, str]]) -> str:
+    return node.symbol + "[" + ",".join(map("=".join, family)) + "]"
+
+
+@dataclass(slots=True, eq=False)
+class Var(Term):
+    gen: str
+    depth = 0
+    args = ()
+
+    def spell(self, family) -> str:
+        return f"v({self.gen})"
+
+
+@dataclass(slots=True, eq=False)
+class App(Term):
+    symbol: str
+    args: tuple[tuple[str, Term], ...]  # (arity cell, term), sorted by cell
+    depth: int = field(init=False)
+    spell = spell_application
+
+    def __post_init__(self):
+        depth = 0  # a loop: max() over a comprehension costs several times more
+        for _, u in self.args:
+            if u.depth > depth:
+                depth = u.depth
+        self.depth = depth + 1
+
+
 def var(gen: str) -> Var:
-    return Var(gen)
+    entry = _table.get((Var, gen))  # the hottest constructor: look up inline
+    t = None if entry is None else entry()
+    return interned(Var, gen) if t is None else t
 
 
-def app(symbol: str, args: dict[str, Term]) -> App:
-    items = tuple(sorted(args.items()))
-    d = 1 + max((t.depth for _, t in items), default=0)
-    return App(symbol, items, depth=d, hash=hash((symbol, items)))
+def app(symbol: str, args) -> App:
+    """``args``: a dict from arity cells to terms, or pairs in cell order."""
+    return interned(App, symbol, labelled(args))
 
 
-def _spell(t: Term, memo: dict[int, str]) -> str:
-    """The serialisation of ``t``, built from its children's spellings.
-    ``memo`` keeps the spelling of every proper subterm met, keyed by ``id``,
-    so it is valid only while its owner holds the terms it was filled from."""
-    if isinstance(t, Var):
-        return f"v({t.gen})"
-    parts = []
-    for c, u in t.args:
-        s = memo.get(id(u))
-        if s is None:
-            s = memo[id(u)] = _spell(u, memo)
-        parts.append(f"{c}={s}")
-    return f"{t.symbol}[{','.join(parts)}]"
+children_of = attrgetter("args")
+_PENDING = object()
 
 
-def serialize(t: Term) -> str:
-    return _spell(t, {})
+def fold(root, children, build, memo: dict | None = None):
+    """``build(node, family)`` at ``root``, after it ran at every node below:
+    ``children(node)`` lists ``(label, child)`` pairs, and ``family`` pairs
+    each label with the child's value.  ``memo`` maps nodes to values; no
+    node found there is walked again.  Children are entered in order over an
+    explicit stack, so the depth of ``root`` is not bounded by the recursion
+    limit."""
+    if memo is None:
+        memo = {}
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        if node in memo:
+            continue
+        family = children(node)
+        values = []
+        for label, child in family:
+            value = memo.get(child, _PENDING)
+            if value is _PENDING:  # come back to node once its children are built
+                todo.append(node)
+                todo += reversed([child for _, child in family if child not in memo])
+                break
+            values.append((label, value))
+        else:
+            memo[node] = build(node, values)
+    return memo[root]
 
 
-def canonical_sort(ts: Iterable[Term]) -> tuple[list[Term], list[str]]:
-    """``ts`` in canonical order (by depth, then serialisation), with their
-    serialisations in the same order.
+def fold_term(t: Term, leaf, node):
+    """:func:`fold` over the syntax of ``t``, with ``leaf(gen)`` at each
+    generator and ``node(app, family)`` at each application."""
 
-    Enumerated terms share their subterms, so one memo for the whole sort
-    spells each shared subterm once, where a per-term ``serialize`` key would
-    spell it again for each term containing it.
-    """
-    ts = list(ts)
-    memo: dict[int, str] = {}
-    # The index breaks ties, so terms themselves are never compared.
-    keyed = [(t.depth, _spell(t, memo), i) for i, t in enumerate(ts)]
-    keyed.sort()
-    return [ts[i] for _, _, i in keyed], [s for _, s, _ in keyed]
+    def build(u, family):
+        return leaf(u.gen) if isinstance(u, Var) else node(u, family)
+
+    return leaf(t.gen) if isinstance(t, Var) else fold(t, children_of, build)
+
+
+def spellings(nodes: Iterable) -> list[str]:
+    """The serialisation of each term or shape from its children's, with one
+    memo for all of ``nodes``, so each shared subtree is spelled once."""
+    memo: dict = {}
+    return [fold(n, children_of, lambda u, f: u.spell(f), memo) for n in nodes]
+
+
+def serialize(node) -> str:
+    return spellings([node])[0]
+
+
+def canonical_sort(nodes: Iterable) -> tuple[list, list[str]]:
+    """Terms or shapes in canonical order, by rank (a term's depth, a shape's
+    weight), then serialisation; with the serialisations in that order."""
+    nodes = list(nodes)
+    keyed = sorted(zip([n.rank for n in nodes], spellings(nodes), range(len(nodes))))
+    return [nodes[i] for _, _, i in keyed], [s for _, s, _ in keyed]
 
 
 def term_sort(ctx, t: Term) -> SortRef:
@@ -112,24 +190,25 @@ def term_sort(ctx, t: Term) -> SortRef:
     return ctx.symbol(t.symbol).sort
 
 
+def _reapply(u: App, family) -> App:
+    return app(u.symbol, family)
+
+
 def subst(t: Term, mapping: dict[str, Term]) -> Term:
     """Replace every generator leaf through ``mapping``.
 
     This is simultaneously substitution of an argument family into a boundary
     term and the action of a computad morphism on a term.
     """
-    if isinstance(t, Var):
-        return mapping[t.gen]
-    assert isinstance(t, App)
-    return app(t.symbol, {c: subst(u, mapping) for c, u in t.args})
+    return fold_term(t, mapping.__getitem__, _reapply)
 
 
 def rename(t: Term, mapping: dict[str, str]) -> Term:
-    """Generator-to-generator relabelling (a variable-to-variable action)."""
+    """Generator-to-generator relabelling (a variable-to-variable action).
+    Most terms renamed are generators, which skip the fold."""
     if isinstance(t, Var):
-        return Var(mapping[t.gen])
-    assert isinstance(t, App)
-    return app(t.symbol, {c: rename(u, mapping) for c, u in t.args})
+        return var(mapping[t.gen])
+    return fold_term(t, lambda gen: var(mapping[gen]), _reapply)
 
 
 def boundary(ctx, face: FaceRef, t: Term) -> Term:
@@ -140,9 +219,7 @@ def boundary(ctx, face: FaceRef, t: Term) -> Term:
     """
     if isinstance(t, Var):
         return ctx.gluing(t.gen, face)
-    assert isinstance(t, App)
-    sym = ctx.symbol(t.symbol)
-    return subst(sym.boundary[face], t.arg_map())
+    return subst(ctx.symbol(t.symbol).boundary[face], t.arg_map())
 
 
 def boundary_along(ctx, face: FaceRef, t: Term) -> Term:
@@ -190,12 +267,20 @@ def check_args(ctx, symbol_id: str, args: dict[str, Term]) -> None:
 
 
 def check_term(ctx, t: Term, expected_sort: SortRef | None = None) -> SortRef:
-    """Recursively validate a term over ``ctx``; returns its sort."""
-    sort = term_sort(ctx, t)  # raises UnknownGenerator or UnknownSymbol
-    if isinstance(t, App):
-        for _, u in t.args:
-            check_term(ctx, u)
-        check_args(ctx, t.symbol, t.arg_map())
+    """Validate a term over ``ctx``; returns its sort.  Each node's sort is
+    read on the way down (raising UnknownGenerator or UnknownSymbol) and an
+    application's arguments are checked on the way up."""
+
+    def enter(u: Term):
+        term_sort(ctx, u)
+        return u.args
+
+    def leave(u: Term, family) -> None:
+        if isinstance(u, App):
+            check_args(ctx, u.symbol, u.arg_map())
+
+    fold(t, enter, leave)
+    sort = term_sort(ctx, t)
     if expected_sort is not None and sort != expected_sort:
         raise SortMismatch(f"term has sort {sort!r}, expected {expected_sort!r}")
     return sort
@@ -203,7 +288,7 @@ def check_term(ctx, t: Term, expected_sort: SortRef | None = None) -> SortRef:
 
 def mk_var(ctx, gen: str) -> Var:
     ctx.gen_sort(gen)
-    return Var(gen)
+    return var(gen)
 
 
 def mk_app(ctx, symbol_id: str, args: dict[str, Term]) -> App:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from computads.computad import Computad, ComputadMorphism
 from computads.plex import PVar, Polyplex, classify, polyplex_computad
-from computads.terms import Term, Var, app, boundary, parts
+from computads.terms import Term, Var, app, boundary, parts, var
 
 
 def spell_term(t: Term) -> str:
@@ -58,7 +58,7 @@ def fixpoint_tables(c: Computad, max_depth: int):
         for sort in level_sorts:
             table: dict[tuple, list[Term]] = {}
             for g in c.generators_at(sort):
-                table.setdefault(_profile(c, Var(g), sort), []).append(Var(g))
+                table.setdefault(_profile(c, var(g), sort), []).append(var(g))
             tables[(sort, 0)] = table
         # rank gamma: generators plus applications with rank gamma - 1 tuples
         for gamma in range(1, max_depth + 1):

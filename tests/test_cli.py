@@ -303,9 +303,8 @@ def _string_fields(doc, path=()):
 
 def _scalar_mutations():
     """Each document set to ``5`` or ``[5]`` at one string field, one field
-    per document and place (list positions merged).  The algebra's carrier
-    repeats the signature's category, which the decoder does not read, so
-    its fields are left alone."""
+    per document and place (list positions merged), the category the
+    algebra's carrier repeats included."""
     from computads.computad import identity_morphism
 
     alg = algebra_to_json(pathcat_algebra())
@@ -325,7 +324,7 @@ def _scalar_mutations():
         places = set()
         for path in _string_fields(doc):
             place = tuple("*" if isinstance(k, int) else k for k in path)
-            if place in places or "carrier" in place and "category" in place:
+            if place in places:
                 continue
             places.add(place)
             for value in (5, [5]):

@@ -26,7 +26,7 @@ from computads.computad import (
 from computads.errors import NotCompatible
 from computads.factorization import split_idempotent
 from computads.monad import enumerate_terms
-from computads.terms import Var, var
+from computads.terms import var
 
 from fixtures import (
     comp_signature,
@@ -211,7 +211,7 @@ def test_counit_and_lifts_z5():
     z5 = z5_algebra()
     cof = cofibrant_replacement(z5, 2)
     gen = cof.und.computad.generators_at("*")[0]
-    assert cof.r(Var(gen)) == cof.und.r_assign[gen]
+    assert cof.r(var(gen)) == cof.und.r_assign[gen]
     lifted = cof.lift_v("*", {}, "3")
     assert cof.r(lifted) == "3"
     with pytest.raises(NotCompatible):
@@ -338,7 +338,7 @@ def test_retract_splitting_recovers_presentation():
     # the section: each walk2 generator goes to the replacement generator
     # whose counit value is that generator's term
     by_value = {cell: name for name, cell in und.r_assign.items()}
-    s_assign = {g: fa_u.encode[Var(by_value[alg.encode[var(g)]])]
+    s_assign = {g: fa_u.encode[var(by_value[alg.encode[var(g)]])]
                 for _, g in c.all_generators()}
     section = morphism_from_generators(c, fa_u, s_assign)
 

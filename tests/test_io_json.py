@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from computads.errors import BaseMismatch
 from computads.io_json import (
     algebra_from_json,
     algebra_to_json,
@@ -13,7 +16,7 @@ from computads.io_json import (
 )
 from computads.computad import identity_morphism
 from computads.plex import classify
-from computads.terms import Var
+from computads.terms import var
 
 from fixtures import comp_uv, pathcat_algebra, walk2
 
@@ -42,9 +45,25 @@ def test_algebra_roundtrip_preserves_tables():
     assert again.carrier.cells == alg.carrier.cells
 
 
+def test_algebra_carrier_over_another_category_is_rejected():
+    raw = algebra_to_json(pathcat_algebra())
+    # the carrier's category must be the signature's, not just validate
+    raw["carrier"]["category"]["faces"].reverse()
+    assert algebra_from_json(raw).carrier.base.faces.keys() == {"s", "t"}
+    for mutate in (
+        lambda cat: cat["sorts"].append({"id": "b", "dim": 2}),
+        lambda cat: cat["faces"][0].update(id="u"),
+        lambda cat: cat["faces"].append({"id": "u", "src": "o", "dst": "a"}),
+    ):
+        bad = algebra_to_json(pathcat_algebra())
+        mutate(bad["carrier"]["category"])
+        with pytest.raises(BaseMismatch):
+            algebra_from_json(bad)
+
+
 def test_polyplex_roundtrip():
     c = walk2()
-    for t in (Var("p"), Var("u"), comp_uv()):
+    for t in (var("p"), var("u"), comp_uv()):
         p = classify(c, t)
         raw = json.loads(json.dumps(polyplex_to_json(p)))
         assert polyplex_from_json(raw) == p

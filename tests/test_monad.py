@@ -12,7 +12,7 @@ from computads.monad import (
     unit,
     untranspose,
 )
-from computads.terms import Var, app, boundary, var
+from computads.terms import app, boundary, var
 
 from fixtures import (
     arrow_arity,
@@ -62,7 +62,7 @@ def test_unit_is_generator_inclusion():
     free = free_computad(b, sig)
     view = term_presheaf(free, 0)
     for cell in ("x", "y", "z", "f", "g"):
-        assert eta.component[cell] == view.encode[Var(cell)]
+        assert eta.component[cell] == view.encode[var(cell)]
 
 
 def test_counit_reads_terms_back():

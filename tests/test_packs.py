@@ -19,7 +19,7 @@ from computads.packs import (
     simplex_sort,
 )
 from computads.signature import restrict_signature
-from computads.terms import App, Var, var
+from computads.terms import App, var
 
 
 def test_delta_plus_hom_counts():
@@ -88,7 +88,7 @@ def test_sigma_kan_filler_boundary_case_split():
     other = delta_face(1, 1)
     at_missing = fill.boundary[missing]
     assert isinstance(at_missing, App) and at_missing.symbol == "face_0_1"
-    assert fill.boundary[other] == Var(other)
+    assert fill.boundary[other] == var(other)
 
 
 def test_sigma_kan2_validates_and_restricts():

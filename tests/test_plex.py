@@ -19,7 +19,7 @@ from computads.plex import (
     reconstruct_from_nerve,
 )
 from computads.presheaf import representable
-from computads.terms import Var, boundary, var
+from computads.terms import boundary, var
 
 from fixtures import comp_signature, comp_uv, random_computad_comp, walk2, walk_n
 from oracles import mediated_classifying_morphism
@@ -94,7 +94,7 @@ def test_polyplex_computad_object_is_disk():
     rep = polyplex_computad(sig, generic_object())
     disk = free_computad(representable(sig.base, "o"), sig)
     assert isomorphic(rep.computad, disk)
-    assert rep.universal == Var(rep.star)
+    assert rep.universal == var(rep.star)
 
 
 def test_polyplex_computad_arrow_is_disk():

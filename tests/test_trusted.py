@@ -2,10 +2,11 @@
 
 Colimits, image factorisations, lifts through monos, counits, representing
 computads, replayed filtrations and their attaching maps, underlying
-computads, representable presheaves and their boundaries, and the grid and
-tree inclusions of the example packs are well formed by construction, so the
-kernel builds them unchecked.  This test re-runs the checked constructors on
-every presheaf, computad and morphism they return.
+computads, representable presheaves and their boundaries, and the grid
+positions and the grid and tree inclusions of the example packs are well
+formed by construction, so the kernel builds them unchecked.  This test
+re-runs the checked constructors on every presheaf, computad and morphism
+they return.
 """
 
 import itertools
@@ -30,7 +31,7 @@ from computads.computad import (
     pushout,
     skeleton_counit,
 )
-from computads.cubical import cube_category, grid_inclusion
+from computads.cubical import cube_category, grid_inclusion, grid_positions
 from computads.factorization import image_factorize, lift_through_mono
 from computads.globular import (
     globe_category,
@@ -54,7 +55,7 @@ from computads.presheaf import (
     make_presheaf,
     representable,
 )
-from computads.terms import Var
+from computads.terms import var
 
 from fixtures import (
     comp_signature,
@@ -154,7 +155,7 @@ def _representing_computads():
 def _classifying_morphisms():
     out = []
     for c in _computads(7):
-        terms = [Var(g) for _, g in c.all_generators()] + enumerate_terms(c, "a", 1)
+        terms = [var(g) for _, g in c.all_generators()] + enumerate_terms(c, "a", 1)
         out += [classifying_morphism(c, t) for t in terms]
         out.append(reconstruct_from_nerve(c))
     out.append(classifying_morphism(walk2(), comp_uv()))
@@ -209,6 +210,16 @@ def _pack_inclusions():
     return out
 
 
+def _grid_positions():
+    cat = cube_category(3)
+    grids = ({}, {0: 2}, {1: 0}, {0: 1, 1: 1}, {0: 3, 2: 2}, {0: 1, 1: 2, 2: 1})
+    out = [grid_positions(cat, grid) for grid in grids]
+    # one presheaf per category and grid, however the grid is written
+    assert grid_positions(cat, {2: 2, 0: 3}) is out[4]
+    assert grid_positions(cube_category(3), {0: 2}) is not out[1]
+    return out
+
+
 def _recheck(obj) -> None:
     if isinstance(obj, Presheaf):
         assert make_presheaf(obj.base, obj.cells, obj.action) == obj
@@ -238,6 +249,7 @@ def _recheck(obj) -> None:
         _underlying,
         _representables,
         _pack_inclusions,
+        _grid_positions,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )
