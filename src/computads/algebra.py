@@ -64,13 +64,13 @@ class Algebra:
 
 def eval_in_env(alg, t: Term, env: dict[str, str]) -> str:
     """Evaluate a term whose generators are bound by ``env`` to carrier cells."""
-    return fold_term(t, env.__getitem__, lambda u, cells: alg.interpret(u.symbol, dict(cells)))
+    return fold_term(t, env.__getitem__, lambda u, cells: alg.interpret(u.symbol, cells))
 
 
 def eval_term(alg, t: Term) -> str:
     """Evaluate a term over the free computad on the carrier: generators are
     carrier cells themselves."""
-    return fold_term(t, lambda gen: gen, lambda u, cells: alg.interpret(u.symbol, dict(cells)))
+    return fold_term(t, lambda gen: gen, lambda u, cells: alg.interpret(u.symbol, cells))
 
 
 def _check_boundary_conditions(alg: Algebra) -> None:

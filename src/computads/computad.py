@@ -256,7 +256,7 @@ def _generators_named(ts: tuple[Term, ...]) -> set[str]:
     """The generators at the leaves of the terms ``ts``."""
 
     def union(u, family) -> set[str]:
-        return set().union(*[gens for _, gens in family])
+        return set().union(*family.values())
 
     return set().union(*[fold_term(t, lambda gen: {gen}, union) for t in ts])
 

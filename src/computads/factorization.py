@@ -38,7 +38,7 @@ def support(c: Computad, t: Term) -> dict[SortRef, frozenset[str]]:
         out: dict[SortRef, set[str]] = {s: set() for s in c.base.sorts}
         if isinstance(u, Var):
             out[c.gen_sort(u.gen)].add(u.gen)
-        for _, supp in below:
+        for supp in below.values():
             for s, gens in supp.items():
                 out[s] |= gens
         return {s: frozenset(gens) for s, gens in out.items()}

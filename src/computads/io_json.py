@@ -136,7 +136,7 @@ _PLEX_KEYS = {PVar: ("pvar", "boundary", "face"), PApp: ("papp", "args", "cell")
 
 def _plex_json(p: Polyplex, family) -> dict:
     kind, key, cell = _PLEX_KEYS[type(p)]
-    body = {"sort": p.sort, key: [{cell: c, "polyplex": q} for c, q in family]}
+    body = {"sort": p.sort, key: [{cell: c, "polyplex": q} for c, q in family.items()]}
     if isinstance(p, PApp):
         body["symbol"] = p.symbol
     return {kind: body}
@@ -155,8 +155,8 @@ def _plex_args(raw: dict) -> list[tuple[str, dict]]:
 
 def _plex_from_json(raw: dict, family) -> Polyplex:
     if "pvar" in raw:
-        return pvar(raw["pvar"]["sort"], dict(family))
-    return papp(raw["papp"]["sort"], raw["papp"]["symbol"], dict(family))
+        return pvar(raw["pvar"]["sort"], family)
+    return papp(raw["papp"]["sort"], raw["papp"]["symbol"], family)
 
 
 def polyplex_from_json(raw: dict) -> Polyplex:

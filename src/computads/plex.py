@@ -17,7 +17,7 @@ term at the end differs, a fresh generator or an application.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 from .base import FaceRef, SortRef, memoized
@@ -33,6 +33,7 @@ from .errors import NegativeBound
 from .presheaf import Presheaf, boundary_representable, hom_families, search
 from .signature import Signature
 from .terms import (
+    Node,
     Term,
     Var,
     app,
@@ -42,34 +43,17 @@ from .terms import (
     fold,
     fold_term,
     interned,
-    labelled,
     parts,
-    serialize,
-    spell_application,
     var,
 )
 
 
-class Polyplex:
-    """A generator or application shape; see :class:`terms.Term`."""
+class Polyplex(Node):
+    """A generator or application shape; see :class:`terms.Node`."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ()
     sort: SortRef
-    args: tuple
-    weight: int  # enumeration rank: see enumerate_polyplexes
-    rank = property(attrgetter("weight"))
-
-    def arg_map(self) -> dict:
-        return dict(self.args)
-
-    def heaviest(self) -> int:
-        """The largest weight among the parts, or 0; a loop, as in
-        ``terms.App``."""
-        weight = 0
-        for _, p in self.args:
-            if p.weight > weight:
-                weight = p.weight
-        return weight
+    weight = property(attrgetter("rank"))  # enumeration rank: see enumerate_polyplexes
 
 
 @dataclass(slots=True, eq=False)
@@ -78,14 +62,10 @@ class PVar(Polyplex):
 
     sort: SortRef
     args: tuple[tuple[FaceRef, Polyplex], ...]  # (face, shape), sorted by face
-    weight: int = field(init=False)
     btype = property(attrgetter("args"))
 
-    def __post_init__(self):
-        self.weight = self.heaviest()
-
     def spell(self, family) -> str:
-        return "<" + self.sort + "|" + ",".join(map(":".join, family)) + ">"
+        return "<" + self.sort + "|" + ",".join(map(":".join, family.items())) + ">"
 
 
 @dataclass(slots=True, eq=False)
@@ -95,23 +75,15 @@ class PApp(Polyplex):
     sort: SortRef
     symbol: str
     args: tuple[tuple[str, Polyplex], ...]
-    weight: int = field(init=False)
-    spell = spell_application
-
-    def __post_init__(self):
-        self.weight = 1 + self.heaviest()
+    step = 1
 
 
-def pvar(sort: SortRef, btype) -> PVar:
-    """``btype``: a dict from faces to shapes, or pairs in face order."""
-    return interned(PVar, sort, labelled(btype))
+def pvar(sort: SortRef, btype: dict[FaceRef, Polyplex]) -> PVar:
+    return interned((PVar, sort, tuple(sorted(btype.items()))))
 
 
-def papp(sort: SortRef, symbol: str, args) -> PApp:
-    return interned(PApp, sort, symbol, labelled(args))
-
-
-pserialize = serialize
+def papp(sort: SortRef, symbol: str, args: dict[str, Polyplex]) -> PApp:
+    return interned((PApp, sort, symbol, tuple(sorted(args.items()))))
 
 
 def is_plex(p: Polyplex) -> bool:
@@ -209,8 +181,7 @@ def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
     the parts first, memoised in the signature's ``_rep_cache`` table.
     """
 
-    def build(p: Polyplex, family) -> PolyplexRep:
-        reps = dict(family)
+    def build(p: Polyplex, reps) -> PolyplexRep:
         if isinstance(p, PVar):
             x = boundary_representable(sig.base, p.sort)[0]
         else:

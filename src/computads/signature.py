@@ -225,14 +225,14 @@ def _term_args(obj) -> list[tuple[str, dict]]:
 
 def term_from_json(obj: dict) -> Term:
     def build(raw: dict, family) -> Term:
-        return var(raw["var"]) if "var" in raw else app(raw["app"]["symbol"], dict(family))
+        return var(raw["var"]) if "var" in raw else app(raw["app"]["symbol"], family)
 
     return fold_document(obj, _term_args, build)
 
 
 def term_to_json(t: Term) -> dict:
     def node(u, family) -> dict:
-        args = [{"cell": c, "term": v} for c, v in family]
+        args = [{"cell": c, "term": v} for c, v in family.items()]
         return {"app": {"symbol": u.symbol, "args": args}}
 
     return fold_term(t, lambda gen: {"var": gen}, node)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 from .base import FaceRef, SortRef
@@ -50,48 +50,52 @@ def _forget(entry: _Entry) -> None:
         del _table[entry.key]
 
 
-def interned(cls, *fields):
-    """The live node ``cls(*fields)``, made and interned if there is none;
-    its children among ``fields`` are interned, so they key by identity."""
-    key = (cls, *fields)
+def interned(key: tuple):
+    """The live node ``cls(*fields)`` for ``key = (cls, *fields)``, made and
+    interned if there is none.  A node's children are among its fields, in
+    label order, and interned, so they key by identity."""
     entry = _table.get(key)
     node = None if entry is None else entry()
     if node is None:
-        node = cls(*fields)
+        node = key[0](*key[1:])
         entry = _table[key] = _Entry(node, _forget)
         entry.key = key
     return node
 
 
-def labelled(family) -> tuple:
-    """Children as a node keeps them: a dict sorted by label, or pairs from
-    a fold over a node's children, which are in label order already."""
-    return tuple(sorted(family.items())) if isinstance(family, dict) else tuple(family)
+class Node:
+    """A term or a shape, never changed once built.  ``args`` pairs each
+    label with a child; ``rank`` is their largest rank, or 0, plus ``step``.
+    The ``__weakref__`` slot lets the intern table hold nodes without pinning
+    them (Python 3.10 has no ``dataclass(weakref_slot=True)``)."""
 
+    __slots__ = ("__weakref__", "rank")
+    args: tuple = ()
+    step = 0
 
-class Term:
-    """A generator or an application, never changed once built.  ``args``
-    pairs each label with a child, for terms and shapes alike; the
-    ``__weakref__`` slot lets the intern table hold nodes without pinning."""
-
-    __slots__ = ("__weakref__",)
-    depth: int
-    args: tuple
-    rank = property(attrgetter("depth"))
+    def __post_init__(self):
+        rank = 0  # a loop: max() over a comprehension costs several times more
+        for _, u in self.args:
+            if u.rank > rank:
+                rank = u.rank
+        self.rank = rank + self.step
 
     def arg_map(self) -> dict:
         return dict(self.args)
 
+    def spell(self, family: dict[str, str]) -> str:
+        """An application's serialisation from its children's."""
+        return self.symbol + "[" + ",".join(map("=".join, family.items())) + "]"
 
-def spell_application(node, family: list[tuple[str, str]]) -> str:
-    return node.symbol + "[" + ",".join(map("=".join, family)) + "]"
+
+class Term(Node):
+    __slots__ = ()
+    depth = property(attrgetter("rank"))
 
 
 @dataclass(slots=True, eq=False)
 class Var(Term):
     gen: str
-    depth = 0
-    args = ()
 
     def spell(self, family) -> str:
         return f"v({self.gen})"
@@ -101,55 +105,43 @@ class Var(Term):
 class App(Term):
     symbol: str
     args: tuple[tuple[str, Term], ...]  # (arity cell, term), sorted by cell
-    depth: int = field(init=False)
-    spell = spell_application
-
-    def __post_init__(self):
-        depth = 0  # a loop: max() over a comprehension costs several times more
-        for _, u in self.args:
-            if u.depth > depth:
-                depth = u.depth
-        self.depth = depth + 1
+    step = 1
 
 
 def var(gen: str) -> Var:
-    entry = _table.get((Var, gen))  # the hottest constructor: look up inline
-    t = None if entry is None else entry()
-    return interned(Var, gen) if t is None else t
+    return interned((Var, gen))
 
 
-def app(symbol: str, args) -> App:
-    """``args``: a dict from arity cells to terms, or pairs in cell order."""
-    return interned(App, symbol, labelled(args))
+def app(symbol: str, args: dict[str, Term]) -> App:
+    return interned((App, symbol, tuple(sorted(args.items()))))
 
 
 children_of = attrgetter("args")
-_PENDING = object()
 
 
 def fold(root, children, build, memo: dict | None = None):
     """``build(node, family)`` at ``root``, after it ran at every node below:
-    ``children(node)`` lists ``(label, child)`` pairs, and ``family`` pairs
-    each label with the child's value.  ``memo`` maps nodes to values; no
-    node found there is walked again.  Children are entered in order over an
-    explicit stack, so the depth of ``root`` is not bounded by the recursion
-    limit."""
+    ``children(node)`` lists ``(label, child)`` pairs, and ``family`` maps
+    each label to the child's value.  ``memo`` maps nodes to values; no
+    node found there is walked again.  ``children`` runs once per node, and
+    children are entered in order over an explicit stack, so the depth of
+    ``root`` is not bounded by the recursion limit."""
     if memo is None:
         memo = {}
-    todo = [root]
+    todo = [(root, None)]
     while todo:
-        node = todo.pop()
+        node, family = todo.pop()
         if node in memo:
             continue
-        family = children(node)
-        values = []
+        if family is None:
+            family = children(node)
+        values = {}
         for label, child in family:
-            value = memo.get(child, _PENDING)
-            if value is _PENDING:  # come back to node once its children are built
-                todo.append(node)
-                todo += reversed([child for _, child in family if child not in memo])
+            if child not in memo:  # come back to node once its children are built
+                todo.append((node, family))
+                todo += [(u, None) for _, u in reversed(family) if u not in memo]
                 break
-            values.append((label, value))
+            values[label] = memo[child]
         else:
             memo[node] = build(node, values)
     return memo[root]
@@ -190,25 +182,18 @@ def term_sort(ctx, t: Term) -> SortRef:
     return ctx.symbol(t.symbol).sort
 
 
-def _reapply(u: App, family) -> App:
-    return app(u.symbol, family)
-
-
 def subst(t: Term, mapping: dict[str, Term]) -> Term:
     """Replace every generator leaf through ``mapping``.
 
     This is simultaneously substitution of an argument family into a boundary
     term and the action of a computad morphism on a term.
     """
-    return fold_term(t, mapping.__getitem__, _reapply)
+    return fold_term(t, mapping.__getitem__, lambda u, family: app(u.symbol, family))
 
 
 def rename(t: Term, mapping: dict[str, str]) -> Term:
-    """Generator-to-generator relabelling (a variable-to-variable action).
-    Most terms renamed are generators, which skip the fold."""
-    if isinstance(t, Var):
-        return var(mapping[t.gen])
-    return fold_term(t, lambda gen: var(mapping[gen]), _reapply)
+    """Generator-to-generator relabelling (a variable-to-variable action)."""
+    return fold_term(t, lambda gen: var(mapping[gen]), lambda u, family: app(u.symbol, family))
 
 
 def boundary(ctx, face: FaceRef, t: Term) -> Term:

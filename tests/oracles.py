@@ -31,7 +31,7 @@ def term_key(t: Term) -> tuple:
 
 def spell_plex(p: Polyplex) -> str:
     """From-scratch recursive spelling of a shape: the reference for
-    ``plex.pserialize``."""
+    ``terms.serialize``."""
     if isinstance(p, PVar):
         inner = ",".join(f + ":" + spell_plex(q) for f, q in p.btype)
         return "<" + p.sort + "|" + inner + ">"

@@ -6,7 +6,7 @@ import pytest
 from computads.computad import make_computad
 from computads.monad import enumerate_terms, term_presheaf
 from computads.packs import group_signature, module_signature, sigma_kan
-from computads.plex import enumerate_polyplexes, pserialize
+from computads.plex import enumerate_polyplexes
 from computads.signature import term_from_json, term_to_json
 from computads.terms import App, app, serialize, var
 
@@ -68,7 +68,7 @@ def test_enumerated_shapes_follow_the_reference_order(case):
     ps = enumerate_polyplexes(make(), sort, weight)
     assert _shares_subtrees(ps)
     assert ps == sorted(ps, key=plex_key)
-    assert [pserialize(p) for p in ps] == [spell_plex(p) for p in ps]
+    assert [serialize(p) for p in ps] == [spell_plex(p) for p in ps]
 
 
 def test_app_read_from_json_equals_and_hashes_as_built():
