@@ -33,9 +33,10 @@ _MISSING = object()
 def memoized(table: str):
     """Cache ``fn(owner, *key)`` in the dict ``owner.__dict__[table]``.
 
-    Sound because the kernel never changes a category, signature or computad
-    after building it.  Entries belong to one owner: two owners never share
-    one, even when they are equal (a truncated category is a new owner).
+    Sound because the kernel never changes a category, signature, computad
+    or algebra after building it.  Entries belong to one owner: two owners
+    never share one, even when they are equal (a truncated category is a new
+    owner).
     """
 
     def decorate(fn):
@@ -125,13 +126,20 @@ class DirectCategory:
 
 
 def json_object(
-    raw, error: type[Exception], what: str, strings: tuple[str, ...] = ()
+    raw,
+    error: type[Exception],
+    what: str,
+    strings: tuple[str, ...] = (),
+    needs: tuple[str, ...] = (),
 ) -> dict:
-    """``raw`` if it is a JSON object whose fields named in ``strings`` hold
-    strings where present; raises ``error`` naming ``what`` otherwise, before
-    a field is read."""
+    """``raw`` if it is a JSON object that has the fields named in ``needs``
+    and whose fields named in ``strings`` hold strings where present; raises
+    ``error`` naming ``what`` otherwise, before a field is read."""
     if not isinstance(raw, dict):
         raise error(f"{what} must be an object, not {type(raw).__name__}")
+    for name in needs:
+        if name not in raw:
+            raise error(f"{what} has no {name!r}")
     for name in strings:
         if name in raw and not isinstance(raw[name], str):
             raise error(
@@ -141,16 +149,20 @@ def json_object(
 
 
 def json_objects(
-    raw: dict, key: str, error: type[Exception], strings: tuple[str, ...] = ()
+    raw: dict,
+    key: str,
+    error: type[Exception],
+    strings: tuple[str, ...] = (),
+    needs: tuple[str, ...] = (),
 ) -> list[dict]:
     """The list of objects under ``key`` (empty if absent), each checked by
-    :func:`json_object` for the string fields ``strings``; raises ``error``
-    on any other shape, before a field is read."""
+    :func:`json_object` for the string fields ``strings`` and the fields
+    ``needs``; raises ``error`` on any other shape, before a field is read."""
     entries = raw.get(key, [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise error(f"{key!r} must be a list of objects")
     for entry in entries:
-        json_object(entry, error, f"an entry of {key!r}", strings)
+        json_object(entry, error, f"an entry of {key!r}", strings, needs)
     return entries
 
 

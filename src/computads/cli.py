@@ -24,7 +24,7 @@ from .cofibrant import (
     verify_stage_pushout,
 )
 from .computad import apply_morphism, free_computad, isomorphic
-from .errors import DocumentTooDeep, KernelError
+from .errors import BadSubset, DocumentTooDeep, KernelError
 from .factorization import image_factorize, split_idempotent, support_morphism
 from .io_json import (
     algebra_from_json,
@@ -70,6 +70,19 @@ def _read_json(path: str) -> dict:
             f"{path} nests {depth} levels deep, beyond the limit of {MAX_NESTING}"
         )
     return json.loads(text)
+
+
+_COUNT = re.compile(r"[0-9]+")
+
+
+def _grid_counts(text: str) -> list[int]:
+    """The cell counts of ``example grid --counts``: natural numbers written
+    in decimal digits and separated by commas; an empty text is no counts."""
+    items = text.split(",") if text else []
+    for item in items:
+        if not _COUNT.fullmatch(item):
+            raise BadSubset(f"grid count {item!r} is not a natural number")
+    return [int(item) for item in items]
 
 
 def _emit(obj) -> None:
@@ -250,7 +263,7 @@ def cmd_example(args) -> int:
     elif args.which == "grid":
         from .cubical import cube_category, grid_composite
 
-        counts = [int(x) for x in args.counts.split(",") if x != ""]
+        counts = _grid_counts(args.counts)
         grid = {i: c for i, c in enumerate(counts)}
         cat = cube_category(max(len(counts) - 1, 0))
         sig, _ = grid_composite(cat, grid)

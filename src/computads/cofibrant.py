@@ -10,9 +10,10 @@ computed by pairing types of the replacement built so far with carrier cells.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
-from .algebra import GeneratorEvaluation, eval_in_env
+from .algebra import eval_in_env
 from .base import FaceRef, SortRef, memoized
 from .computad import (
     Computad,
@@ -207,7 +208,7 @@ def underlying_computad(alg, depth_bound: int) -> UndResult:
     dims = sorted({cat.dim(s) for s in cat.sorts})
     for d in dims:
         lower = Computad(sig, gens, glue)
-        evaluate = GeneratorEvaluation(computad=lower, algebra=alg, assign=r_assign)
+        evaluate = functools.partial(eval_in_env, alg, env=r_assign)
         for sort in cat.sorts:
             if cat.dim(sort) != d:
                 continue

@@ -7,7 +7,13 @@ from its top-level keys.
 
 from __future__ import annotations
 
-from .algebra import Algebra, algebra_from_interpretations, hom_key, tabulate
+from .algebra import (
+    Algebra,
+    algebra_from_interpretations,
+    check_algebra_morphism,
+    hom_key,
+    rows,
+)
 from .base import json_object, json_objects, validate_category
 from .computad import Computad, ComputadMorphism, make_computad, make_morphism
 from .errors import (
@@ -16,11 +22,17 @@ from .errors import (
     GluingIllTyped,
     KernelError,
     MissingAction,
+    NotCompatible,
     PartialTable,
     UnknownGenerator,
 )
 from .plex import PApp, Polyplex, PVar, papp, pvar
-from .presheaf import enumerate_hom, presheaf_to_json, validate_presheaf
+from .presheaf import (
+    PresheafMorphism,
+    check_morphism,
+    presheaf_to_json,
+    validate_presheaf,
+)
 from .signature import (
     fold_document,
     signature_to_json,
@@ -89,35 +101,23 @@ def algebra_from_json(raw: dict) -> Algebra:
     carrier = validate_presheaf(carrier_raw, base=sig.base)
     tables: dict[str, dict[tuple, str]] = {}
     for entry in json_objects(raw, "interpretations", PartialTable, ("symbol",)):
-        rows = {}
+        table = {}
         for row in json_objects(entry, "rows", PartialTable, ("value",)):
             hom = json_objects(row, "hom", PartialTable, ("cell", "value"))
-            rows[hom_key({a["cell"]: a["value"] for a in hom})] = row["value"]
-        tables[entry["symbol"]] = rows
+            table[hom_key({a["cell"]: a["value"] for a in hom})] = row["value"]
+        tables[entry["symbol"]] = table
     return algebra_from_interpretations(sig, carrier, tables)
 
 
 def algebra_to_json(alg: Algebra) -> dict:
-    tabled = tabulate(alg)
-    out = []
-    for symbol_id in sorted(alg.signature.symbols):
-        sym = alg.signature.symbols[symbol_id]
-        rows = []
-        for h in enumerate_hom(sym.arity, alg.carrier):
-            rows.append(
-                {
-                    "hom": [
-                        {"cell": c, "value": v}
-                        for c, v in sorted(h.component.items())
-                    ],
-                    "value": tabled.interpret(symbol_id, h.component),
-                }
-            )
-        out.append({"symbol": symbol_id, "rows": rows})
+    tables: dict[str, list] = {s: [] for s in sorted(alg.signature.symbols)}
+    for symbol_id, env, value in rows(alg):
+        hom = [{"cell": c, "value": v} for c, v in sorted(env.items())]
+        tables[symbol_id].append({"hom": hom, "value": value})
     return {
         "signature": signature_to_json(alg.signature),
         "carrier": presheaf_to_json(alg.carrier),
-        "interpretations": out,
+        "interpretations": [{"symbol": s, "rows": r} for s, r in tables.items()],
     }
 
 
@@ -127,15 +127,23 @@ def algebra_morphism_from_json(raw: dict) -> tuple[Algebra, Algebra, dict[str, s
     dst = algebra_from_json(raw["dst"])
     entries = json_objects(raw, "components", MissingAction, ("from", "to"))
     component = {e["from"]: e["to"] for e in entries}
+    check_morphism(PresheafMorphism(src.carrier, dst.carrier, component))
+    ok, failure = check_algebra_morphism(src, dst, component)
+    if not ok:
+        raise NotCompatible(f"the components break {failure[0]!r} on row {failure[1]}")
     return src, dst, component
 
 
-# per shape kind: its key, the key of its parts and the key of their cells
-_PLEX_KEYS = {PVar: ("pvar", "boundary", "face"), PApp: ("papp", "args", "cell")}
+# per shape kind: its key, the key of its parts, the key of their cells and
+# the string fields its body needs
+_PLEX_KEYS = {
+    PVar: ("pvar", "boundary", "face", ("sort",)),
+    PApp: ("papp", "args", "cell", ("sort", "symbol")),
+}
 
 
 def _plex_json(p: Polyplex, family) -> dict:
-    kind, key, cell = _PLEX_KEYS[type(p)]
+    kind, key, cell, _ = _PLEX_KEYS[type(p)]
     body = {"sort": p.sort, key: [{cell: c, "polyplex": q} for c, q in family.items()]}
     if isinstance(p, PApp):
         body["symbol"] = p.symbol
@@ -146,10 +154,12 @@ def polyplex_to_json(p: Polyplex) -> dict:
     return fold(p, children_of, _plex_json)
 
 
-def _plex_args(raw: dict) -> list[tuple[str, dict]]:
-    for kind, key, cell in _PLEX_KEYS.values():
-        if kind in raw:
-            return [(e[cell], e["polyplex"]) for e in raw[kind].get(key, [])]
+def _plex_args(raw) -> list[tuple[str, dict]]:
+    for kind, key, cell, fields in _PLEX_KEYS.values():
+        if kind in json_object(raw, KernelError, "a polyplex"):
+            body = json_object(raw[kind], KernelError, f"a {kind}", fields, fields)
+            parts = json_objects(body, key, KernelError, (cell,), (cell, "polyplex"))
+            return [(e[cell], e["polyplex"]) for e in parts]
     raise KernelError(f"not a polyplex: {raw!r}")
 
 

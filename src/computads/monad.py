@@ -1,4 +1,4 @@
-"""Depth-bounded term enumeration and the free-algebra adjunction data.
+"""Depth-bounded term enumeration, the free algebra and its adjunction data.
 
 Terms of a fixed sort are enumerated by depth.  An argument family for a
 symbol assigns terms to the arity cells: it is a presheaf morphism from the
@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import SortRef, memoized
+from .base import FaceRef, SortRef, memoized
 from .computad import Computad, ComputadMorphism, free_computad, make_morphism
-from .errors import NegativeBound
+from .errors import DepthExceeded, NegativeBound
 from .presheaf import Presheaf, PresheafMorphism, hom_families, make_presheaf, search
 from .signature import Signature
 from .terms import Term, app, boundary, canonical_sort, rename, subst, var
@@ -55,21 +55,46 @@ def terms_saturated(c: Computad, sort: SortRef, max_depth: int) -> bool:
     )
 
 
-# -- the term presheaf of a computad --------------------------------------------
+# -- the free algebra on a computad ---------------------------------------------
 
 @dataclass
-class TermPresheafView:
-    """A finite boundary-closed family of terms of a computad, presented as a
-    presheaf whose cells name the terms."""
+class FreeAlgebra:
+    """The free algebra on a computad, up to a depth: its carrier is the term
+    presheaf, a finite boundary-closed family of terms whose cells name the
+    terms, and a symbol is interpreted by forming the application, which
+    raises ``DepthExceeded`` past the bound."""
 
     computad: Computad
     depth: int
-    presheaf: Presheaf
+    carrier: Presheaf
     encode: dict[Term, str]
     decode: dict[str, Term]
 
+    @property
+    def presheaf(self) -> Presheaf:
+        """The carrier, read as the term presheaf of the computad."""
+        return self.carrier
 
-def term_presheaf(c: Computad, max_depth: int) -> TermPresheafView:
+    @property
+    def signature(self) -> Signature:
+        return self.computad.signature
+
+    def cells_at(self, sort: SortRef) -> tuple[str, ...]:
+        return self.carrier.cells_at(sort)
+
+    def act(self, face: FaceRef, cell: str) -> str:
+        return self.carrier.act(face, cell)
+
+    def interpret(self, symbol_id: str, assignment: dict[str, str]) -> str:
+        t = app(symbol_id, {c: self.decode[v] for c, v in assignment.items()})
+        if t not in self.encode:
+            raise DepthExceeded(
+                f"term of depth {t.depth} exceeds the depth bound {self.depth}"
+            )
+        return self.encode[t]
+
+
+def term_presheaf(c: Computad, max_depth: int) -> FreeAlgebra:
     """All terms of depth <= max_depth, closed under boundaries.
 
     Boundaries of a bounded-depth term can exceed the bound (a symbol's
@@ -79,30 +104,26 @@ def term_presheaf(c: Computad, max_depth: int) -> TermPresheafView:
         s: set(enumerate_terms(c, s, max_depth)) for s in c.base.sorts
     }
     # Close under the boundary action.  Boundaries land at strictly lower
-    # sorts, so one sweep from high sorts downwards suffices.
+    # sorts, so one sweep from high sorts downwards suffices, and it takes
+    # the boundary of every term along every face into its sort.
+    boundaries: dict[tuple[FaceRef, Term], Term] = {}
     for s in reversed(c.base.sorts):
-        for t in list(by_sort[s]):
+        for t in by_sort[s]:
             for face in c.base.faces_into(s):
-                b = boundary(c, face, t)
+                b = boundaries[(face, t)] = boundary(c, face, t)
                 by_sort[c.base.face(face).src].add(b)
 
     cells: dict[SortRef, tuple[str, ...]] = {}
-    encode: dict[Term, str] = {}
     decode: dict[str, Term] = {}
     for s in c.base.sorts:
         ordered, names = canonical_sort(by_sort[s])
         cells[s] = tuple(names)
-        for t, n in zip(ordered, names):
-            encode[t] = n
-            decode[n] = t
-    action = {}
-    for s in c.base.sorts:
-        for t in by_sort[s]:
-            for face in c.base.faces_into(s):
-                action[(face, encode[t])] = encode[boundary(c, face, t)]
+        decode.update(zip(names, ordered))
+    encode = {t: n for n, t in decode.items()}
+    action = {(face, encode[t]): encode[b] for (face, t), b in boundaries.items()}
     p = make_presheaf(c.base, cells, action)
-    return TermPresheafView(
-        computad=c, depth=max_depth, presheaf=p, encode=encode, decode=decode
+    return FreeAlgebra(
+        computad=c, depth=max_depth, carrier=p, encode=encode, decode=decode
     )
 
 
@@ -112,12 +133,10 @@ def unit(x: Presheaf, signature: Signature) -> PresheafMorphism:
     """The unit at a presheaf: each cell becomes the generator term over the
     free computad."""
     view = term_presheaf(free_computad(x, signature), 0)
-    component = {cell: view.encode[var(cell)] for _, cell in _all_cells(x)}
-    return PresheafMorphism(src=x, dst=view.presheaf, component=component)
-
-
-def _all_cells(x: Presheaf):
-    return [(s, c) for s in x.base.sorts for c in x.cells_at(s)]
+    component = {
+        cell: view.encode[var(cell)] for s in x.base.sorts for cell in x.cells_at(s)
+    }
+    return PresheafMorphism(src=x, dst=view.carrier, component=component)
 
 
 def counit(c: Computad, depth: int) -> ComputadMorphism:
@@ -125,7 +144,7 @@ def counit(c: Computad, depth: int) -> ComputadMorphism:
     terms of C maps back to C by reading each term cell as itself; unchecked,
     as the term presheaf acts by taking boundaries."""
     view = term_presheaf(c, depth)
-    free = free_computad(view.presheaf, c.signature)
+    free = free_computad(view.carrier, c.signature)
     return ComputadMorphism(free, c, dict(view.decode))
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -8,7 +9,9 @@ from computads.algebra import (
     check_algebra_morphism,
     eval_term,
     free_algebra,
+    hom_key,
     morphism_from_generators,
+    rows,
     tabulate,
 )
 from computads.computad import make_computad
@@ -70,12 +73,12 @@ def test_trivial_algebra_empty_signature():
 
 
 def test_table_and_callback_agree():
-    alg = pathcat_algebra()
-    tab = tabulate(alg)
-    for row in enumerate_hom(alg.signature.symbol("comp").arity, alg.carrier):
-        assert alg.interpret("comp", row.component) == tab.interpret(
-            "comp", row.component
-        )
+    for alg in (pathcat_algebra(), z5_algebra(), _chain(3)):
+        tab = tabulate(alg)
+        assert rows(alg)
+        for symbol_id, env, value in rows(alg):
+            assert tab.interpret(symbol_id, env) == value
+        assert rows(tab) == rows(alg)
 
 
 def test_eval_term_var_and_nested():
@@ -335,3 +338,29 @@ def test_algebra_morphism_search_work_is_bounded():
     assert [h.component["1"] for h in found] == [str(k) for k in range(8)]
     for h in found:
         assert check_algebra_morphism(z8, _cyclic(8), h.component) == (True, None)
+
+
+def test_each_row_is_interpreted_once_per_algebra():
+    # building the algebra checks every row; checking carrier maps out of it
+    # and counting its morphisms read the same rows without interpreting again
+    calls = collections.Counter()
+    z5 = _cyclic(5)
+
+    def counted(symbol_id):
+        def interpret(env):
+            calls[(symbol_id, hom_key(env))] += 1
+            return z5.interpret(symbol_id, env)
+
+        return interpret
+
+    alg = algebra_from_callbacks(
+        z5.signature, z5.carrier, {s: counted(s) for s in z5.signature.symbols}
+    )
+    target = _cyclic(5)
+    for k in range(5):
+        scale = {str(i): str(k * i % 5) for i in range(5)}
+        assert check_algebra_morphism(alg, target, scale) == (True, None)
+    assert len(algebra_morphisms(alg, target)) == 5
+    assert len(calls) == 25 + 1 + 5  # plus, zero and neg rows over Z/5
+    assert set(calls.values()) == {1}
+

@@ -528,6 +528,59 @@ def test_check_tfib_command(tmp_path, capsys):
     assert json.loads(out) == {"trivial_fibration": True}
 
 
+def _tfib_file(tmp_path, alg, component):
+    path = tmp_path / "sigma.json"
+    doc = {
+        "src": algebra_to_json(alg),
+        "dst": algebra_to_json(alg),
+        "components": [{"from": c, "to": v} for c, v in component.items()],
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_check_tfib_rejects_a_map_that_is_not_natural(tmp_path, capsys):
+    alg = pathcat_algebra()
+    cells = [c for cs in alg.carrier.cells.values() for c in cs]
+    nowhere = {c: "nope" for c in cells}
+    # e1 : A -> B sent to e2 : B -> C while A stays where it is
+    swapped = dict({c: c for c in cells}, e1="e2")
+    for component in (nowhere, swapped):
+        status = main(["check-tfib", "--morphism", str(_tfib_file(tmp_path, alg, component))])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert captured.out == ""
+        assert captured.err.startswith("FunctorialityFailure: ")
+
+
+def test_check_tfib_rejects_a_map_that_breaks_an_interpretation(tmp_path, capsys):
+    from fixtures import z5_algebra
+
+    # k -> k + 1 is natural (Z/5 has no faces) but sends zero to one
+    successor = {str(k): str((k + 1) % 5) for k in range(5)}
+    path = _tfib_file(tmp_path, z5_algebra(), successor)
+    status = main(["check-tfib", "--morphism", str(path)])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err.startswith("NotCompatible: ")
+
+
+@pytest.mark.parametrize("counts", ["x", "-1", "1,,2", "1,2,", ",", "+1", " 1", "1.0"])
+def test_grid_counts_must_be_natural_numbers(counts, capsys):
+    status = main(["example", "grid", "--counts", counts])
+    captured = capsys.readouterr()
+    assert status == 1
+    assert captured.out == ""
+    assert captured.err.startswith("BadSubset: ")
+
+
+def test_empty_grid_counts_are_the_empty_grid(capsys):
+    status, out = run(capsys, "example", "grid", "--counts", "")
+    assert status == 0
+    assert json.loads(out)["symbols"] == []
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["boundary", "--face"]) == 2
     assert main(["no-such-command"]) == 2

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from computads.errors import BaseMismatch
+from computads.errors import BaseMismatch, KernelError
 from computads.io_json import (
     algebra_from_json,
     algebra_to_json,
@@ -73,3 +73,24 @@ def test_detect_kind():
     assert detect_kind(computad_to_json(walk2())) == "computad"
     assert detect_kind(morphism_to_json(identity_morphism(walk2()))) == "morphism"
     assert detect_kind(algebra_to_json(pathcat_algebra())) == "algebra"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        5,
+        {"shape": {}},
+        {"pvar": []},
+        {"pvar": {"sort": "o", "boundary": [5]}},
+        {"pvar": {"boundary": []}},
+        {"pvar": {"sort": 5}},
+        {"papp": {"sort": "a", "args": []}},
+        {"papp": {"sort": "a", "symbol": "comp", "args": {"x": {}}}},
+        {"papp": {"sort": "a", "symbol": "comp", "args": [{"cell": "x"}]}},
+        {"papp": {"sort": "a", "symbol": "comp", "args": [{"polyplex": {}}]}},
+        {"papp": {"sort": "a", "symbol": "comp", "args": [{"cell": "x", "polyplex": 5}]}},
+    ],
+)
+def test_malformed_polyplex_documents_are_kernel_errors(raw):
+    with pytest.raises(KernelError):
+        polyplex_from_json(raw)

@@ -1,7 +1,9 @@
 import random
 
+from computads.algebra import free_algebra
 from computads.computad import apply_morphism, free_computad, identity_morphism
 from computads.monad import (
+    FreeAlgebra,
     counit,
     enumerate_terms,
     mult,
@@ -44,6 +46,18 @@ def test_enumerate_empty_computad():
     empty = make_computad(comp_signature(), {}, {})
     assert enumerate_terms(empty, "a", 3) == []
     assert enumerate_terms(empty, "o", 3) == []
+
+
+def test_the_term_presheaf_is_the_free_algebra():
+    c = walk2()
+    view, fa = term_presheaf(c, 1), free_algebra(c, 1)
+    assert type(view) is FreeAlgebra and type(fa) is FreeAlgebra
+    assert view.presheaf is view.carrier
+    assert view.carrier == fa.carrier and view.decode == fa.decode
+    assert view.signature is c.signature
+    env = {"x": "p", "y": "q", "z": "r", "f": "u", "g": "v"}
+    env = {cell: view.encode[var(gen)] for cell, gen in env.items()}
+    assert view.decode[view.interpret("comp", env)] == comp_uv()
 
 
 def test_term_presheaf_closure_and_action():

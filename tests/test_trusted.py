@@ -2,11 +2,11 @@
 
 Colimits, image factorisations, lifts through monos, counits, representing
 computads, replayed filtrations and their attaching maps, underlying
-computads, representable presheaves and their boundaries, and the grid
-positions and the grid and tree inclusions of the example packs are well
-formed by construction, so the kernel builds them unchecked.  This test
-re-runs the checked constructors on every presheaf, computad and morphism
-they return.
+computads, representable presheaves and their boundaries, the grid
+positions and the grid and tree inclusions of the example packs, and
+tabulated algebras are well formed by construction, so the kernel builds
+them unchecked.  This test re-runs the checked constructors on every
+presheaf, computad, morphism and algebra they return.
 """
 
 import itertools
@@ -14,7 +14,14 @@ import random
 
 import pytest
 
-from computads.algebra import morphism_from_generators
+from computads.algebra import (
+    Algebra,
+    algebra_from_interpretations,
+    hom_key,
+    morphism_from_generators,
+    rows,
+    tabulate,
+)
 from computads.cofibrant import (
     boundary_inclusion,
     replay_filtration,
@@ -220,8 +227,19 @@ def _grid_positions():
     return out
 
 
+def _tabulated():
+    return [tabulate(alg) for alg in (pathcat_algebra(), z5_algebra())]
+
+
 def _recheck(obj) -> None:
-    if isinstance(obj, Presheaf):
+    if isinstance(obj, Algebra):
+        _recheck(obj.carrier)
+        tables = {s: {} for s in obj.signature.symbols}
+        for symbol_id, env, value in rows(obj):
+            tables[symbol_id][hom_key(env)] = value
+        checked = algebra_from_interpretations(obj.signature, obj.carrier, tables)
+        assert rows(checked) == rows(obj)
+    elif isinstance(obj, Presheaf):
         assert make_presheaf(obj.base, obj.cells, obj.action) == obj
     elif isinstance(obj, PresheafMorphism):
         _recheck(obj.src)
@@ -250,6 +268,7 @@ def _recheck(obj) -> None:
         _representables,
         _pack_inclusions,
         _grid_positions,
+        _tabulated,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )
