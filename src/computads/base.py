@@ -126,44 +126,47 @@ class DirectCategory:
 
 
 def json_object(
-    raw,
-    error: type[Exception],
-    what: str,
-    strings: tuple[str, ...] = (),
-    needs: tuple[str, ...] = (),
+    raw, error: type[Exception], what: str, fields: dict[str, type] | None = None
 ) -> dict:
-    """``raw`` if it is a JSON object that has the fields named in ``needs``
-    and whose fields named in ``strings`` hold strings where present; raises
-    ``error`` naming ``what`` otherwise, before a field is read."""
+    """``raw`` if it is a JSON object that has every field named in
+    ``fields``, holding a value of the type given there (``object`` for any
+    value, left to the reader of that field); raises ``error`` naming
+    ``what`` otherwise, before a field is read."""
     if not isinstance(raw, dict):
         raise error(f"{what} must be an object, not {type(raw).__name__}")
-    for name in needs:
+    for name, kind in (fields or {}).items():
         if name not in raw:
             raise error(f"{what} has no {name!r}")
-    for name in strings:
-        if name in raw and not isinstance(raw[name], str):
-            raise error(
-                f"{what}: {name!r} must be a string, not {type(raw[name]).__name__}"
-            )
+        if not isinstance(raw[name], kind):
+            found = type(raw[name]).__name__
+            raise error(f"{what}: {name!r} must be a {kind.__name__}, not {found}")
     return raw
 
 
 def json_objects(
-    raw: dict,
-    key: str,
-    error: type[Exception],
-    strings: tuple[str, ...] = (),
-    needs: tuple[str, ...] = (),
+    raw: dict, key: str, error: type[Exception], fields: dict[str, type] | None = None
 ) -> list[dict]:
     """The list of objects under ``key`` (empty if absent), each checked by
-    :func:`json_object` for the string fields ``strings`` and the fields
-    ``needs``; raises ``error`` on any other shape, before a field is read."""
+    :func:`json_object` for the fields ``fields``; raises ``error`` on any
+    other shape, before a field is read."""
     entries = raw.get(key, [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise error(f"{key!r} must be a list of objects")
     for entry in entries:
-        json_object(entry, error, f"an entry of {key!r}", strings, needs)
+        json_object(entry, error, f"an entry of {key!r}", fields)
     return entries
+
+
+def json_id_lists(raw: dict, key: str, error: type[Exception]) -> dict[str, list[str]]:
+    """The ``{sort: [ids]}`` object under ``key`` (empty if absent), as a
+    presheaf's ``cells`` or a computad's ``generators``; raises ``error`` otherwise."""
+    lists = raw.get(key, {})
+    if not isinstance(lists, dict):
+        raise error(f"{key} must be an object of id lists: {lists!r}")
+    for s, ids in lists.items():
+        if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+            raise error(f"{key} at {s!r} must be a list of ids: {ids!r}")
+    return lists
 
 
 def validate_category(raw: dict) -> DirectCategory:
@@ -174,7 +177,7 @@ def validate_category(raw: dict) -> DirectCategory:
     """
     json_object(raw, UnknownSort, "a category")
     dims: dict[str, int] = {}
-    for entry in json_objects(raw, "sorts", UnknownSort, ("id",)):
+    for entry in json_objects(raw, "sorts", UnknownSort, {"id": str, "dim": object}):
         sid, d = entry["id"], entry["dim"]
         if sid in dims:
             raise UnknownSort(f"duplicate sort id {sid!r}")
@@ -183,7 +186,8 @@ def validate_category(raw: dict) -> DirectCategory:
         dims[sid] = d
 
     faces: dict[str, Face] = {}
-    for entry in json_objects(raw, "faces", UnknownFace, ("id", "src", "dst")):
+    fields = {"id": str, "src": str, "dst": str}
+    for entry in json_objects(raw, "faces", UnknownFace, fields):
         fid, src, dst = entry["id"], entry["src"], entry["dst"]
         if fid in faces:
             raise UnknownFace(f"duplicate face id {fid!r}")
@@ -196,9 +200,8 @@ def validate_category(raw: dict) -> DirectCategory:
         faces[fid] = Face(fid, src, dst)
 
     table: dict[tuple[str, str], str] = {}
-    for entry in json_objects(
-        raw, "compose", CompositionGap, ("first", "second", "result")
-    ):
+    fields = {"first": str, "second": str, "result": str}
+    for entry in json_objects(raw, "compose", CompositionGap, fields):
         key = (entry["first"], entry["second"])
         if key[0] not in faces or key[1] not in faces:
             raise CompositionGap(f"composition entry over unknown faces {key}")

@@ -12,10 +12,13 @@ import argparse
 import json
 import re
 import sys
+from collections.abc import Callable
 from itertools import accumulate
 from operator import itemgetter
+from typing import NamedTuple
 
 from .algebra import eval_term
+from .base import json_object
 from .cofibrant import (
     check_trivial_fibration,
     cofibrant_replacement,
@@ -23,7 +26,7 @@ from .cofibrant import (
     skeletal_filtration,
     verify_stage_pushout,
 )
-from .computad import apply_morphism, free_computad, isomorphic
+from .computad import Computad, apply_morphism, free_computad, isomorphic
 from .errors import BadSubset, DocumentTooDeep, KernelError
 from .factorization import image_factorize, split_idempotent, support_morphism
 from .io_json import (
@@ -39,7 +42,7 @@ from .io_json import (
 from .monad import enumerate_terms
 from .plex import classify, enumerate_polyplexes, nerve
 from .signature import signature_to_json, term_from_json, term_to_json, validate_signature
-from .terms import boundary_along, check_term, spellings
+from .terms import Term, boundary_along, check_term, spellings
 
 
 MAX_NESTING = 1000
@@ -89,177 +92,135 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _load_term_document(path: str):
-    raw = _read_json(path)
+def _term(raw) -> Term:
+    """The term of a term document, unchecked: another document of the
+    command supplies its computad."""
+    json_object(raw, KernelError, "a term document", {"term": object})
+    return term_from_json(raw["term"])
+
+
+def _term_document(raw) -> tuple[Computad, Term]:
+    """The computad of a term document and its term, checked against it."""
+    json_object(raw, KernelError, "a term document", {"computad": object})
     c = computad_from_json(raw["computad"])
-    t = term_from_json(raw["term"])
+    t = _term(raw)
     check_term(c, t)
     return c, t
 
 
-def cmd_check(args) -> int:
-    raw = _read_json(args.file)
-    kind, _ = load_entity(raw)
-    _emit({"ok": True, "kind": kind})
-    return 0
+# Each handler takes the parsed arguments, each document option replaced by
+# what its decoder read, and returns the answer to emit.
+def cmd_check(args):
+    kind, _ = args.file  # the kind and the entity
+    return {"ok": True, "kind": kind}
 
 
-def cmd_boundary(args) -> int:
-    c, t = _load_term_document(args.term)
-    result = boundary_along(c, args.face, t)
-    _emit(term_to_json(result))
-    return 0
+def cmd_boundary(args):
+    c, t = args.term
+    return term_to_json(boundary_along(c, args.face, t))
 
 
-def cmd_apply(args) -> int:
-    m = morphism_from_json(_read_json(args.morphism))
-    t = term_from_json(_read_json(args.term)["term"])
-    check_term(m.src, t)
-    _emit(term_to_json(apply_morphism(m, t)))
-    return 0
+def cmd_apply(args):
+    check_term(args.morphism.src, args.term)
+    return term_to_json(apply_morphism(args.morphism, args.term))
 
 
-def cmd_enumerate(args) -> int:
-    c = computad_from_json(_read_json(args.computad))
-    terms = enumerate_terms(c, args.sort, args.depth)
-    _emit([term_to_json(t) for t in terms])
-    return 0
+def cmd_enumerate(args):
+    terms = enumerate_terms(args.computad, args.sort, args.depth)
+    return [term_to_json(t) for t in terms]
 
 
-def cmd_classify(args) -> int:
-    c, t = _load_term_document(args.term)
-    _emit(polyplex_to_json(classify(c, t)))
-    return 0
+def cmd_classify(args):
+    return polyplex_to_json(classify(*args.term))
 
 
-def cmd_plexes(args) -> int:
-    sig = validate_signature(_read_json(args.sig))
-    plexes = enumerate_polyplexes(sig, args.sort, args.max_depth)
-    _emit([polyplex_to_json(p) for p in plexes])
-    return 0
+def cmd_plexes(args):
+    plexes = enumerate_polyplexes(args.sig, args.sort, args.max_depth)
+    return [polyplex_to_json(p) for p in plexes]
 
 
-def cmd_nerve(args) -> int:
-    c = computad_from_json(_read_json(args.computad))
-    fibres = nerve(c)
+def cmd_nerve(args):
+    fibres = nerve(args.computad)
     shapes = list(fibres)
-    _emit(
-        [
-            {"plex": polyplex_to_json(p), "generators": list(fibres[p])}
-            for _, p in sorted(zip(spellings(shapes), shapes), key=itemgetter(0))
-        ]
-    )
-    return 0
+    return [
+        {"plex": polyplex_to_json(p), "generators": list(fibres[p])}
+        for _, p in sorted(zip(spellings(shapes), shapes), key=itemgetter(0))
+    ]
 
 
-def cmd_support(args) -> int:
-    m = morphism_from_json(_read_json(args.morphism))
-    supp = support_morphism(m)
-    _emit({s: sorted(gens) for s, gens in supp.items() if gens})
-    return 0
+def cmd_support(args):
+    supp = support_morphism(args.morphism)
+    return {s: sorted(gens) for s, gens in supp.items() if gens}
 
 
-def cmd_factorize(args) -> int:
-    m = morphism_from_json(_read_json(args.morphism))
-    pi, middle, iota = image_factorize(m)
-    _emit(
-        {
-            "epi": morphism_to_json(pi),
-            "middle": computad_to_json(middle),
-            "mono": morphism_to_json(iota),
-        }
-    )
-    return 0
+def cmd_factorize(args):
+    pi, middle, iota = image_factorize(args.morphism)
+    return {
+        "epi": morphism_to_json(pi),
+        "middle": computad_to_json(middle),
+        "mono": morphism_to_json(iota),
+    }
 
 
-def cmd_split(args) -> int:
-    m = morphism_from_json(_read_json(args.morphism))
-    retraction, section = split_idempotent(m)
-    _emit(
-        {
-            "retraction": morphism_to_json(retraction),
-            "section": morphism_to_json(section),
-        }
-    )
-    return 0
+def cmd_split(args):
+    retraction, section = split_idempotent(args.morphism)
+    return {
+        "retraction": morphism_to_json(retraction),
+        "section": morphism_to_json(section),
+    }
 
 
-def cmd_eval(args) -> int:
-    alg = algebra_from_json(_read_json(args.algebra))
-    t = term_from_json(_read_json(args.term)["term"])
+def cmd_eval(args):
+    alg = args.algebra
     # terms are evaluated over the free computad on the carrier, so their
     # generators must be carrier cells
-    check_term(free_computad(alg.carrier, alg.signature), t)
-    _emit({"value": eval_term(alg, t)})
-    return 0
+    check_term(free_computad(alg.carrier, alg.signature), args.term)
+    return {"value": eval_term(alg, args.term)}
 
 
-def cmd_filtration(args) -> int:
-    c = computad_from_json(_read_json(args.computad))
-    filt = skeletal_filtration(c)
-    replayed = replay_filtration(filt)
-    stages = []
-    for lo, hi in zip(filt.stages, filt.stages[1:]):
-        verdict = verify_stage_pushout(lo, hi.computad)
-        stages.append(
-            {
-                "dim": lo.dim,
-                "attached": sorted(att.gen for att in lo.attachments),
-                "pushout_checked": verdict,
-            }
-        )
-    _emit({"stages": stages, "replay_isomorphic": isomorphic(replayed, c)})
-    return 0
-
-
-def cmd_cofrep(args) -> int:
-    alg = algebra_from_json(_read_json(args.algebra))
-    cof = cofibrant_replacement(alg, args.depth)
-    _emit(
+def cmd_filtration(args):
+    filt = skeletal_filtration(args.computad)
+    stages = [
         {
-            "computad": computad_to_json(cof.und.computad),
-            "exact": cof.und.exact,
-            "counit": [
-                {"gen": g, "value": v} for g, v in sorted(cof.und.r_assign.items())
-            ],
+            "dim": lo.dim,
+            "attached": sorted(att.gen for att in lo.attachments),
+            "pushout_checked": verify_stage_pushout(lo, hi.computad),
         }
-    )
-    return 0
+        for lo, hi in zip(filt.stages, filt.stages[1:])
+    ]
+    replayed = replay_filtration(filt)
+    return {"stages": stages, "replay_isomorphic": isomorphic(replayed, args.computad)}
 
 
-def cmd_check_tfib(args) -> int:
-    src, dst, component = algebra_morphism_from_json(_read_json(args.morphism))
-    ok, counterexample = check_trivial_fibration(src, dst, component)
+def cmd_cofrep(args):
+    und = cofibrant_replacement(args.algebra, args.depth).und
+    return {
+        "computad": computad_to_json(und.computad),
+        "exact": und.exact,
+        "counit": [{"gen": g, "value": v} for g, v in sorted(und.r_assign.items())],
+    }
+
+
+def cmd_check_tfib(args):
+    ok, counterexample = check_trivial_fibration(*args.morphism)
     if ok:
-        _emit({"trivial_fibration": True})
-    else:
-        sort, family, below = counterexample
-        _emit(
-            {
-                "trivial_fibration": False,
-                "counterexample": {
-                    "sort": sort,
-                    "boundary": family,
-                    "element": below,
-                },
-            }
-        )
-    return 0
+        return {"trivial_fibration": True}
+    sort, family, below = counterexample
+    return {
+        "trivial_fibration": False,
+        "counterexample": {"sort": sort, "boundary": family, "element": below},
+    }
 
 
-def cmd_example(args) -> int:
+def cmd_example(args):
     if args.which == "kan":
         from .packs import sigma_kan
 
-        _emit(signature_to_json(sigma_kan(args.dim)))
-    elif args.which == "group":
-        from .packs import group_signature
+        sig = sigma_kan(args.dim)
+    elif args.which in ("group", "module"):
+        from .packs import group_signature, module_signature
 
-        _emit(signature_to_json(group_signature()))
-    elif args.which == "module":
-        from .packs import module_signature
-
-        _emit(signature_to_json(module_signature()))
+        sig = group_signature() if args.which == "group" else module_signature()
     elif args.which == "grid":
         from .cubical import cube_category, grid_composite
 
@@ -267,17 +228,82 @@ def cmd_example(args) -> int:
         grid = {i: c for i, c in enumerate(counts)}
         cat = cube_category(max(len(counts) - 1, 0))
         sig, _ = grid_composite(cat, grid)
-        _emit(signature_to_json(sig))
-    elif args.which == "cat":
+    else:  # "cat", the last kind the parser allows
         from .globular import globe_category, parse_tree, tree_composite, tree_dim
 
         tree = parse_tree(args.tree)
         cat = globe_category(max(tree_dim(tree), 1))
         sig, _ = tree_composite(cat, tree)
-        _emit(signature_to_json(sig))
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
-    return 0
+    return signature_to_json(sig)
+
+
+class Option(NamedTuple):
+    """A command-line option; ``read`` is the decoder of a document option,
+    whose value names a JSON file."""
+
+    flag: str
+    read: Callable | None = None
+    help: str | None = None
+    type: type | None = None
+
+
+COMPUTAD = Option("--computad", computad_from_json)
+MORPHISM = Option("--morphism", morphism_from_json)
+ALGEBRA = Option("--algebra", algebra_from_json)
+TERM = Option("--term", _term)
+SORT = Option("--sort")
+DEPTH = Option("--depth", type=int)
+
+# per subcommand: its handler, its help and its options in reading order
+COMMANDS = {
+    "check": (cmd_check, "validate a JSON entity", [Option("file", load_entity)]),
+    "boundary": (
+        cmd_boundary,
+        "boundary of a term along a face",
+        [Option("--face"), Option("--term", _term_document, "term document with computad")],
+    ),
+    "apply": (cmd_apply, "apply a morphism to a term", [MORPHISM, TERM]),
+    "enumerate": (cmd_enumerate, "terms of a sort up to a depth", [COMPUTAD, SORT, DEPTH]),
+    "classify": (cmd_classify, "the shape of a term", [Option("--term", _term_document)]),
+    "plexes": (
+        cmd_plexes,
+        "shapes of a sort up to a depth",
+        [Option("--sig", validate_signature), SORT, Option("--max-depth", type=int)],
+    ),
+    "nerve": (cmd_nerve, "per-shape generator fibres", [COMPUTAD]),
+    "support": (cmd_support, "support of a morphism", [MORPHISM]),
+    "factorize": (cmd_factorize, "epi / mono image factorisation", [MORPHISM]),
+    "split": (cmd_split, "split an idempotent endomorphism", [MORPHISM]),
+    "eval": (cmd_eval, "evaluate a term in an algebra", [ALGEBRA, TERM]),
+    "filtration": (cmd_filtration, "skeletal filtration report", [COMPUTAD]),
+    "cofrep": (cmd_cofrep, "underlying computad of an algebra", [ALGEBRA, DEPTH]),
+    "check-tfib": (
+        cmd_check_tfib,
+        "trivial-fibration check",
+        [Option("--morphism", algebra_morphism_from_json, "algebra morphism document")],
+    ),
+    "example": (cmd_example, "emit a built-in example signature", []),
+}
+# per kind of ``example``: its options
+EXAMPLES = {
+    "kan": [Option("--dim", type=int)],
+    "grid": [Option("--counts", help="comma-separated cell counts")],
+    "group": [],
+    "module": [],
+    "cat": [Option("--tree", help="bracket tree like [[],[]]")],
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, options: list[Option]) -> list:
+    """Add ``options`` to ``parser``; returns the ``(dest, read)`` pair of
+    each document option, in order."""
+    reads = []
+    for opt in options:
+        required = {"required": True} if opt.flag.startswith("-") else {}
+        action = parser.add_argument(opt.flag, type=opt.type, help=opt.help, **required)
+        if opt.read:
+            reads.append((action.dest, opt.read))
+    return reads
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,83 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="computads, terms and free algebras over direct categories",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="validate a JSON entity")
-    p.add_argument("file")
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("boundary", help="boundary of a term along a face")
-    p.add_argument("--face", required=True)
-    p.add_argument("--term", required=True, help="term document with computad")
-    p.set_defaults(fn=cmd_boundary)
-
-    p = sub.add_parser("apply", help="apply a morphism to a term")
-    p.add_argument("--morphism", required=True)
-    p.add_argument("--term", required=True)
-    p.set_defaults(fn=cmd_apply)
-
-    p = sub.add_parser("enumerate", help="terms of a sort up to a depth")
-    p.add_argument("--computad", required=True)
-    p.add_argument("--sort", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(fn=cmd_enumerate)
-
-    p = sub.add_parser("classify", help="the shape of a term")
-    p.add_argument("--term", required=True)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("plexes", help="shapes of a sort up to a depth")
-    p.add_argument("--sig", required=True)
-    p.add_argument("--sort", required=True)
-    p.add_argument("--max-depth", type=int, required=True)
-    p.set_defaults(fn=cmd_plexes)
-
-    p = sub.add_parser("nerve", help="per-shape generator fibres")
-    p.add_argument("--computad", required=True)
-    p.set_defaults(fn=cmd_nerve)
-
-    p = sub.add_parser("support", help="support of a morphism")
-    p.add_argument("--morphism", required=True)
-    p.set_defaults(fn=cmd_support)
-
-    p = sub.add_parser("factorize", help="epi / mono image factorisation")
-    p.add_argument("--morphism", required=True)
-    p.set_defaults(fn=cmd_factorize)
-
-    p = sub.add_parser("split", help="split an idempotent endomorphism")
-    p.add_argument("--morphism", required=True)
-    p.set_defaults(fn=cmd_split)
-
-    p = sub.add_parser("eval", help="evaluate a term in an algebra")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--term", required=True)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("filtration", help="skeletal filtration report")
-    p.add_argument("--computad", required=True)
-    p.set_defaults(fn=cmd_filtration)
-
-    p = sub.add_parser("cofrep", help="underlying computad of an algebra")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(fn=cmd_cofrep)
-
-    p = sub.add_parser("check-tfib", help="trivial-fibration check")
-    p.add_argument("--morphism", required=True, help="algebra morphism document")
-    p.set_defaults(fn=cmd_check_tfib)
-
-    p = sub.add_parser("example", help="emit a built-in example signature")
-    ex = p.add_subparsers(dest="which", required=True)
-    k = ex.add_parser("kan")
-    k.add_argument("--dim", type=int, required=True)
-    g = ex.add_parser("grid")
-    g.add_argument("--counts", required=True, help="comma-separated cell counts")
-    ex.add_parser("group")
-    ex.add_parser("module")
-    c = ex.add_parser("cat")
-    c.add_argument("--tree", required=True, help="bracket tree like [[],[]]")
-    p.set_defaults(fn=cmd_example)
-
+    for name, (handler, summary, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(fn=handler, reads=_add_options(p, options))
+    kinds = sub.choices["example"].add_subparsers(dest="which", required=True)
+    for kind, options in EXAMPLES.items():
+        _add_options(kinds.add_parser(kind), options)
     return parser
 
 
@@ -379,7 +334,12 @@ def main(argv=None) -> int:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 3 * MAX_NESTING))
     try:
-        return args.fn(args)
+        # each document is read and decoded in option order, so the first
+        # fault of the command line is the one reported
+        for dest, read in args.reads:
+            setattr(args, dest, read(_read_json(getattr(args, dest))))
+        _emit(args.fn(args))
+        return 0
     except KernelError as exc:
         sys.stderr.write(f"{type(exc).__name__}: {exc}\n")
         return 1

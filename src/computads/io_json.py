@@ -14,7 +14,7 @@ from .algebra import (
     hom_key,
     rows,
 )
-from .base import json_object, json_objects, validate_category
+from .base import json_id_lists, json_object, json_objects, validate_category
 from .computad import Computad, ComputadMorphism, make_computad, make_morphism
 from .errors import (
     BaseMismatch,
@@ -44,16 +44,12 @@ from .terms import children_of, fold
 
 
 def computad_from_json(raw: dict) -> Computad:
-    json_object(raw, GluingIllTyped, "a computad")
+    json_object(raw, GluingIllTyped, "a computad", {"signature": object})
     sig = validate_signature(raw["signature"])
-    gens = raw.get("generators", {})
-    if not isinstance(gens, dict):
-        raise GluingIllTyped(f"generators must be an object of id lists: {gens!r}")
-    for s, ids in gens.items():
-        if not isinstance(ids, list) or not all(isinstance(g, str) for g in ids):
-            raise GluingIllTyped(f"generators at {s!r} must be a list of ids: {ids!r}")
+    gens = json_id_lists(raw, "generators", GluingIllTyped)
     glue = {}
-    for entry in json_objects(raw, "gluing", GluingIllTyped, ("gen", "face")):
+    fields = {"gen": str, "face": str, "term": object}
+    for entry in json_objects(raw, "gluing", GluingIllTyped, fields):
         glue[(entry["gen"], entry["face"])] = term_from_json(entry["term"])
     return make_computad(sig, gens, glue)
 
@@ -72,13 +68,11 @@ def computad_to_json(c: Computad) -> dict:
 
 
 def morphism_from_json(raw: dict) -> ComputadMorphism:
-    json_object(raw, UnknownGenerator, "a morphism")
+    json_object(raw, UnknownGenerator, "a morphism", {"src": object, "dst": object})
     src = computad_from_json(raw["src"])
     dst = computad_from_json(raw["dst"])
-    assign = {
-        e["gen"]: term_from_json(e["term"])
-        for e in json_objects(raw, "assign", UnknownGenerator, ("gen",))
-    }
+    entries = json_objects(raw, "assign", UnknownGenerator, {"gen": str, "term": object})
+    assign = {e["gen"]: term_from_json(e["term"]) for e in entries}
     return make_morphism(src, dst, assign)
 
 
@@ -93,17 +87,19 @@ def morphism_to_json(m: ComputadMorphism) -> dict:
 
 
 def algebra_from_json(raw: dict) -> Algebra:
-    json_object(raw, PartialTable, "an algebra")
+    json_object(raw, PartialTable, "an algebra", {"signature": object, "carrier": object})
     sig = validate_signature(raw["signature"])
-    carrier_raw = json_object(raw["carrier"], FunctorialityFailure, "a presheaf")
+    carrier_raw = json_object(
+        raw["carrier"], FunctorialityFailure, "a presheaf", {"category": object}
+    )
     if validate_category(carrier_raw["category"]) != sig.base:
         raise BaseMismatch("the carrier is a presheaf over another category")
     carrier = validate_presheaf(carrier_raw, base=sig.base)
     tables: dict[str, dict[tuple, str]] = {}
-    for entry in json_objects(raw, "interpretations", PartialTable, ("symbol",)):
+    for entry in json_objects(raw, "interpretations", PartialTable, {"symbol": str}):
         table = {}
-        for row in json_objects(entry, "rows", PartialTable, ("value",)):
-            hom = json_objects(row, "hom", PartialTable, ("cell", "value"))
+        for row in json_objects(entry, "rows", PartialTable, {"value": str}):
+            hom = json_objects(row, "hom", PartialTable, {"cell": str, "value": str})
             table[hom_key({a["cell"]: a["value"] for a in hom})] = row["value"]
         tables[entry["symbol"]] = table
     return algebra_from_interpretations(sig, carrier, tables)
@@ -122,10 +118,10 @@ def algebra_to_json(alg: Algebra) -> dict:
 
 
 def algebra_morphism_from_json(raw: dict) -> tuple[Algebra, Algebra, dict[str, str]]:
-    json_object(raw, MissingAction, "an algebra morphism")
+    json_object(raw, MissingAction, "an algebra morphism", {"src": object, "dst": object})
     src = algebra_from_json(raw["src"])
     dst = algebra_from_json(raw["dst"])
-    entries = json_objects(raw, "components", MissingAction, ("from", "to"))
+    entries = json_objects(raw, "components", MissingAction, {"from": str, "to": str})
     component = {e["from"]: e["to"] for e in entries}
     check_morphism(PresheafMorphism(src.carrier, dst.carrier, component))
     ok, failure = check_algebra_morphism(src, dst, component)
@@ -135,10 +131,10 @@ def algebra_morphism_from_json(raw: dict) -> tuple[Algebra, Algebra, dict[str, s
 
 
 # per shape kind: its key, the key of its parts, the key of their cells and
-# the string fields its body needs
+# the fields its body needs
 _PLEX_KEYS = {
-    PVar: ("pvar", "boundary", "face", ("sort",)),
-    PApp: ("papp", "args", "cell", ("sort", "symbol")),
+    PVar: ("pvar", "boundary", "face", {"sort": str}),
+    PApp: ("papp", "args", "cell", {"sort": str, "symbol": str}),
 }
 
 
@@ -157,8 +153,8 @@ def polyplex_to_json(p: Polyplex) -> dict:
 def _plex_args(raw) -> list[tuple[str, dict]]:
     for kind, key, cell, fields in _PLEX_KEYS.values():
         if kind in json_object(raw, KernelError, "a polyplex"):
-            body = json_object(raw[kind], KernelError, f"a {kind}", fields, fields)
-            parts = json_objects(body, key, KernelError, (cell,), (cell, "polyplex"))
+            body = json_object(raw[kind], KernelError, f"a {kind}", fields)
+            parts = json_objects(body, key, KernelError, {cell: str, "polyplex": object})
             return [(e[cell], e["polyplex"]) for e in parts]
     raise KernelError(f"not a polyplex: {raw!r}")
 
@@ -173,19 +169,21 @@ def polyplex_from_json(raw: dict) -> Polyplex:
     return fold_document(raw, _plex_args, _plex_from_json)
 
 
+# per entity kind, in the order of detection: the top-level key that marks
+# it and its decoder
 KINDS = {
-    "sorts": "category",
-    "cells": "presheaf",
-    "symbols": "signature",
-    "generators": "computad",
-    "assign": "morphism",
-    "interpretations": "algebra",
+    "category": ("sorts", validate_category),
+    "presheaf": ("cells", validate_presheaf),
+    "signature": ("symbols", validate_signature),
+    "computad": ("generators", computad_from_json),
+    "morphism": ("assign", morphism_from_json),
+    "algebra": ("interpretations", algebra_from_json),
 }
 
 
 def detect_kind(raw: dict) -> str:
     json_object(raw, KernelError, "a document")
-    for key, kind in KINDS.items():
+    for kind, (key, _) in KINDS.items():
         if key in raw:
             return kind
     raise KernelError("cannot detect the entity kind of this document")
@@ -193,12 +191,4 @@ def detect_kind(raw: dict) -> str:
 
 def load_entity(raw: dict):
     kind = detect_kind(raw)
-    loader = {
-        "category": validate_category,
-        "presheaf": validate_presheaf,
-        "signature": validate_signature,
-        "computad": computad_from_json,
-        "morphism": morphism_from_json,
-        "algebra": algebra_from_json,
-    }[kind]
-    return kind, loader(raw)
+    return kind, KINDS[kind][1](raw)

@@ -264,16 +264,21 @@ def reconstruct_from_nerve(c: Computad) -> Computad:
     edges: list[tuple[str, str, ComputadMorphism]] = []
     for p, gens in fibres.items():
         rep_p = polyplex_computad(sig, p)
+        # each plex morphism m into p with the image of its source's universal
+        # term, found once per pair of shapes: neither depends on the generator
+        maps = []
+        for q in shapes:
+            rep_q = polyplex_computad(sig, q)
+            for m in enumerate_var_to_var(rep_q.computad, rep_p.computad):
+                maps.append((m, apply_morphism(m, rep_q.universal)))
         for gen in gens:
             sigma = classifying_morphism(c, var(gen))
-            for q in shapes:
-                rep_q = polyplex_computad(sig, q)
-                for m in enumerate_var_to_var(rep_q.computad, rep_p.computad):
-                    # the restriction action of the nerve along the plex morphism
-                    # m: sigma . m classifies a generator, its universal image
-                    restricted = apply_morphism(sigma, apply_morphism(m, rep_q.universal))
-                    assert isinstance(restricted, Var)
-                    edges.append((restricted.gen, gen, m))
+            for m, moved in maps:
+                # the restriction action of the nerve along the plex morphism
+                # m: sigma . m classifies a generator, its universal image
+                restricted = apply_morphism(sigma, moved)
+                assert isinstance(restricted, Var)
+                edges.append((restricted.gen, gen, m))
     if not nodes:
         return Computad(sig, {}, {})
     return colimit_var(nodes, edges).computad

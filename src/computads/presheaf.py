@@ -11,6 +11,7 @@ from .base import (
     FaceRef,
     SortRef,
     category_to_json,
+    json_id_lists,
     json_object,
     json_objects,
     memoized,
@@ -69,9 +70,6 @@ class PresheafMorphism:
     def __call__(self, cell: str) -> str:
         return self.component[cell]
 
-    def key(self) -> tuple:
-        return tuple(sorted(self.component.items()))
-
 
 def _check_functorial(p: Presheaf) -> None:
     for sort in p.base.sorts:
@@ -120,21 +118,17 @@ def make_presheaf(
 def validate_presheaf(raw: dict, base: DirectCategory | None = None) -> Presheaf:
     """Validate the JSON shape ``{category, cells: {sort: [ids]}, action:
     [{face, from, to}]}``; ``base`` overrides the embedded category."""
-    json_object(raw, FunctorialityFailure, "a presheaf")
+    needs = {"category": object} if base is None else {}
+    json_object(raw, FunctorialityFailure, "a presheaf", needs)
     if base is None:
         base = validate_category(raw["category"])
-    cells = raw.get("cells", {})
-    if not isinstance(cells, dict):
-        raise FunctorialityFailure(f"cells must be an object of id lists: {cells!r}")
-    for s, ids in cells.items():
+    cells = json_id_lists(raw, "cells", FunctorialityFailure)
+    for s in cells:
         if s not in base.dims:
             raise UnknownSort(f"cells listed at unknown sort {s!r}")
-        if not isinstance(ids, list) or not all(isinstance(c, str) for c in ids):
-            raise FunctorialityFailure(f"cells at {s!r} must be a list of ids: {ids!r}")
     action = {}
-    for entry in json_objects(
-        raw, "action", FunctorialityFailure, ("face", "from", "to")
-    ):
+    fields = {"face": str, "from": str, "to": str}
+    for entry in json_objects(raw, "action", FunctorialityFailure, fields):
         action[(entry["face"], entry["from"])] = entry["to"]
     return make_presheaf(base, cells, action)
 

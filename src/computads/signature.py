@@ -214,12 +214,12 @@ def fold_document(raw, children, build):
 
 
 def _term_args(obj) -> list[tuple[str, dict]]:
-    if "var" in json_object(obj, BoundaryIllTyped, "a term", ("var",)):
+    if "var" in json_object(obj, BoundaryIllTyped, "a term"):
+        json_object(obj, BoundaryIllTyped, "a term", {"var": str})
         return []
-    if "app" not in obj:
-        raise BoundaryIllTyped(f"not a term: {obj!r}")
-    body = json_object(obj["app"], BoundaryIllTyped, "an application", ("symbol",))
-    args = json_objects(body, "args", BoundaryIllTyped, ("cell",))
+    json_object(obj, BoundaryIllTyped, "a term", {"app": object})
+    body = json_object(obj["app"], BoundaryIllTyped, "an application", {"symbol": str})
+    args = json_objects(body, "args", BoundaryIllTyped, {"cell": str, "term": object})
     return [(e["cell"], e["term"]) for e in args]
 
 
@@ -241,14 +241,16 @@ def term_to_json(t: Term) -> dict:
 def validate_signature(raw: dict) -> Signature:
     """Validate the JSON shape ``{category, symbols: [{id, sort, arity,
     boundary: [{face, term}]}]}``."""
-    json_object(raw, UnknownSymbol, "a signature")
+    json_object(raw, UnknownSymbol, "a signature", {"category": object})
     cat = validate_category(raw["category"])
     decls = []
-    for entry in json_objects(raw, "symbols", UnknownSymbol, ("id", "sort")):
+    fields = {"id": str, "sort": str, "arity": object}
+    boundary = {"face": str, "term": object}
+    for entry in json_objects(raw, "symbols", UnknownSymbol, fields):
         arity = validate_presheaf(entry["arity"], base=cat)
         given = {
             b["face"]: term_from_json(b["term"])
-            for b in json_objects(entry, "boundary", BoundaryIllTyped, ("face",))
+            for b in json_objects(entry, "boundary", BoundaryIllTyped, boundary)
         }
         decls.append((entry["id"], entry["sort"], arity, given))
     return build_signature(cat, decls)

@@ -656,3 +656,173 @@ def test_negative_bounds_are_typed_errors(walk2_file, tmp_path):
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("NegativeBound: ")
+
+
+# The command-line surface, per subcommand and example kind: its help and,
+# per option in order, its option string (its name for a positional), whether
+# it is required, its argparse type and its help.
+SURFACE = {
+    "check": ("validate a JSON entity", [("file", True, None, None)]),
+    "boundary": (
+        "boundary of a term along a face",
+        [("--face", True, None, None), ("--term", True, None, "term document with computad")],
+    ),
+    "apply": (
+        "apply a morphism to a term",
+        [("--morphism", True, None, None), ("--term", True, None, None)],
+    ),
+    "enumerate": (
+        "terms of a sort up to a depth",
+        [("--computad", True, None, None), ("--sort", True, None, None), ("--depth", True, int, None)],
+    ),
+    "classify": ("the shape of a term", [("--term", True, None, None)]),
+    "plexes": (
+        "shapes of a sort up to a depth",
+        [("--sig", True, None, None), ("--sort", True, None, None), ("--max-depth", True, int, None)],
+    ),
+    "nerve": ("per-shape generator fibres", [("--computad", True, None, None)]),
+    "support": ("support of a morphism", [("--morphism", True, None, None)]),
+    "factorize": ("epi / mono image factorisation", [("--morphism", True, None, None)]),
+    "split": ("split an idempotent endomorphism", [("--morphism", True, None, None)]),
+    "eval": (
+        "evaluate a term in an algebra",
+        [("--algebra", True, None, None), ("--term", True, None, None)],
+    ),
+    "filtration": ("skeletal filtration report", [("--computad", True, None, None)]),
+    "cofrep": (
+        "underlying computad of an algebra",
+        [("--algebra", True, None, None), ("--depth", True, int, None)],
+    ),
+    "check-tfib": (
+        "trivial-fibration check",
+        [("--morphism", True, None, "algebra morphism document")],
+    ),
+    "example": ("emit a built-in example signature", []),
+    "example kan": (None, [("--dim", True, int, None)]),
+    "example grid": (None, [("--counts", True, None, "comma-separated cell counts")]),
+    "example group": (None, []),
+    "example module": (None, []),
+    "example cat": (None, [("--tree", True, None, "bracket tree like [[],[]]")]),
+}
+
+
+def _surface(parser, prefix=""):
+    """``SURFACE`` as ``parser`` declares it."""
+    import argparse
+
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            helps = {a.dest: a.help for a in action._choices_actions}
+            for name, sub in action.choices.items():
+                options = [
+                    ((a.option_strings or [a.dest])[0], a.required, a.type, a.help)
+                    for a in sub._actions
+                    if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))
+                ]
+                out[prefix + name] = (helps.get(name), options)
+                out.update(_surface(sub, prefix + name + " "))
+    return out
+
+
+def test_cli_surface_is_pinned(capsys):
+    from computads.cli import build_parser
+
+    assert _surface(build_parser()) == SURFACE
+    assert main(["--help"]) == 0
+    for command in SURFACE:
+        assert main([*command.split(), "--help"]) == 0, command
+    capsys.readouterr()
+
+
+def _fields(doc, path=()):
+    """The path to every field of every object in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        if isinstance(doc, dict):
+            yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _fields(value, path + (key,))
+
+
+def _deletions(doc):
+    """``doc`` without one field, one document per place (list positions
+    merged, the first position taken)."""
+    places = set()
+    for path in _fields(doc):
+        place = tuple("*" if isinstance(k, int) else k for k in path)
+        if place not in places:
+            places.add(place)
+            mutated = copy.deepcopy(doc)
+            node = mutated
+            for key in path[:-1]:
+                node = node[key]
+            del node[path[-1]]
+            yield mutated, place
+
+
+def _assert_typed(status, err, what):
+    kernel_errors = {
+        name
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.KernelError)
+    }
+    assert status in (0, 1), (what, status, err)
+    assert "KeyError" not in err and "Traceback" not in err, (what, err)
+    if status == 1:
+        assert err.split(":")[0] in kernel_errors, (what, err)
+
+
+def test_documents_missing_a_field_are_typed_errors(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    count = 0
+    for doc in (computad_to_json(walk2()), algebra_to_json(pathcat_algebra())):
+        for mutated, place in _deletions(doc):
+            path.write_text(json.dumps(mutated), encoding="utf-8")
+            status = main(["check", str(path)])
+            _assert_typed(status, capsys.readouterr().err, place)
+            count += 1
+    assert count == 82
+
+
+def test_term_documents_missing_a_field_are_typed_errors(tmp_path, capsys):
+    from computads.computad import identity_morphism
+
+    m_path = tmp_path / "ident.json"
+    m_path.write_text(json.dumps(morphism_to_json(identity_morphism(walk2()))), encoding="utf-8")
+    a_path = tmp_path / "pathcat.json"
+    a_path.write_text(json.dumps(algebra_to_json(pathcat_algebra())), encoding="utf-8")
+    t_path = tmp_path / "t.json"
+    full = {"computad": computad_to_json(walk2()), "term": term_to_json(comp_uv())}
+    docs = [{"term": full["term"]}, {"computad": full["computad"]}, 5, []]
+    commands = [
+        ("boundary", "--face", "s", "--term"),
+        ("classify", "--term"),
+        ("apply", "--morphism", str(m_path), "--term"),
+        ("eval", "--algebra", str(a_path), "--term"),
+    ]
+    for doc in docs:
+        t_path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in commands:
+            status = main([*command, str(t_path)])
+            _assert_typed(status, capsys.readouterr().err, (doc, command))
+            # a term document without its term is never read
+            if not isinstance(doc, dict) or "term" not in doc:
+                assert status == 1, (doc, command)
+
+
+def test_only_main_reads_documents_and_emits_answers():
+    import ast
+    from pathlib import Path
+
+    import computads.cli
+
+    tree = ast.parse(Path(computads.cli.__file__).read_text(encoding="utf-8"))
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_read_json", "_emit")
+    }
+    assert callers == {"main"}
