@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass
 from typing import Callable
 
-from .base import FaceRef, SortRef, memoized
+from .base import FaceRef, SortRef, memo_table, memoized
 from .computad import Computad
 from .errors import BoundaryConditionFailure, PartialTable, SortMismatch
 from .monad import term_presheaf
@@ -64,8 +64,14 @@ def eval_in_env(alg, t: Term, env: dict[str, str]) -> str:
 
 def eval_term(alg, t: Term) -> str:
     """Evaluate a term over the free computad on the carrier: generators are
-    carrier cells themselves."""
-    return fold_term(t, lambda gen: gen, lambda u, cells: alg.interpret(u.symbol, cells))
+    carrier cells themselves.  The value of every subterm is kept in the
+    algebra's ``_value_cache``."""
+    return fold_term(
+        t,
+        lambda gen: gen,
+        lambda u, cells: alg.interpret(u.symbol, cells),
+        memo_table(alg, "_value_cache"),
+    )
 
 
 @memoized("_rows")

@@ -30,19 +30,31 @@ FaceRef = str
 _MISSING = object()
 
 
-def memoized(table: str):
-    """Cache ``fn(owner, *key)`` in the dict ``owner.__dict__[table]``.
+def memo_table(owner, name: str) -> dict:
+    """The memo table ``name`` of ``owner``, kept in ``owner.__dict__`` and
+    empty on first use; the one place the kernel reads an owner's
+    ``__dict__``.  See :func:`memoized` for what makes a table sound."""
+    return owner.__dict__.setdefault(name, {})
 
-    Sound because the kernel never changes a category, signature, computad
-    or algebra after building it.  Entries belong to one owner: two owners
-    never share one, even when they are equal (a truncated category is a new
-    owner).
+
+def memoized(name: str):
+    """Cache ``fn(owner, *key)`` under ``key`` in ``memo_table(owner, name)``.
+
+    Sound because the kernel never changes a category, signature, computad,
+    algebra or computad morphism after building it.  Entries belong to one
+    owner: two owners never share one, even when they are equal (a
+    truncated category is a new owner).  Only answers are cached: a call
+    that raises leaves the table as it was, and the next call runs again.
+    A fold that keeps a value per node of a term or shape takes
+    ``memo_table(owner, name)`` as its memo, under the same rules: it stores
+    a node's value once built, so a fold that raises keeps only the values
+    of the nodes it finished below the fault.
     """
 
     def decorate(fn):
         @functools.wraps(fn)
         def cached(owner, *key):
-            cache = owner.__dict__.setdefault(table, {})
+            cache = memo_table(owner, name)
             out = cache.get(key, _MISSING)
             if out is _MISSING:
                 out = cache[key] = fn(owner, *key)

@@ -11,7 +11,7 @@ through the inclusion of its boundary shape, with full support.
 
 from __future__ import annotations
 
-from .base import FaceRef, SortRef
+from .base import FaceRef, SortRef, memo_table, memoized
 from .computad import (
     Computad,
     ComputadMorphism,
@@ -43,16 +43,17 @@ def support(c: Computad, t: Term) -> dict[SortRef, frozenset[str]]:
                 out[s] |= gens
         return {s: frozenset(gens) for s, gens in out.items()}
 
-    memo = c.__dict__.setdefault("_supp_cache", {})
-    return fold(t, lambda u: parts(c, u), build, memo)
+    return fold(t, lambda u: parts(c, u), build, memo_table(c, "_supp_cache"))
 
 
 def support_term(c: Computad, t: Term, sort: SortRef) -> frozenset[str]:
     return support(c, t).get(sort, frozenset())
 
 
+@memoized("_supp_morphism_cache")
 def support_morphism(m: ComputadMorphism) -> dict[SortRef, frozenset[str]]:
-    """Union of the supports of the generator images, computed in the target."""
+    """Union of the supports of the generator images, computed in the target;
+    once per morphism."""
     out: dict[SortRef, set[str]] = {s: set() for s in m.dst.base.sorts}
     for _, gen in m.src.all_generators():
         for s, gens in support(m.dst, m.assign[gen]).items():
@@ -70,7 +71,10 @@ def is_epi(m: ComputadMorphism) -> bool:
     )
 
 
+@memoized("_mono_inverse_cache")
 def _mono_inverse(rho: ComputadMorphism) -> dict[str, str]:
+    """The inverse of the generator map of a variable-to-variable mono, once
+    per morphism; raises NotMono otherwise."""
     if not rho.is_var_to_var():
         raise NotMono("lifting requires a variable-to-variable morphism")
     gen_map = rho.gen_map()

@@ -9,7 +9,7 @@ part of the kernel constructions.
 
 from __future__ import annotations
 
-from .base import DirectCategory, category_from_faces
+from .base import DirectCategory, category_from_faces, memoized
 from .errors import BadIndex, SideConditionFailure
 from .factorization import coherence
 from .presheaf import Presheaf, PresheafMorphism, make_presheaf
@@ -70,8 +70,9 @@ def parse_tree(text: str) -> Tree:
     return _freeze(stack[0])
 
 
-def _freeze(lst) -> Tree:
-    return tuple(_freeze(x) if isinstance(x, list) else x for x in lst)
+def _freeze(tree) -> Tree:
+    """A tree given as nested lists or tuples, as nested tuples."""
+    return tuple(map(_freeze, tree))
 
 
 def tree_to_text(tree: Tree) -> str:
@@ -111,7 +112,13 @@ def _position_target(tree: Tree, path: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def tree_presheaf(cat: DirectCategory, tree: Tree) -> Presheaf:
-    """Positions of a tree as a presheaf on the globe category."""
+    """Positions of a tree as a presheaf on the globe category, built once
+    per category and tree (as nested tuples)."""
+    return _tree_presheaf(cat, _freeze(tree))
+
+
+@memoized("_tree_presheaf_cache")
+def _tree_presheaf(cat: DirectCategory, tree: Tree) -> Presheaf:
     d = tree_dim(tree)
     if globe_sort(d) not in cat.dims:
         raise BadIndex(f"tree of dimension {d} exceeds the globe category")

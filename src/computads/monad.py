@@ -36,9 +36,11 @@ def argument_families(
 @memoized("_terms_by_depth")
 def enumerate_terms(c: Computad, sort: SortRef, max_depth: int) -> list[Term]:
     """The terms of ``sort`` of depth at most ``max_depth``, canonically
-    ordered (by depth, then serialisation) and duplicate-free."""
+    ordered (by depth, then serialisation) and duplicate-free; raises
+    NegativeBound, then UnknownSort, as ``enumerate_polyplexes`` does."""
     if max_depth < 0:
         raise NegativeBound(f"term depth bound {max_depth} is negative")
+    c.base.dim(sort)  # raises UnknownSort
     terms: list[Term] = [var(g) for g in c.generators_at(sort)]
     if max_depth >= 1:
         for sym in c.signature.symbols_at(sort):

@@ -20,7 +20,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .base import FaceRef, SortRef, memoized
+from .base import FaceRef, SortRef, memo_table, memoized
 from .computad import (
     Colimit,
     Computad,
@@ -106,14 +106,15 @@ def pboundary(sig: Signature, face: FaceRef, p: Polyplex) -> Polyplex:
 
 
 def classify(c: Computad, t: Term) -> Polyplex:
-    """The shape of a term: image under the unique map to the terminal."""
+    """The shape of a term: image under the unique map to the terminal.
+    One fold over the parts, memoised in the computad's ``_shape_cache``."""
 
     def build(u: Term, shapes) -> Polyplex:
         if isinstance(u, Var):
             return pvar(c.gen_sort(u.gen), shapes)
         return papp(c.symbol(u.symbol).sort, u.symbol, shapes)
 
-    return fold(t, lambda u: parts(c, u), build)
+    return fold(t, lambda u: parts(c, u), build, memo_table(c, "_shape_cache"))
 
 
 # -- enumeration --------------------------------------------------------------------
@@ -210,7 +211,7 @@ def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
         glue.update({(star, face): t for face, t in family.items()})
         return PolyplexRep(p, Computad(sig, gens, glue), var(star), colim, star)
 
-    return fold(p, children_of, build, sig.__dict__.setdefault("_rep_cache", {}))
+    return fold(p, children_of, build, memo_table(sig, "_rep_cache"))
 
 
 def classifying_morphism(c: Computad, t: Term) -> ComputadMorphism:

@@ -147,14 +147,15 @@ def fold(root, children, build, memo: dict | None = None):
     return memo[root]
 
 
-def fold_term(t: Term, leaf, node):
+def fold_term(t: Term, leaf, node, memo: dict | None = None):
     """:func:`fold` over the syntax of ``t``, with ``leaf(gen)`` at each
-    generator and ``node(app, family)`` at each application."""
+    generator and ``node(app, family)`` at each application; ``memo`` as in
+    :func:`fold`."""
 
     def build(u, family):
         return leaf(u.gen) if isinstance(u, Var) else node(u, family)
 
-    return leaf(t.gen) if isinstance(t, Var) else fold(t, children_of, build)
+    return leaf(t.gen) if isinstance(t, Var) else fold(t, children_of, build, memo)
 
 
 def spellings(nodes: Iterable) -> list[str]:

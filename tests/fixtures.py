@@ -165,23 +165,46 @@ def group_signature_fixture() -> Signature:
     return group_signature()
 
 
-def z5_algebra():
+def zn_algebra(n: int):
+    """Z/n as an algebra of the group signature."""
     from computads.algebra import algebra_from_callbacks
     from computads.packs import group_signature
 
     sig = group_signature()
-    carrier = make_presheaf(sig.base, {"*": tuple(str(k) for k in range(5))}, {})
+    carrier = make_presheaf(sig.base, {"*": tuple(str(k) for k in range(n))}, {})
 
     def plus(env):
-        return str((int(env["plus.*0"]) + int(env["plus.*1"])) % 5)
+        return str((int(env["plus.*0"]) + int(env["plus.*1"])) % n)
 
     def zero(env):
         return "0"
 
     def neg(env):
-        return str((-int(env["neg.*0"])) % 5)
+        return str((-int(env["neg.*0"])) % n)
 
     return algebra_from_callbacks(sig, carrier, {"plus": plus, "zero": zero, "neg": neg})
+
+
+def z5_algebra():
+    return zn_algebra(5)
+
+
+def chain_algebra(k: int):
+    """The path category of the chain c0 -> ... -> c{k-1}, as an algebra of
+    the comp signature: one arrow ``c{i}c{j}`` per pair i <= j, composed by
+    concatenation."""
+    from computads.algebra import algebra_from_callbacks
+
+    sig = comp_signature()
+    objs = [f"c{i}" for i in range(k)]
+    arrows = {objs[i] + objs[j]: (objs[i], objs[j]) for i in range(k) for j in range(i, k)}
+    action = {(face, a): end for a, ends in arrows.items() for face, end in zip("st", ends)}
+    carrier = make_presheaf(sig.base, {"o": tuple(objs), "a": tuple(sorted(arrows))}, action)
+
+    def comp(env):
+        return env["x"] + env["z"]
+
+    return algebra_from_callbacks(sig, carrier, {"comp": comp})
 
 
 # -- random generators ------------------------------------------------------------

@@ -658,6 +658,22 @@ def test_negative_bounds_are_typed_errors(walk2_file, tmp_path):
         assert proc.stderr.startswith("NegativeBound: ")
 
 
+def test_unknown_sorts_are_typed_errors(walk2_file, tmp_path):
+    sig_path = tmp_path / "sig.json"
+    sig_path.write_text(json.dumps(signature_to_json(comp_signature())), encoding="utf-8")
+    enumerate_zz = ("enumerate", "--computad", str(walk2_file), "--sort", "zz", "--depth")
+    for command, error in [
+        ((*enumerate_zz, "1"), "UnknownSort"),
+        (("plexes", "--sig", str(sig_path), "--sort", "zz", "--max-depth", "1"), "UnknownSort"),
+        ((*enumerate_zz, "-1"), "NegativeBound"),  # the bound is checked first
+    ]:
+        proc = run_process(*command)
+        assert proc.returncode == 1, command
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"{error}: ")
+        assert "Traceback" not in proc.stderr
+
+
 # The command-line surface, per subcommand and example kind: its help and,
 # per option in order, its option string (its name for a positional), whether
 # it is required, its argparse type and its help.

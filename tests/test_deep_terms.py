@@ -115,6 +115,15 @@ def test_support_of_a_deeper_chain_after_a_shallower_one(default_recursion_limit
     assert support(c, neg_chain(400)) == {"*": {"x"}}
 
 
+def test_shape_of_a_deeper_chain_after_a_shallower_one(default_recursion_limit):
+    # the second walk meets the first chain's subterms in the shape table
+    c = make_computad(group_signature(), {"*": ("x",)}, {})
+    assert classify(c, neg_chain(200)).weight == 200
+    deeper = classify(c, neg_chain(400))
+    assert deeper.weight == 400
+    assert deeper.args[0][1].args[0][1] is classify(c, neg_chain(398))
+
+
 def test_the_intern_table_pins_no_dead_node():
     def build_and_drop() -> int:
         ts = [app("plus", {"plus.*0": var(f"g{i}"), "plus.*1": var("x")}) for i in range(2500)]
