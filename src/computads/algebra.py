@@ -26,8 +26,7 @@ from .presheaf import (
     PresheafMorphism,
     check_same_base,
     enumerate_hom,
-    hom_families,
-    search,
+    homs,
 )
 from .signature import Signature
 from .terms import Term, fold_term
@@ -203,7 +202,7 @@ def algebra_morphisms(src, dst) -> list[PresheafMorphism]:
     """All presheaf morphisms between carriers that preserve every
     interpretation, in the order of ``enumerate_hom``.
 
-    Each row ``(symbol, env, value)`` of ``rows(src)`` is a ``search``
+    Each row ``(symbol, env, value)`` of ``rows(src)`` is a ``homs``
     constraint over the carrier cells it names:
     ``component[value] == dst.interpret(symbol, component . env)``.
     The search checks it as soon as those cells are placed, so a partial map
@@ -215,8 +214,7 @@ def algebra_morphisms(src, dst) -> list[PresheafMorphism]:
         ((*row[1].values(), row[2]), functools.partial(_preserves, dst, row))
         for row in rows(src)
     ]
-    cells = hom_families(src.carrier, dst.carrier.cells_at, dst.carrier.act)
     return [
         PresheafMorphism(src=src.carrier, dst=dst.carrier, component=comp)
-        for comp in search(cells, constraints=constraints)
+        for comp in homs(src.carrier, dst.carrier.cells_at, dst.carrier.act, constraints)
     ]

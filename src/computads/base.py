@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import (
     AssociativityFailure,
@@ -156,16 +157,24 @@ def json_object(
 
 
 def json_objects(
-    raw: dict, key: str, error: type[Exception], fields: dict[str, type] | None = None
+    raw: dict, key: str, error: type[Exception], fields: dict[str, type] | None = None,
+    unique: Callable[[dict], object] | None = None,
 ) -> list[dict]:
     """The list of objects under ``key`` (empty if absent), each checked by
     :func:`json_object` for the fields ``fields``; raises ``error`` on any
-    other shape, before a field is read."""
+    other shape, before a field is read.  ``unique(entry)``, when given, is
+    the key of an entry, such as ``operator.itemgetter("gen")``: once the
+    fields are checked, ``error`` names the first key that two entries share."""
     entries = raw.get(key, [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise error(f"{key!r} must be a list of objects")
     for entry in entries:
         json_object(entry, error, f"an entry of {key!r}", fields)
+    seen: set = set()
+    for k in map(unique, entries) if unique else ():
+        if k in seen:
+            raise error(f"{key!r} lists {k!r} twice")
+        seen.add(k)
     return entries
 
 
@@ -212,16 +221,14 @@ def validate_category(raw: dict) -> DirectCategory:
         faces[fid] = Face(fid, src, dst)
 
     table: dict[tuple[str, str], str] = {}
-    fields = {"first": str, "second": str, "result": str}
-    for entry in json_objects(raw, "compose", CompositionGap, fields):
-        key = (entry["first"], entry["second"])
+    fields, pair = {"first": str, "second": str, "result": str}, itemgetter("first", "second")
+    for entry in json_objects(raw, "compose", CompositionGap, fields, pair):
+        key = pair(entry)
         if key[0] not in faces or key[1] not in faces:
             raise CompositionGap(f"composition entry over unknown faces {key}")
         result = entry["result"]
         if result not in faces:
             raise CompositionGap(f"composite {result!r} is not a declared face")
-        if key in table:
-            raise CompositionGap(f"duplicate composition entry for {key}")
         table[key] = result
 
     # Totality and typing of the table over all composable pairs.

@@ -11,6 +11,7 @@ computed by pairing types of the replacement built so far with carrier cells.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .algebra import eval_in_env
@@ -26,8 +27,8 @@ from .computad import (
     sub_computad,
 )
 from .errors import NotCompatible, UnknownSort
-from .monad import argument_families, terms_saturated
-from .presheaf import boundary_representable, hom_families, representable, search
+from .monad import enumerate_terms, terms_saturated
+from .presheaf import boundary_representable, homs, representable
 from .signature import Signature
 from .terms import Term, boundary, parts, rename, serialize, var
 
@@ -56,10 +57,8 @@ def boundary_inclusion(sig: Signature, sort: SortRef) -> ComputadMorphism:
 def classify_term(c: Computad, t: Term, sort: SortRef) -> ComputadMorphism:
     """The morphism from the representable computad picking out ``t``."""
     disk = disk_computad(c.signature, sort)
-    assign: dict[str, Term] = {f"id_{sort}": t}
-    for face in c.base.faces_into(sort):
-        assign[face] = boundary(c, face, t)
-    return make_morphism(disk, c, assign)
+    assign = {face: boundary(c, face, t) for face in c.base.faces_into(sort)}
+    return make_morphism(disk, c, {f"id_{sort}": t, **assign})
 
 
 def classify_type(
@@ -205,15 +204,13 @@ def underlying_computad(alg, depth_bound: int) -> UndResult:
         if alg.cells_at(sort):
             relevant |= {cat.face(f).src for f in cat.faces_into(sort)}
 
-    dims = sorted({cat.dim(s) for s in cat.sorts})
-    for d in dims:
+    for _, layer in itertools.groupby(cat.sorts, cat.dim):  # sorts by dimension
         lower = Computad(sig, gens, glue)
         evaluate = functools.partial(eval_in_env, alg, env=r_assign)
-        for sort in cat.sorts:
-            if cat.dim(sort) != d:
-                continue
+        for sort in layer:
             sphere, _ = boundary_representable(cat, sort)
-            families = argument_families(lower, sphere, depth_bound)
+            act = functools.partial(boundary, lower)
+            families = homs(sphere, lambda s: enumerate_terms(lower, s, depth_bound), act)
             names = []
             for family in families:
                 for cell in alg.cells_at(sort):
@@ -287,7 +284,7 @@ def check_trivial_fibration(
             profile = tuple(dst.act(f, below) for f in faces)
             below_by.setdefault(profile, []).append(below)
         sphere, _ = boundary_representable(cat, sort)
-        for family in search(hom_families(sphere, src.cells_at, src.act)):
+        for family in homs(sphere, src.cells_at, src.act):
             boundary_cells = tuple(family[f] for f in faces)
             image = tuple(component[x] for x in boundary_cells)
             for below in below_by.get(image, ()):

@@ -209,8 +209,12 @@ def apply_morphism(m: ComputadMorphism, t: Term) -> Term:
 def make_morphism(
     src: Computad, dst: Computad, assign: dict[str, Term]
 ) -> ComputadMorphism:
-    """The checked constructor: terms of the right sort and boundaries."""
+    """The checked constructor: terms of the right sort and boundaries, on
+    the source generators only."""
     m = ComputadMorphism(src=src, dst=dst, assign=dict(assign))
+    extra = sorted(m.assign.keys() - src._gen_sort.keys())
+    if extra:
+        raise UnknownGenerator(f"morphism assigns {extra[0]!r}, not a source generator")
     for sort, gen in src.all_generators():
         if gen not in m.assign:
             raise UnknownGenerator(f"morphism undefined on generator {gen!r}")

@@ -101,10 +101,11 @@ def lift_through_mono(
     return ComputadMorphism(sigma.src, rho.src, assign)
 
 
+@memoized("_image_cache")
 def image_factorize(
     sigma: ComputadMorphism,
 ) -> tuple[ComputadMorphism, Computad, ComputadMorphism]:
-    """Factor sigma as (epi with full support) then (var-to-var mono).
+    """Factor sigma as (epi with full support) then (var-to-var mono), once per morphism.
 
     The middle computad has the support of sigma as generators; its gluings
     are the target's gluings, which stay inside the support because supports
@@ -141,8 +142,7 @@ def orthogonal_lift(
     """
     if compose_morphisms(bottom, epi) != compose_morphisms(mono, top):
         return None
-    diag = lift_through_mono(mono, bottom)
-    return diag
+    return lift_through_mono(mono, bottom)
 
 
 def coherence(

@@ -7,6 +7,8 @@ from its top-level keys.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .algebra import (
     Algebra,
     algebra_from_interpretations,
@@ -47,11 +49,9 @@ def computad_from_json(raw: dict) -> Computad:
     json_object(raw, GluingIllTyped, "a computad", {"signature": object})
     sig = validate_signature(raw["signature"])
     gens = json_id_lists(raw, "generators", GluingIllTyped)
-    glue = {}
-    fields = {"gen": str, "face": str, "term": object}
-    for entry in json_objects(raw, "gluing", GluingIllTyped, fields):
-        glue[(entry["gen"], entry["face"])] = term_from_json(entry["term"])
-    return make_computad(sig, gens, glue)
+    fields, key = {"gen": str, "face": str, "term": object}, itemgetter("gen", "face")
+    entries = json_objects(raw, "gluing", GluingIllTyped, fields, key)
+    return make_computad(sig, gens, {key(e): term_from_json(e["term"]) for e in entries})
 
 
 def computad_to_json(c: Computad) -> dict:
@@ -71,9 +71,9 @@ def morphism_from_json(raw: dict) -> ComputadMorphism:
     json_object(raw, UnknownGenerator, "a morphism", {"src": object, "dst": object})
     src = computad_from_json(raw["src"])
     dst = computad_from_json(raw["dst"])
-    entries = json_objects(raw, "assign", UnknownGenerator, {"gen": str, "term": object})
-    assign = {e["gen"]: term_from_json(e["term"]) for e in entries}
-    return make_morphism(src, dst, assign)
+    fields, key = {"gen": str, "term": object}, itemgetter("gen")
+    entries = json_objects(raw, "assign", UnknownGenerator, fields, key)
+    return make_morphism(src, dst, {key(e): term_from_json(e["term"]) for e in entries})
 
 
 def morphism_to_json(m: ComputadMorphism) -> dict:
@@ -96,13 +96,18 @@ def algebra_from_json(raw: dict) -> Algebra:
         raise BaseMismatch("the carrier is a presheaf over another category")
     carrier = validate_presheaf(carrier_raw, base=sig.base)
     tables: dict[str, dict[tuple, str]] = {}
-    for entry in json_objects(raw, "interpretations", PartialTable, {"symbol": str}):
-        table = {}
-        for row in json_objects(entry, "rows", PartialTable, {"value": str}):
-            hom = json_objects(row, "hom", PartialTable, {"cell": str, "value": str})
-            table[hom_key({a["cell"]: a["value"] for a in hom})] = row["value"]
-        tables[entry["symbol"]] = table
+    by_symbol = itemgetter("symbol")
+    for entry in json_objects(raw, "interpretations", PartialTable, {"symbol": str}, by_symbol):
+        rows = json_objects(entry, "rows", PartialTable, {"value": str}, _row_key)
+        tables[entry["symbol"]] = {_row_key(row): row["value"] for row in rows}
     return algebra_from_interpretations(sig, carrier, tables)
+
+
+def _row_key(row: dict) -> tuple:
+    """The ``hom_key`` of a row of an interpretation table."""
+    fields = {"cell": str, "value": str}
+    hom = json_objects(row, "hom", PartialTable, fields, itemgetter("cell"))
+    return hom_key({a["cell"]: a["value"] for a in hom})
 
 
 def algebra_to_json(alg: Algebra) -> dict:
@@ -121,7 +126,8 @@ def algebra_morphism_from_json(raw: dict) -> tuple[Algebra, Algebra, dict[str, s
     json_object(raw, MissingAction, "an algebra morphism", {"src": object, "dst": object})
     src = algebra_from_json(raw["src"])
     dst = algebra_from_json(raw["dst"])
-    entries = json_objects(raw, "components", MissingAction, {"from": str, "to": str})
+    fields = {"from": str, "to": str}
+    entries = json_objects(raw, "components", MissingAction, fields, itemgetter("from"))
     component = {e["from"]: e["to"] for e in entries}
     check_morphism(PresheafMorphism(src.carrier, dst.carrier, component))
     ok, failure = check_algebra_morphism(src, dst, component)
@@ -154,7 +160,8 @@ def _plex_args(raw) -> list[tuple[str, dict]]:
     for kind, key, cell, fields in _PLEX_KEYS.values():
         if kind in json_object(raw, KernelError, "a polyplex"):
             body = json_object(raw[kind], KernelError, f"a {kind}", fields)
-            parts = json_objects(body, key, KernelError, {cell: str, "polyplex": object})
+            part = {cell: str, "polyplex": object}
+            parts = json_objects(body, key, KernelError, part, itemgetter(cell))
             return [(e[cell], e["polyplex"]) for e in parts]
     raise KernelError(f"not a polyplex: {raw!r}")
 

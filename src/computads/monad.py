@@ -1,52 +1,56 @@
-"""Depth-bounded term enumeration, the free algebra and its adjunction data.
+"""Ranked enumeration of terms and shapes, the free algebra and its adjunction data.
 
-Terms of a fixed sort are enumerated by depth.  An argument family for a
-symbol assigns terms to the arity cells: it is a presheaf morphism from the
-arity into terms, found by ``presheaf.search``, whose docstring gives the
-forced-boundary-profile argument that keeps the enumeration from guessing.
+A term over a computad, like its shape (``plex``), is a leaf or a *head* (a
+presheaf, a rank step and a constructor) applied to a family: a presheaf
+morphism from the head's presheaf into nodes of lower rank, found by
+``presheaf.homs``.  ``enumerate_ranked`` is that induction, written once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .base import FaceRef, SortRef, memoized
 from .computad import Computad, ComputadMorphism, free_computad, make_morphism
 from .errors import DepthExceeded, NegativeBound
-from .presheaf import Presheaf, PresheafMorphism, hom_families, make_presheaf, search
+from .presheaf import Presheaf, PresheafMorphism, homs, make_presheaf
 from .signature import Signature
 from .terms import Term, app, boundary, canonical_sort, rename, subst, var
 
 
-def argument_families(
-    c: Computad, arity: Presheaf, max_depth: int
-) -> list[dict[str, Term]]:
-    """All presheaf morphisms from ``arity`` into terms of depth <= max_depth."""
-    return list(
-        search(
-            hom_families(
-                arity,
-                lambda s: enumerate_terms(c, s, max_depth),
-                lambda f, t: boundary(c, f, t),
-            )
-        )
-    )
+def enumerate_ranked(base, sort, bound: int, what: str, leaves, heads, members, act) -> list:
+    """The nodes of ``sort`` of rank at most ``bound``, canonically ordered and
+    duplicate-free: ``leaves()``, and ``make(family)`` for each head ``(x, step,
+    make)`` of ``heads()`` and each family from ``x`` into the nodes of rank at
+    most ``bound - step``, listed by ``members(sort, rank)`` and acted on by
+    ``act(face, node)``.  Raises NegativeBound (of ``what``), then UnknownSort,
+    before it asks for a leaf or a head."""
+    if bound < 0:
+        raise NegativeBound(f"{what} bound {bound} is negative")
+    base.dim(sort)  # raises UnknownSort
+    out = list(leaves())
+    for x, step, make in heads():
+        if step <= bound:
+            rank = bound - step
+            out.extend(map(make, homs(x, lambda s: members(s, rank), act)))
+    return canonical_sort(out)[0]
 
 
 @memoized("_terms_by_depth")
 def enumerate_terms(c: Computad, sort: SortRef, max_depth: int) -> list[Term]:
     """The terms of ``sort`` of depth at most ``max_depth``, canonically
-    ordered (by depth, then serialisation) and duplicate-free; raises
-    NegativeBound, then UnknownSort, as ``enumerate_polyplexes`` does."""
-    if max_depth < 0:
-        raise NegativeBound(f"term depth bound {max_depth} is negative")
-    c.base.dim(sort)  # raises UnknownSort
-    terms: list[Term] = [var(g) for g in c.generators_at(sort)]
-    if max_depth >= 1:
+    ordered (by depth, then serialisation): the generators, and each symbol
+    applied to every argument family one depth lower."""
+
+    def heads():
         for sym in c.signature.symbols_at(sort):
-            for fam in argument_families(c, sym.arity, max_depth - 1):
-                terms.append(app(sym.id, fam))
-    return canonical_sort(terms)[0]
+            yield sym.arity, 1, partial(app, sym.id)
+
+    return enumerate_ranked(
+        c.base, sort, max_depth, "term depth", lambda: map(var, c.generators_at(sort)),
+        heads, partial(enumerate_terms, c), partial(boundary, c),
+    )
 
 
 def terms_saturated(c: Computad, sort: SortRef, max_depth: int) -> bool:

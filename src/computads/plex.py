@@ -1,12 +1,14 @@
 """Polyplexes: the shapes of terms, their representing computads, and the
 nerve presentation of computads.
 
-A polyplex records everything about a term except which generators it uses:
-a generator becomes its family of boundary shapes, an application keeps its
-symbol with the shapes of its arguments.  Shapes are self-contained finite
-trees (the terminal computad itself is never materialised; dimension strictly
-decreases along boundary families, so the trees stay finite).  They are
-interned like terms, so equal shapes are the same object.
+A polyplex records everything about a term except which generators it uses.
+Like a term (``monad``), it is a head applied to a family: a generator shape
+is the boundary of the representable on its sort applied to its boundary
+shapes, an application shape a symbol's arity applied to the shapes of its
+arguments.  Shapes are self-contained finite trees (the terminal computad
+itself is never materialised; dimension strictly decreases along boundary
+families, so the trees stay finite).  They are interned like terms, so equal
+shapes are the same object.
 
 Either kind of shape lists its boundary or argument shapes as ``args``, as
 ``terms.parts`` lists a term's.  Classification, representing computads and
@@ -16,8 +18,8 @@ term at the end differs, a fresh generator or an application.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 
 from .base import FaceRef, SortRef, memo_table, memoized
@@ -29,8 +31,8 @@ from .computad import (
     colimit_var,
     enumerate_var_to_var,
 )
-from .errors import NegativeBound
-from .presheaf import Presheaf, boundary_representable, hom_families, search
+from .monad import enumerate_ranked
+from .presheaf import boundary_representable
 from .signature import Signature
 from .terms import (
     Node,
@@ -120,38 +122,20 @@ def classify(c: Computad, t: Term) -> Polyplex:
 # -- enumeration --------------------------------------------------------------------
 
 @memoized("_pplex_cache")
-def enumerate_polyplexes(
-    sig: Signature, sort: SortRef, max_weight: int
-) -> list[Polyplex]:
-    """All shapes of the given sort up to the weight bound, canonically ordered.
+def enumerate_polyplexes(sig: Signature, sort: SortRef, max_weight: int) -> list[Polyplex]:
+    """All shapes of ``sort`` up to the weight bound, canonically ordered.  A
+    generator shape weighs as much as its heaviest boundary member, an
+    application one more than its heaviest argument; bounding the weight keeps
+    the enumeration finite and complete."""
 
-    A generator shape weighs as much as its heaviest boundary member; an
-    application adds one to its heaviest argument.  Bounding the weight keeps
-    the enumeration finite and complete.
-    """
-    if max_weight < 0:
-        raise NegativeBound(f"shape weight bound {max_weight} is negative")
-    # generator shapes: compatible boundary families, which are the maps out
-    # of the boundary of the representable on sort; their members weigh at
-    # most max_weight, and so do they
-    sphere = boundary_representable(sig.base, sort)[0]
-    out = [pvar(sort, fam) for fam in _families(sig, sphere, max_weight)]
-    # application shapes
-    if max_weight >= 1:
+    def heads():
+        yield boundary_representable(sig.base, sort)[0], 0, partial(pvar, sort)
         for sym in sig.symbols_at(sort):
-            for fam in _families(sig, sym.arity, max_weight - 1):
-                out.append(papp(sort, sym.id, fam))
-    return canonical_sort(out)[0]
+            yield sym.arity, 1, partial(papp, sort, sym.id)
 
-
-def _families(sig: Signature, x: Presheaf, w: int) -> Iterator[dict]:
-    """Presheaf morphisms from ``x`` into the shapes of weight at most ``w``."""
-    return search(
-        hom_families(
-            x,
-            lambda s: enumerate_polyplexes(sig, s, w),
-            lambda f, p: pboundary(sig, f, p),
-        )
+    return enumerate_ranked(
+        sig.base, sort, max_weight, "shape weight", lambda: (), heads,
+        partial(enumerate_polyplexes, sig), partial(pboundary, sig),
     )
 
 

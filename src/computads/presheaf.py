@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .base import (
     DirectCategory,
@@ -126,11 +127,9 @@ def validate_presheaf(raw: dict, base: DirectCategory | None = None) -> Presheaf
     for s in cells:
         if s not in base.dims:
             raise UnknownSort(f"cells listed at unknown sort {s!r}")
-    action = {}
-    fields = {"face": str, "from": str, "to": str}
-    for entry in json_objects(raw, "action", FunctorialityFailure, fields):
-        action[(entry["face"], entry["from"])] = entry["to"]
-    return make_presheaf(base, cells, action)
+    fields, key = {"face": str, "from": str, "to": str}, itemgetter("face", "from")
+    entries = json_objects(raw, "action", FunctorialityFailure, fields, key)
+    return make_presheaf(base, cells, {key(e): e["to"] for e in entries})
 
 
 def presheaf_to_json(p: Presheaf) -> dict:
@@ -146,20 +145,16 @@ def presheaf_to_json(p: Presheaf) -> dict:
 
 # -- representables -----------------------------------------------------------
 
-def _identity_cell(cat: DirectCategory, sort: SortRef) -> str:
-    return f"id_{sort}"
-
-
 @memoized("_representable_cache")
 def representable(cat: DirectCategory, sort: SortRef) -> Presheaf:
     """The presheaf of maps into ``sort``: cells at j are hom(j, sort).
     Built once per category and sort, without the functoriality check:
     acting by precomposition is functorial because the category's table is
-    associative.  The cells are the identity and the faces into ``sort``, so
-    they are unique unless a face takes the identity's name."""
+    associative.  The cells are the identity ``id_<sort>`` and the faces
+    into ``sort``, so they are unique unless a face takes the identity's name."""
     if sort not in cat.dims:
         raise UnknownSort(f"unknown sort {sort!r}")
-    ident = _identity_cell(cat, sort)
+    ident = f"id_{sort}"
     if ident in cat.faces_into(sort):
         raise FunctorialityFailure(f"duplicate cell id {ident!r}")
     cells: dict[str, tuple[str, ...]] = {s: () for s in cat.sorts}
@@ -188,7 +183,7 @@ def boundary_representable(
     unchecked: faces lower dimension, so no action gives the identity, the
     one cell at ``sort``, and the other cells are closed under the action."""
     full = representable(cat, sort)
-    ident = _identity_cell(cat, sort)
+    (ident,) = full.cells_at(sort)
     cells = {
         s: tuple(c for c in full.cells_at(s) if c != ident) for s in cat.sorts
     }
@@ -212,8 +207,11 @@ def check_same_base(x: DirectCategory, y: DirectCategory, what: str) -> None:
 
 
 def check_morphism(h: PresheafMorphism) -> None:
-    """Raise if ``h`` is not a natural transformation."""
+    """Raise if ``h`` is not a natural transformation on the source cells."""
     check_same_base(h.src.base, h.dst.base, "presheaf morphism")
+    extra = sorted(h.component.keys() - h.src._sort_of.keys())
+    if extra:
+        raise FunctorialityFailure(f"morphism defined on {extra[0]!r}, not a source cell")
     for sort in h.src.base.sorts:
         for cell in h.src.cells_at(sort):
             img = h.component.get(cell)
@@ -318,14 +316,12 @@ def search(
             stack.append(options(i + 1))
 
 
-def hom_families(x: Presheaf, cells_at, act) -> list[tuple]:
-    """The cells of ``search`` for natural transformations out of ``x``.
-
-    The target is any presheaf-shaped family: ``cells_at(sort)`` lists its
-    cells in canonical order and ``act(face, cell)`` is its boundary action.
-    The profile of a cell of ``x`` is the image of its boundary, so the cells
-    it reads are its boundary cells ``below``.
-    """
+def homs(x: Presheaf, cells_at, act, constraints=()) -> Iterator[dict]:
+    """The natural transformations out of ``x`` that pass the ``search``
+    constraints, found by that search, into any presheaf-shaped family:
+    ``cells_at(sort)`` lists its cells in canonical order and ``act(face,
+    cell)`` is its boundary action.  The profile of a cell of ``x`` is the
+    image of its boundary, so the cells it reads are its boundary cells."""
     cells = []
     for sort in x.base.sorts:
         sources = x.cells_at(sort)
@@ -339,7 +335,7 @@ def hom_families(x: Presheaf, cells_at, act) -> list[tuple]:
             below = tuple(x.act(f, cell) for f in faces)
             profile = lambda assign, below=below: tuple(assign[b] for b in below)
             cells.append((cell, profile, buckets, below))
-    return cells
+    return search(cells, constraints=constraints)
 
 
 def enumerate_hom(x: Presheaf, y: Presheaf) -> list[PresheafMorphism]:
@@ -347,7 +343,7 @@ def enumerate_hom(x: Presheaf, y: Presheaf) -> list[PresheafMorphism]:
     check_same_base(x.base, y.base, "hom enumeration")
     return [
         PresheafMorphism(src=x, dst=y, component=comp)
-        for comp in search(hom_families(x, y.cells_at, y.act))
+        for comp in homs(x, y.cells_at, y.act)
     ]
 
 

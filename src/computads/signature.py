@@ -11,6 +11,7 @@ ever reference lower-dimensional symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .base import (
     DirectCategory,
@@ -219,7 +220,8 @@ def _term_args(obj) -> list[tuple[str, dict]]:
         return []
     json_object(obj, BoundaryIllTyped, "a term", {"app": object})
     body = json_object(obj["app"], BoundaryIllTyped, "an application", {"symbol": str})
-    args = json_objects(body, "args", BoundaryIllTyped, {"cell": str, "term": object})
+    fields = {"cell": str, "term": object}
+    args = json_objects(body, "args", BoundaryIllTyped, fields, itemgetter("cell"))
     return [(e["cell"], e["term"]) for e in args]
 
 
@@ -245,12 +247,12 @@ def validate_signature(raw: dict) -> Signature:
     cat = validate_category(raw["category"])
     decls = []
     fields = {"id": str, "sort": str, "arity": object}
-    boundary = {"face": str, "term": object}
+    boundary, by_face = {"face": str, "term": object}, itemgetter("face")
     for entry in json_objects(raw, "symbols", UnknownSymbol, fields):
         arity = validate_presheaf(entry["arity"], base=cat)
         given = {
             b["face"]: term_from_json(b["term"])
-            for b in json_objects(entry, "boundary", BoundaryIllTyped, boundary)
+            for b in json_objects(entry, "boundary", BoundaryIllTyped, boundary, by_face)
         }
         decls.append((entry["id"], entry["sort"], arity, given))
     return build_signature(cat, decls)

@@ -19,7 +19,7 @@ from computads.computad import (
     make_computad,
     sub_computad,
 )
-from computads.errors import DepthExceeded, NotMono, UnknownSort
+from computads.errors import DepthExceeded, NotMono, UnknownGenerator, UnknownSort
 from computads.globular import globe_category, parse_tree, tree_composite, tree_presheaf
 from computads.factorization import (
     _mono_inverse,
@@ -152,6 +152,25 @@ def test_lookups_on_a_morphism_are_kept_by_the_morphism():
     assert not sigma.__dict__.get("_mono_inverse_cache")
 
 
+def test_image_factorisations_are_kept_by_the_morphism():
+    c = walk2()
+    sub = sub_computad(c, c.signature, lambda s, g: g in ("p", "q", "u"))
+    sigma = ComputadMorphism(sub, c, {"p": var("p"), "q": var("r"), "u": comp_uv()})
+    assert image_factorize(sigma) is image_factorize(sigma)
+    assert sigma.__dict__["_image_cache"]
+    # an equal morphism gets its own entry
+    twin = ComputadMorphism(sub, c, dict(sigma.assign))
+    assert image_factorize(twin) == image_factorize(sigma)
+    assert image_factorize(twin) is not image_factorize(sigma)
+    # a morphism naming a generator its target lacks raises every time, and
+    # caches nothing
+    bad = ComputadMorphism(sub, c, {"p": var("p"), "q": var("zz"), "u": comp_uv()})
+    for _ in range(2):
+        with pytest.raises(UnknownGenerator):
+            image_factorize(bad)
+    assert not bad.__dict__.get("_image_cache")
+
+
 def test_a_call_that_raises_caches_nothing():
     c = walk2()
     for _ in range(2):
@@ -180,6 +199,28 @@ def test_only_base_reads_an_owners_dict():
             ):
                 found.append((path.name, node.lineno))
     assert found and {name for name, _ in found} == {"base.py"}
+
+
+def test_only_homs_and_the_generator_map_search_call_search():
+    # one family search: every presheaf morphism is found through
+    # presheaf.homs, and every generator map through computad._gen_cells
+    package = Path(computads.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Call) and (
+                        isinstance(node.func, ast.Name) and node.func.id == "search"
+                        or isinstance(node.func, ast.Attribute) and node.func.attr == "search"
+                    ):
+                        found.add((path.name, fn.name, ast.unparse(node.args[0])))
+    assert found == {
+        ("presheaf.py", "homs", "cells"),
+        ("computad.py", "find_isomorphism", "_gen_cells(c, d)"),
+        ("computad.py", "enumerate_var_to_var", "_gen_cells(c, d)"),
+    }
 
 
 # -- warm against cold: a memo never changes an answer ------------------------------

@@ -257,6 +257,24 @@ def _presheaf_category_as_number(doc):
     return {"category": 5, "cells": {}}
 
 
+def _assign_to_a_foreign_generator(doc):
+    assign = [{"gen": "g", "term": {"var": "g"}}, {"gen": "bogus", "term": {"var": "g"}}]
+    return {"src": doc, "dst": doc, "assign": assign}
+
+
+def _assign_listed_twice(doc):
+    # the first entry is wrong; a reader keeping the last entry would accept it
+    assign = [{"gen": "g", "term": {"var": "nope"}}, {"gen": "g", "term": {"var": "g"}}]
+    return {"src": doc, "dst": doc, "assign": assign}
+
+
+def _components_from_a_foreign_cell(doc):
+    alg = algebra_to_json(pathcat_algebra())
+    cells = [c for cs in alg["carrier"]["cells"].values() for c in cs]
+    components = [{"from": c, "to": c} for c in cells + ["bogus"]]
+    return {"src": alg, "dst": alg, "components": components}
+
+
 ENUMERATE = ("enumerate", "--computad", "{}", "--sort", "o", "--depth", "0")
 
 
@@ -276,6 +294,13 @@ ENUMERATE = ("enumerate", "--computad", "{}", "--sort", "o", "--depth", "0")
         (_symbols_as_number, [("check", "{}"), ENUMERATE], "UnknownSymbol"),
         (_assign_as_number, [("check", "{}")], "UnknownGenerator"),
         (_presheaf_category_as_number, [("check", "{}")], "UnknownSort"),
+        (
+            _assign_to_a_foreign_generator,
+            [("check", "{}"), ("factorize", "--morphism", "{}")],
+            "UnknownGenerator",
+        ),
+        (_assign_listed_twice, [("check", "{}"), ("support", "--morphism", "{}")], "UnknownGenerator"),
+        (_components_from_a_foreign_cell, [("check-tfib", "--morphism", "{}")], "FunctorialityFailure"),
     ],
 )
 def test_json_boundary_rejects_misreadable_values(tmp_path, corrupt, commands, error):
@@ -666,6 +691,7 @@ def test_unknown_sorts_are_typed_errors(walk2_file, tmp_path):
         ((*enumerate_zz, "1"), "UnknownSort"),
         (("plexes", "--sig", str(sig_path), "--sort", "zz", "--max-depth", "1"), "UnknownSort"),
         ((*enumerate_zz, "-1"), "NegativeBound"),  # the bound is checked first
+        (("plexes", "--sig", str(sig_path), "--sort", "zz", "--max-depth", "-1"), "NegativeBound"),
     ]:
         proc = run_process(*command)
         assert proc.returncode == 1, command
