@@ -88,7 +88,28 @@ def _grid_counts(text: str) -> list[int]:
     return [int(item) for item in items]
 
 
+def _depth(obj) -> int:
+    """How deep an answer nests arrays and objects, counted without
+    recursion, as :func:`_nesting` counts a document's text."""
+    nested = (dict, list, tuple)
+    deepest, todo = 0, [(obj, 1)] if isinstance(obj, nested) else []
+    while todo:
+        x, depth = todo.pop()
+        deepest = max(deepest, depth)
+        items = x.values() if isinstance(x, dict) else x
+        todo += [(y, depth + 1) for y in items if isinstance(y, nested)]
+    return deepest
+
+
 def _emit(obj) -> None:
+    """Print an answer, unless it nests deeper than a document may: the CLI
+    could not read it back, and the indented text of a term grows with the
+    square of its depth."""
+    depth = _depth(obj)
+    if depth > MAX_NESTING:
+        raise DocumentTooDeep(
+            f"the answer nests {depth} levels deep, beyond the limit of {MAX_NESTING}"
+        )
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 

@@ -4,53 +4,140 @@ A term over a computad, like its shape (``plex``), is a leaf or a *head* (a
 presheaf, a rank step and a constructor) applied to a family: a presheaf
 morphism from the head's presheaf into nodes of lower rank, found by
 ``presheaf.homs``.  ``enumerate_ranked`` is that induction, written once.
+
+Its lists are in canonical order (``terms``): by rank, then by spelling.
+The enumerator spells no node.  When, at every sort, no head (the spelling
+up to its first label: ``v(x)``, ``neg[`` or ``<[1]|``) is a proper prefix
+of another, the spellings of each sort are prefix-free, and comparing them
+is comparing the integer keys ``(head, positions of the children)``, where
+a child's position is its index in the *spelling order* of the list it was
+drawn from.  Each list keeps its spelling order next to it, and its
+canonical order is a stable sort of that by rank.  An owner that has, at
+some sort, a head that is a prefix of another (generators ``a`` and
+``a)!``) is sorted by spelling instead.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
+from operator import attrgetter, itemgetter
+from typing import NamedTuple
 
-from .base import FaceRef, SortRef, memoized
+from .base import FaceRef, SortRef, memo_table, memoized
 from .computad import Computad, ComputadMorphism, free_computad, make_morphism
 from .errors import DepthExceeded, NegativeBound
 from .presheaf import Presheaf, PresheafMorphism, homs, make_presheaf
 from .signature import Signature
-from .terms import Term, app, boundary, canonical_sort, rename, subst, var
+from .terms import Term, app, boundary, canonical_sort, children_of, rename, subst, var
 
 
-def enumerate_ranked(base, sort, bound: int, what: str, leaves, heads, members, act) -> list:
+class Induction(NamedTuple):
+    """One kind of node over an owner (a computad or a signature).  Per sort,
+    ``leaves(owner, sort)`` lists ``(head, node)`` pairs and ``heads(owner,
+    sort)`` lists ``(head, x, step, make)``, each with its head spelled;
+    ``act(owner, face, node)`` is the boundary action.  The lists live in the
+    owner's memo table ``table``, and ``what`` names the rank in errors."""
+
+    table: str
+    what: str
+    leaves: Callable
+    heads: Callable
+    act: Callable
+
+
+@memoized("_head_order")
+def head_order(owner, kind: Induction) -> dict | None:
+    """Per sort, each head's index among the sorted heads of that sort; None
+    when, at some sort, a head is a prefix of another, so that comparing
+    keys would not be comparing spellings."""
+    order = {}
+    for sort in owner.base.sorts:
+        names = sorted(
+            [h for h, _ in kind.leaves(owner, sort)] + [h for h, *_ in kind.heads(owner, sort)]
+        )
+        if any(b.startswith(a) for a, b in zip(names, names[1:])):
+            return None
+        order[sort] = {h: i for i, h in enumerate(names)}
+    return order
+
+
+def enumerate_ranked(kind: Induction, owner, sort: SortRef, bound: int) -> list:
     """The nodes of ``sort`` of rank at most ``bound``, canonically ordered and
-    duplicate-free: ``leaves()``, and ``make(family)`` for each head ``(x, step,
-    make)`` of ``heads()`` and each family from ``x`` into the nodes of rank at
-    most ``bound - step``, listed by ``members(sort, rank)`` and acted on by
-    ``act(face, node)``.  Raises NegativeBound (of ``what``), then UnknownSort,
-    before it asks for a leaf or a head."""
+    duplicate-free: the leaves, and ``make(family)`` for each head ``(head,
+    x, step, make)`` and each family from ``x`` into the nodes of rank at
+    most ``bound - step``.  Raises NegativeBound (of ``kind.what``), then
+    UnknownSort, before it asks for a leaf or a head.  Memoised in the
+    owner's table, as ``(canonical order, spelling order)`` under ``(sort,
+    rank)``; the missing ranks below ``bound`` are built first, bottom-up, so
+    that no call recurses through more than one rank."""
+    memo = memo_table(owner, kind.table)
+    hit = memo.get((sort, bound))
+    if hit is not None:
+        return hit[0]
     if bound < 0:
-        raise NegativeBound(f"{what} bound {bound} is negative")
-    base.dim(sort)  # raises UnknownSort
-    out = list(leaves())
-    for x, step, make in heads():
-        if step <= bound:
-            rank = bound - step
-            out.extend(map(make, homs(x, lambda s: members(s, rank), act)))
-    return canonical_sort(out)[0]
+        raise NegativeBound(f"{kind.what} bound {bound} is negative")
+    owner.base.dim(sort)  # raises UnknownSort
+    low = bound
+    while low and (sort, low - 1) not in memo:
+        low -= 1
+    for rank in range(low, bound + 1):
+        memo[(sort, rank)] = _ranked(kind, owner, sort, rank, memo)
+    return memo[(sort, bound)][0]
 
 
-@memoized("_terms_by_depth")
+def _ranked(kind: Induction, owner, sort: SortRef, bound: int, memo: dict) -> tuple:
+    """The nodes of ``sort`` of rank at most ``bound``, in canonical order and
+    in spelling order (None when the owner is sorted by spelling)."""
+    order = head_order(owner, kind)
+    act = partial(kind.act, owner)
+    leaves = kind.leaves(owner, sort)
+    out = [node for _, node in leaves]
+    keys = [] if order is None else [(order[sort][head],) for head, _ in leaves]
+    positions: dict = {}  # (sort, rank) -> {node: index in that list's spelling order}
+    for head, x, step, make in kind.heads(owner, sort):
+        if step > bound:
+            continue
+        rank = bound - step
+        start = len(out)
+        out.extend(map(make, homs(x, lambda s: enumerate_ranked(kind, owner, s, rank), act)))
+        if order is None:
+            continue
+        # key each new node by its head and, per label, its child's position
+        at = []
+        for _, s in sorted((cell, s) for s, cells in x.cells.items() for cell in cells):
+            if (s, rank) not in positions:
+                positions[(s, rank)] = {n: i for i, n in enumerate(memo[(s, rank)][1])}
+            at.append(positions[(s, rank)])
+        args = list(map(children_of, out[start:]))
+        children = [map(p.__getitem__, map(itemgetter(1), map(itemgetter(j), args)))
+                    for j, p in enumerate(at)]
+        keys += zip(repeat(order[sort][head], len(args)), *children)
+    if order is None:
+        return canonical_sort(out)[0], None
+    spelled = [out[i] for i in sorted(range(len(out)), key=keys.__getitem__)]
+    return sorted(spelled, key=attrgetter("rank")), spelled
+
+
+def _term_leaves(c: Computad, sort: SortRef) -> list:
+    return [("v(" + g + ")", var(g)) for g in c.generators_at(sort)]
+
+
+def _term_heads(c: Computad, sort: SortRef) -> list:
+    symbols = c.signature.symbols_at(sort)
+    return [(sym.id + "[", sym.arity, 1, partial(app, sym.id)) for sym in symbols]
+
+
+TERMS = Induction("_terms_by_depth", "term depth", _term_leaves, _term_heads, boundary)
+
+
 def enumerate_terms(c: Computad, sort: SortRef, max_depth: int) -> list[Term]:
     """The terms of ``sort`` of depth at most ``max_depth``, canonically
     ordered (by depth, then serialisation): the generators, and each symbol
     applied to every argument family one depth lower."""
-
-    def heads():
-        for sym in c.signature.symbols_at(sort):
-            yield sym.arity, 1, partial(app, sym.id)
-
-    return enumerate_ranked(
-        c.base, sort, max_depth, "term depth", lambda: map(var, c.generators_at(sort)),
-        heads, partial(enumerate_terms, c), partial(boundary, c),
-    )
+    return enumerate_ranked(TERMS, c, sort, max_depth)
 
 
 def terms_saturated(c: Computad, sort: SortRef, max_depth: int) -> bool:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 
-from .base import FaceRef, SortRef, memo_table, memoized
+from .base import FaceRef, SortRef, memo_table
 from .computad import (
     Colimit,
     Computad,
@@ -31,7 +31,7 @@ from .computad import (
     colimit_var,
     enumerate_var_to_var,
 )
-from .monad import enumerate_ranked
+from .monad import Induction, enumerate_ranked
 from .presheaf import boundary_representable
 from .signature import Signature
 from .terms import (
@@ -121,22 +121,23 @@ def classify(c: Computad, t: Term) -> Polyplex:
 
 # -- enumeration --------------------------------------------------------------------
 
-@memoized("_pplex_cache")
+def _shape_heads(sig: Signature, sort: SortRef) -> list:
+    x = boundary_representable(sig.base, sort)[0]
+    heads = [("<" + sort + "|", x, 0, partial(pvar, sort))]
+    for sym in sig.symbols_at(sort):
+        heads.append((sym.id + "[", sym.arity, 1, partial(papp, sort, sym.id)))
+    return heads
+
+
+SHAPES = Induction("_pplex_cache", "shape weight", lambda sig, sort: (), _shape_heads, pboundary)
+
+
 def enumerate_polyplexes(sig: Signature, sort: SortRef, max_weight: int) -> list[Polyplex]:
     """All shapes of ``sort`` up to the weight bound, canonically ordered.  A
     generator shape weighs as much as its heaviest boundary member, an
     application one more than its heaviest argument; bounding the weight keeps
     the enumeration finite and complete."""
-
-    def heads():
-        yield boundary_representable(sig.base, sort)[0], 0, partial(pvar, sort)
-        for sym in sig.symbols_at(sort):
-            yield sym.arity, 1, partial(papp, sort, sym.id)
-
-    return enumerate_ranked(
-        sig.base, sort, max_weight, "shape weight", lambda: (), heads,
-        partial(enumerate_polyplexes, sig), partial(pboundary, sig),
-    )
+    return enumerate_ranked(SHAPES, sig, sort, max_weight)
 
 
 # -- representing computads -----------------------------------------------------------

@@ -3,7 +3,7 @@ backtracking search kernel behind every hom and family enumeration."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -328,9 +328,12 @@ def homs(x: Presheaf, cells_at, act, constraints=()) -> Iterator[dict]:
         if not sources:
             continue
         faces = x.base.faces_into(sort)
-        buckets: dict[tuple, list] = {}
-        for cand in cells_at(sort):
-            buckets.setdefault(tuple(act(f, cand) for f in faces), []).append(cand)
+        buckets: dict[tuple, Sequence] = {}
+        if faces:
+            for cand in cells_at(sort):
+                buckets.setdefault(tuple([act(f, cand) for f in faces]), []).append(cand)
+        else:
+            buckets[()] = cells_at(sort)  # every cell has the empty profile
         for cell in sources:
             below = tuple(x.act(f, cell) for f in faces)
             profile = lambda assign, below=below: tuple(assign[b] for b in below)

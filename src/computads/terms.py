@@ -22,6 +22,17 @@ terms).  A generator of sort i is attached along its gluings, a family over
 the boundary of the representable on i; an application along its arguments,
 a family over its symbol's arity.  :func:`parts` lists either family, and
 :func:`check_family` checks the cocycle condition on it.
+
+The canonical order of terms, and of shapes, is by rank (depth, weight),
+then by serialisation.  A serialisation is the node's *head*, its spelling
+up to its first label (``v(x)``, ``f[`` or ``<s|``), then its labels and
+its children's serialisations in label order, with punctuation that the
+head fixes.  So while no head of a sort is a proper prefix of another, the
+spellings of each sort are prefix-free, and two nodes with one head compare
+as their children do:
+``monad.enumerate_ranked`` orders by such integer keys and spells nothing.
+:func:`canonical_sort` spells, for nodes that do not come from one list,
+and for owners whose heads clash (generators ``a`` and ``a)!``).
 """
 
 from __future__ import annotations

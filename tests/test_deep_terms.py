@@ -3,23 +3,28 @@
 Equal nodes are one interned object, so comparing and hashing them never
 walks a tree, and every walk over a tree is an explicit-stack fold.  The
 walks run here on a 3,000-deep ``neg`` chain at the interpreter's default
-recursion limit of 1,000.
+recursion limit of 1,000.  The enumerators build their ranks bottom-up, so
+they list terms and shapes of any depth at that limit too.
 """
 
 import gc
+import json
 import sys
 
 import pytest
 
 from computads import terms
 from computads.algebra import eval_in_env, eval_term
+from computads.cli import main
 from computads.computad import apply_morphism, make_computad
 from computads.factorization import support
-from computads.io_json import polyplex_from_json, polyplex_to_json
+from computads.io_json import computad_to_json, polyplex_from_json, polyplex_to_json
+from computads.monad import enumerate_terms
 from computads.packs import group_signature
 from computads.plex import (
     classify,
     classifying_morphism,
+    enumerate_polyplexes,
     papp,
     pboundary,
     polyplex_computad,
@@ -33,6 +38,9 @@ from fixtures import arrow_category, z5_algebra
 
 DEPTH = 3000
 REP_DEPTH = 600
+# Every rank's list is built in full, so listing the chains to ENUM_DEPTH
+# builds ENUM_DEPTH**2 / 2 nodes: about 1 s on 2 vCPUs, and some 15 s at DEPTH.
+ENUM_DEPTH = 1000
 
 
 def neg_chain(depth: int, leaf: str = "x"):
@@ -135,3 +143,33 @@ def test_the_intern_table_pins_no_dead_node():
     assert build_and_drop() >= before + 5000  # each term and shape has a leaf
     gc.collect()
     assert len(terms._table) == before
+
+
+def _neg_only():
+    """A computad over the one symbol ``neg``, whose chains are its terms."""
+    group = group_signature()
+    sig = build_signature(group.base, [("neg", "*", group.symbol("neg").arity, {})])
+    return make_computad(sig, {"*": ("x",)}, {})
+
+
+def test_enumerations_deeper_than_the_recursion_limit(default_recursion_limit):
+    c = _neg_only()
+    ts = enumerate_terms(c, "*", ENUM_DEPTH)
+    assert len(ts) == ENUM_DEPTH + 1
+    assert ts[-1] is neg_chain(ENUM_DEPTH)
+    ps = enumerate_polyplexes(c.signature, "*", ENUM_DEPTH)
+    assert len(ps) == ENUM_DEPTH + 1
+    assert ps[-1] is classify(c, ts[-1])
+
+
+def test_cli_prints_no_answer_deeper_than_a_document_may_be(tmp_path, capsys):
+    # the chains up to neg^250(x) nest 1,002 levels deep as JSON, beyond what
+    # the CLI reads, and their indented text would take some 250 MB
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(computad_to_json(_neg_only())), encoding="utf-8")
+    assert main(["enumerate", "--computad", str(path), "--sort", "*", "--depth", "250"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "DocumentTooDeep: the answer nests 1002 levels deep, beyond the limit of 1000\n"
+    )
