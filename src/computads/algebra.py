@@ -216,5 +216,5 @@ def algebra_morphisms(src, dst) -> list[PresheafMorphism]:
     ]
     return [
         PresheafMorphism(src=src.carrier, dst=dst.carrier, component=comp)
-        for comp in homs(src.carrier, dst.carrier.cells_at, dst.carrier.act, constraints)
+        for comp in homs(src.carrier, dst.carrier.cells_at, dst.carrier.spine, constraints)
     ]

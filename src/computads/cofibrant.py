@@ -28,7 +28,7 @@ from .computad import (
 )
 from .errors import NotCompatible, UnknownSort
 from .monad import enumerate_terms, terms_saturated
-from .presheaf import boundary_representable, homs, representable
+from .presheaf import action_spine, boundary_representable, bucket_by_spine, homs, representable
 from .signature import Signature
 from .terms import Term, boundary, parts, rename, serialize, var
 
@@ -209,8 +209,8 @@ def underlying_computad(alg, depth_bound: int) -> UndResult:
         evaluate = functools.partial(eval_in_env, alg, env=r_assign)
         for sort in layer:
             sphere, _ = boundary_representable(cat, sort)
-            act = functools.partial(boundary, lower)
-            families = homs(sphere, lambda s: enumerate_terms(lower, s, depth_bound), act)
+            spine = action_spine(functools.partial(boundary, lower))
+            families = homs(sphere, lambda s: enumerate_terms(lower, s, depth_bound), spine)
             names = []
             for family in families:
                 for cell in alg.cells_at(sort):
@@ -275,16 +275,10 @@ def check_trivial_fibration(
     cat = src.signature.base
     for sort in cat.sorts:
         faces = cat.faces_into(sort)
-        fillers = {
-            (component[x], tuple(src.act(f, x) for f in faces))
-            for x in src.cells_at(sort)
-        }
-        below_by: dict[tuple, list[str]] = {}
-        for below in dst.cells_at(sort):
-            profile = tuple(dst.act(f, below) for f in faces)
-            below_by.setdefault(profile, []).append(below)
+        fillers = {(component[x], src.carrier.spine(faces, x)[1]) for x in src.cells_at(sort)}
+        below_by = bucket_by_spine(dst.cells_at(sort), dst.carrier.spine, faces).get((), {})
         sphere, _ = boundary_representable(cat, sort)
-        for family in homs(sphere, src.cells_at, src.act):
+        for family in homs(sphere, src.cells_at, src.carrier.spine):
             boundary_cells = tuple(family[f] for f in faces)
             image = tuple(component[x] for x in boundary_cells)
             for below in below_by.get(image, ()):

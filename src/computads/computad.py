@@ -26,7 +26,7 @@ from .errors import (
     UnknownGenerator,
     UnknownSort,
 )
-from .presheaf import Presheaf, boundary_representable, check_same_base, search
+from .presheaf import Presheaf, boundary_representable, check_same_base, homs
 from .signature import FunctionSymbol, Signature, restrict_signature
 from .terms import (
     Term,
@@ -34,7 +34,7 @@ from .terms import (
     boundary,
     check_family,
     check_term,
-    fold_term,
+    leaves,
     parts,
     rename,
     subst,
@@ -81,6 +81,18 @@ class Computad:
     # enumeration helpers
     def generators_at(self, sort: SortRef) -> tuple[str, ...]:
         return self.gens.get(sort, ())
+
+    cells_at = generators_at  # read as a family by ``presheaf.homs``
+
+    def spine(self, faces: tuple[FaceRef, ...], gen: str) -> tuple:
+        """The gluings of ``gen`` along ``faces`` with every leaf renamed to
+        one name, and their leaves, per occurrence, left to right.
+        ``rename(t, m) == u`` exactly when the blanked terms agree and ``m``
+        maps the leaves of ``t`` to those of ``u``, position by position."""
+        glue = [self.glue[(gen, f)] for f in faces]
+        below = sum(map(leaves, glue), ())
+        blank = dict.fromkeys(below, "")
+        return tuple([rename(t, blank) for t in glue]), below
 
     def all_generators(self) -> list[tuple[SortRef, str]]:
         return [(s, g) for s in self.base.sorts for g in self.generators_at(s)]
@@ -256,39 +268,6 @@ def var_to_var_morphism(
 
 # -- isomorphism checking -------------------------------------------------------
 
-def _generators_named(ts: tuple[Term, ...]) -> set[str]:
-    """The generators at the leaves of the terms ``ts``."""
-
-    def union(u, family) -> set[str]:
-        return set().union(*family.values())
-
-    return set().union(*[fold_term(t, lambda gen: {gen}, union) for t in ts])
-
-
-def _gen_cells(c: Computad, d: Computad) -> list[tuple]:
-    """The cells of ``presheaf.search`` for generator maps c -> d.
-
-    The profile of a generator of c is its gluing renamed along the images
-    fixed so far, so the cells it reads are the generators named in its
-    gluing terms; the candidates in d are bucketed by their own gluing.
-    """
-    cat = c.base
-    cells = []
-    for sort in cat.sorts:
-        sources = c.generators_at(sort)
-        if not sources:
-            continue
-        faces = cat.faces_into(sort)
-        buckets: dict[tuple, list[str]] = {}
-        for cand in d.generators_at(sort):
-            buckets.setdefault(tuple(d.gluing(cand, f) for f in faces), []).append(cand)
-        for g in sources:
-            glue = tuple(c.gluing(g, f) for f in faces)
-            profile = lambda m, glue=glue: tuple(rename(t, m) for t in glue)
-            cells.append((g, profile, buckets, _generators_named(glue)))
-    return cells
-
-
 def find_isomorphism(c: Computad, d: Computad) -> dict[str, str] | None:
     """The first generator bijection respecting gluings, or None."""
     if c.signature.base.dims != d.signature.base.dims:
@@ -296,7 +275,7 @@ def find_isomorphism(c: Computad, d: Computad) -> dict[str, str] | None:
     for s in c.base.sorts:
         if len(c.generators_at(s)) != len(d.generators_at(s)):
             return None
-    return next(search(_gen_cells(c, d), injective=True), None)
+    return next(homs(c, d.cells_at, d.spine, injective=True), None)
 
 
 def isomorphic(c: Computad, d: Computad) -> bool:
@@ -307,7 +286,7 @@ def enumerate_var_to_var(c: Computad, d: Computad) -> list[ComputadMorphism]:
     """All variable-to-variable morphisms c -> d, in a canonical order."""
     return [
         ComputadMorphism(src=c, dst=d, assign={g: var(v) for g, v in m.items()})
-        for m in search(_gen_cells(c, d))
+        for m in homs(c, d.cells_at, d.spine)
     ]
 
 

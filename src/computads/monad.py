@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .base import FaceRef, SortRef, memo_table, memoized
 from .computad import Computad, ComputadMorphism, free_computad, make_morphism
 from .errors import DepthExceeded, NegativeBound
-from .presheaf import Presheaf, PresheafMorphism, homs, make_presheaf
+from .presheaf import Presheaf, PresheafMorphism, action_spine, homs, make_presheaf
 from .signature import Signature
 from .terms import Term, app, boundary, canonical_sort, children_of, rename, subst, var
 
@@ -92,7 +92,7 @@ def _ranked(kind: Induction, owner, sort: SortRef, bound: int, memo: dict) -> tu
     """The nodes of ``sort`` of rank at most ``bound``, in canonical order and
     in spelling order (None when the owner is sorted by spelling)."""
     order = head_order(owner, kind)
-    act = partial(kind.act, owner)
+    spine = action_spine(partial(kind.act, owner))
     leaves = kind.leaves(owner, sort)
     out = [node for _, node in leaves]
     keys = [] if order is None else [(order[sort][head],) for head, _ in leaves]
@@ -102,7 +102,7 @@ def _ranked(kind: Induction, owner, sort: SortRef, bound: int, memo: dict) -> tu
             continue
         rank = bound - step
         start = len(out)
-        out.extend(map(make, homs(x, lambda s: enumerate_ranked(kind, owner, s, rank), act)))
+        out.extend(map(make, homs(x, lambda s: enumerate_ranked(kind, owner, s, rank), spine)))
         if order is None:
             continue
         # key each new node by its head and, per label, its child's position

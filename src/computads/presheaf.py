@@ -1,5 +1,13 @@
 """Finite presheaves on a direct category, their morphisms, and the one
-backtracking search kernel behind every hom and family enumeration."""
+backtracking search kernel behind every hom and family enumeration.
+
+``homs`` reads its source and its target the same way: per sort, the cells
+in canonical order, and per cell a *spine* ``(tag, below)``.  A candidate
+fits a cell when it has the cell's tag and, at each position, the image of
+the cell's ``below``.  A presheaf, or a family given by a boundary action,
+has the spine ``((), boundary cells in face order)``; a computad generator,
+its gluings with every leaf blanked and their leaves (``Computad.spine``).
+"""
 
 from __future__ import annotations
 
@@ -54,6 +62,8 @@ class Presheaf:
 
     def act(self, face: FaceRef, cell: str) -> str:
         return self.action[(face, cell)]
+
+    spine = property(lambda self: action_spine(self.act))  # read by ``homs``
 
     def is_empty(self) -> bool:
         return all(not cs for cs in self.cells.values())
@@ -228,9 +238,6 @@ def check_morphism(h: PresheafMorphism) -> None:
                     )
 
 
-_HOLDS = {True: (True,)}
-
-
 def search(
     cells: list[tuple], injective: bool = False, constraints=()
 ) -> Iterator[dict]:
@@ -238,20 +245,19 @@ def search(
     constraint, in canonical order.
 
     This is the one backtracking search of the kernel.  Each cell is
-    ``(name, profile, buckets, reads)``: ``profile(assign)`` is the boundary
-    profile of the cell, computed from the candidates already assigned to the
-    earlier cells named in ``reads``, and ``buckets`` maps a boundary profile
-    to the candidates that have it, in canonical order.  Every face strictly
-    lowers dimension, so when cells are listed in increasing dimension the
-    boundary profile of a cell is forced by the cells before it: its
-    candidates are exactly one bucket, and none is tried only to be rejected
-    for its boundary.
+    ``(name, below, bucket)``: the *profile* of the cell is the tuple of the
+    candidates assigned to the earlier cells named in ``below``, and
+    ``bucket`` maps a profile to the candidates that have it, in canonical
+    order.  Every face strictly lowers dimension, so when cells are listed in
+    increasing dimension the profile of a cell is forced by the cells before
+    it: its candidates are exactly one bucket entry, and none is tried only
+    to be rejected for its boundary.
 
     Forward checking (Haralick and Elliott, 1980) cuts a branch as soon as a
-    later cell is sure to have no candidate.  Once the last cell that a cell
-    reads is assigned, that cell's profile is fixed for every completion of
-    the partial assignment, so if its bucket is empty no completion exists
-    and the candidate just placed is rejected.
+    later cell is sure to have no candidate.  Once the last cell named in a
+    cell's ``below`` is assigned, that cell's profile is fixed for every
+    completion of the partial assignment, so if its bucket holds nothing
+    there no completion exists and the candidate just placed is rejected.
 
     Each constraint is ``(reads, predicate)``: ``predicate(assign)`` looks
     only at the (at least one) cells named in ``reads``, and an assignment is
@@ -272,22 +278,22 @@ def search(
     """
     assign: dict = {}
     used: set = set()
-    # checks[i]: the (profile, buckets) pairs fixed once cell i is assigned,
-    # namely the profiles of later cells (beyond i + 1, which is reached next
-    # anyway) and the constraints whose last read cell is i.  A constraint is
-    # checked as a profile whose only non-empty bucket is True.
-    position = {cell[0]: i for i, cell in enumerate(cells)}
+    # checks[i]: the (below, lookup) pairs fixed once cell i is assigned, each
+    # passing if lookup(profile of below) is truthy: the bucket of each later
+    # cell (beyond i + 1, which is reached next anyway) whose profile is then
+    # fixed, and each constraint whose last read cell is i.
+    position = {name: i for i, (name, _, _) in enumerate(cells)}
     checks: list[list[tuple]] = [[] for _ in cells]
-    for j, (_, profile, buckets, reads) in enumerate(cells):
-        last = max((position[r] for r in reads), default=-1)
+    for j, (_, below, bucket) in enumerate(cells):
+        last = max([position[b] for b in below], default=-1)
         if 0 <= last < j - 1:
-            checks[last].append((profile, buckets))
+            checks[last].append((below, bucket.get))
     for reads, predicate in constraints:
-        checks[max(position[r] for r in reads)].append((predicate, _HOLDS))
+        checks[max(position[r] for r in reads)].append(((), lambda _, p=predicate: p(assign)))
 
     def options(i: int):
-        _, profile, buckets, _ = cells[i]
-        return iter(buckets.get(profile(assign), ()))
+        _, below, bucket = cells[i]
+        return iter(bucket.get(tuple([assign[b] for b in below]), ()))
 
     if not cells:
         yield {}
@@ -302,7 +308,7 @@ def search(
             if injective and cand in used:
                 continue
             assign[name] = cand
-            if not check or all(buckets.get(profile(assign)) for profile, buckets in check):
+            if not check or all(get(tuple([assign[b] for b in below])) for below, get in check):
                 break
         else:
             assign.pop(name, None)
@@ -316,29 +322,42 @@ def search(
             stack.append(options(i + 1))
 
 
-def homs(x: Presheaf, cells_at, act, constraints=()) -> Iterator[dict]:
-    """The natural transformations out of ``x`` that pass the ``search``
-    constraints, found by that search, into any presheaf-shaped family:
-    ``cells_at(sort)`` lists its cells in canonical order and ``act(face,
-    cell)`` is its boundary action.  The profile of a cell of ``x`` is the
-    image of its boundary, so the cells it reads are its boundary cells."""
+def action_spine(act):
+    """The spine of a family given by its boundary action ``act(face,
+    cell)``: the empty tag, and the boundary cells in face order."""
+    return lambda faces, cell: ((), tuple([act(f, cell) for f in faces]))
+
+
+def bucket_by_spine(cands: Sequence, spine, faces: tuple[FaceRef, ...]) -> dict:
+    """``cands`` of a sort with faces ``faces``, by spine: each tag maps each
+    ``below`` to its candidates, in order.  Without faces every spine is
+    ``((), ())``, and ``cands`` is kept uncopied."""
+    if not faces:
+        return {(): {(): cands}}
+    buckets: dict = {}
+    for cand in cands:
+        tag, below = spine(faces, cand)
+        buckets.setdefault(tag, {}).setdefault(below, []).append(cand)
+    return buckets
+
+
+def homs(x, cells_at, spine, constraints=(), injective: bool = False) -> Iterator[dict]:
+    """The maps out of ``x`` (a presheaf or a computad) that pass the
+    ``search`` constraints, found by that search, into the family with cells
+    ``cells_at(sort)``, in canonical order, and spines ``spine(faces,
+    cell)``, for ``faces`` the faces into the cell's sort.  ``x`` is read
+    the same way, through ``x.cells_at`` and ``x.spine``."""
     cells = []
     for sort in x.base.sorts:
         sources = x.cells_at(sort)
         if not sources:
             continue
         faces = x.base.faces_into(sort)
-        buckets: dict[tuple, Sequence] = {}
-        if faces:
-            for cand in cells_at(sort):
-                buckets.setdefault(tuple([act(f, cand) for f in faces]), []).append(cand)
-        else:
-            buckets[()] = cells_at(sort)  # every cell has the empty profile
+        buckets = bucket_by_spine(cells_at(sort), spine, faces)
         for cell in sources:
-            below = tuple(x.act(f, cell) for f in faces)
-            profile = lambda assign, below=below: tuple(assign[b] for b in below)
-            cells.append((cell, profile, buckets, below))
-    return search(cells, constraints=constraints)
+            tag, below = x.spine(faces, cell)
+            cells.append((cell, below, buckets.get(tag, {})))
+    return search(cells, injective, constraints)
 
 
 def enumerate_hom(x: Presheaf, y: Presheaf) -> list[PresheafMorphism]:
@@ -346,7 +365,7 @@ def enumerate_hom(x: Presheaf, y: Presheaf) -> list[PresheafMorphism]:
     check_same_base(x.base, y.base, "hom enumeration")
     return [
         PresheafMorphism(src=x, dst=y, component=comp)
-        for comp in homs(x, y.cells_at, y.act)
+        for comp in homs(x, y.cells_at, y.spine)
     ]
 
 

@@ -169,6 +169,11 @@ def fold_term(t: Term, leaf, node, memo: dict | None = None):
     return leaf(t.gen) if isinstance(t, Var) else fold(t, children_of, build, memo)
 
 
+def leaves(t: Term) -> tuple[str, ...]:
+    """The generators at the leaves of ``t``, per occurrence, in label order."""
+    return fold_term(t, lambda gen: (gen,), lambda u, family: sum(family.values(), ()))
+
+
 def spellings(nodes: Iterable) -> list[str]:
     """The serialisation of each term or shape from its children's, with one
     memo for all of ``nodes``, so each shared subtree is spelled once."""

@@ -247,6 +247,47 @@ def random_computad_comp(
     return make_computad(sig, {"o": gens_o, "a": gens_a}, glue)
 
 
+def random_computad(
+    sig: Signature, rng: random.Random, max_gens: int = 2, depth: int = 1
+) -> Computad:
+    """A random computad over ``sig``: per sort, in increasing dimension, up to
+    ``max_gens`` generators, each glued along a family drawn from the
+    cocycle-satisfying families of terms of depth at most ``depth`` over the
+    generators of lower dimension.  The families are found by brute force:
+    every product of terms, one per face, filtered by ``check_family``."""
+    import itertools
+
+    from computads.errors import IncompatibleArgs
+    from computads.monad import enumerate_terms
+    from computads.presheaf import boundary_representable
+    from computads.terms import check_family
+
+    cat = sig.base
+    gens: dict[str, tuple[str, ...]] = {}
+    glue: dict = {}
+    for sort in cat.sorts:
+        lower = Computad(sig, gens, glue)
+        faces = cat.faces_into(sort)
+        sphere = boundary_representable(cat, sort)[0]
+        families = []
+        for terms in itertools.product(
+            *[enumerate_terms(lower, cat.face(f).src, depth) for f in faces]
+        ):
+            family = dict(zip(faces, terms))
+            try:
+                check_family(lower, sphere, family, "gluing")
+            except IncompatibleArgs:
+                continue
+            families.append(family)
+        names = []
+        for _ in range(rng.randint(0, max_gens) if families else 0):
+            name = f"G{sum(map(len, gens.values())) + len(names)}"
+            names.append(name)
+            glue.update({(name, f): t for f, t in rng.choice(families).items()})
+        gens[sort] = tuple(names)
+    return make_computad(sig, gens, glue)
+
+
 def random_morphism_comp(sig, src, dst, rng: random.Random, depth: int = 2):
     """A random morphism between comp computads, or None when the random
     endpoint choices leave an arrow with no candidate image."""

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
+from computads import presheaf
 from computads.computad import (
-    _gen_cells,
     apply_morphism,
     colimit_var,
     compose_morphisms,
@@ -21,8 +21,8 @@ from computads.computad import (
     var_to_var_morphism,
 )
 from computads.errors import CocycleFailure, GluingIllTyped
-from computads.presheaf import boundary_representable, representable, search
-from computads.terms import rename, var
+from computads.presheaf import boundary_representable, representable
+from computads.terms import App, app, rename, var
 
 from fixtures import (
     arrow_arity,
@@ -30,6 +30,7 @@ from fixtures import (
     comp_uv,
     globe2,
     globe2_glue,
+    random_computad,
     random_computad_comp,
     walk2,
     walk_n,
@@ -340,36 +341,103 @@ def test_var_to_var_and_isomorphism_match_brute_force():
     assert found == {True, False}
 
 
-def _counted(cells, limit):
-    """``cells`` with every profile wrapped in a counter that fails the test
-    after ``limit`` evaluations, so a search that does too much work stops."""
-    calls = [0]
+def test_var_to_var_and_isomorphism_match_brute_force_over_applications():
+    # gluings that are applications, over the Kan signature and the
+    # 2-globe composite, so that leaves repeat and subterms are shared
+    from computads.globular import globe_category, tree_composite
+    from computads.packs import sigma_kan
 
-    def wrap(profile):
-        def counted(assign):
+    rng = random.Random(7)
+    sigs = [sigma_kan(1), tree_composite(globe_category(2), [[], []])[0]]
+    applications, found = 0, set()
+    for _ in range(30):
+        for sig in sigs:
+            c = random_computad(sig, rng, max_gens=3)
+            applications += sum(isinstance(t, App) for t in c.glue.values())
+            for d in (random_computad(sig, rng, max_gens=3), _relabelled(c, rng)):
+                maps = _brute_force_var_to_var(c, d)
+                assert [m.gen_map() for m in enumerate_var_to_var(c, d)] == maps
+                bijections = [
+                    m for m in maps if len(set(m.values())) == len(m) == d.generator_count()
+                ]
+                iso = find_isomorphism(c, d)
+                assert iso == next(iter(bijections), None)
+                found.add(iso is None)
+    assert applications and found == {True, False}
+
+
+def test_generator_map_onto_a_shared_leaf():
+    # al : coh(f, g) => h for x -f-> y -g-> z and h : x -> z, into
+    # be : coh(l, l) => k for loops l, k on p; the gluing of be names the
+    # leaves p and l more than once, so they must be read per occurrence
+    from computads.globular import globe_category, tree_composite
+
+    sig = tree_composite(globe_category(2), [[], []])[0]
+    (coh,) = sig.symbols
+
+    def composite(x, y, z, f, g):
+        return app(coh, {"q0": var(x), "q1": var(y), "q2": var(z), "q0_0": var(f), "q1_0": var(g)})
+
+    def ends(gen, s, t):
+        return {(gen, "s0:1"): var(s), (gen, "t0:1"): var(t)}
+
+    c = make_computad(
+        sig,
+        {"g0": ("x", "y", "z"), "g1": ("f", "g", "h"), "g2": ("al",)},
+        {
+            **ends("f", "x", "y"), **ends("g", "y", "z"), **ends("h", "x", "z"),
+            ("al", "s0:2"): var("x"), ("al", "t0:2"): var("z"),
+            ("al", "s1:2"): composite("x", "y", "z", "f", "g"), ("al", "t1:2"): var("h"),
+        },
+    )
+    d = make_computad(
+        sig,
+        {"g0": ("p",), "g1": ("l", "k"), "g2": ("be",)},
+        {
+            **ends("l", "p", "p"), **ends("k", "p", "p"),
+            ("be", "s0:2"): var("p"), ("be", "t0:2"): var("p"),
+            ("be", "s1:2"): composite("p", "p", "p", "l", "l"), ("be", "t1:2"): var("k"),
+        },
+    )
+    maps = [m.gen_map() for m in enumerate_var_to_var(c, d)]
+    assert maps == _brute_force_var_to_var(c, d)
+    assert maps == [{"x": "p", "y": "p", "z": "p", "f": "l", "g": "l", "h": "k", "al": "be"}]
+
+
+def _counted(monkeypatch, limit):
+    """Make every bucket of ``presheaf.search`` count its lookups and fail the
+    test after ``limit`` of them, so a search that does too much work stops."""
+    calls = [0]
+    search = presheaf.search
+
+    class Counted(dict):
+        def get(self, profile, default=None):
             calls[0] += 1
             if calls[0] > limit:
-                pytest.fail(f"more than {limit} profile evaluations")
-            return profile(assign)
+                pytest.fail(f"more than {limit} bucket lookups")
+            return super().get(profile, default)
 
-        return counted
+    def counted(cells, *args):
+        return search([(name, below, Counted(b)) for name, below, b in cells], *args)
 
-    return [(name, wrap(profile), *rest) for name, profile, *rest in cells]
+    monkeypatch.setattr(presheaf, "search", counted)
+    return calls
 
 
-def test_isomorphism_search_work_is_bounded():
+def test_isomorphism_search_work_is_bounded(monkeypatch):
     sig = comp_signature()
     rng = random.Random(5)
     c = walk_n(sig, 20)
     d = _relabelled(c, rng)
-    iso = next(search(_counted(_gen_cells(c, d), 50_000), injective=True), None)
-    assert iso is not None and len(set(iso.values())) == c.generator_count()
+    calls = _counted(monkeypatch, 50_000)
+    iso = find_isomorphism(c, d)
+    assert calls[0] and iso is not None and len(set(iso.values())) == c.generator_count()
     var_to_var_morphism(c, d, iso)
     # the last arrow glued back onto the first object closes a cycle
     glue = dict(c.glue)
     glue[("e19", "t")] = var("o0")
     broken = _relabelled(make_computad(sig, c.gens, glue), rng)
-    assert next(search(_counted(_gen_cells(c, broken), 50_000), injective=True), None) is None
+    assert find_isomorphism(c, broken) is None
 
 
 def test_free_computad_rejects_a_presheaf_over_another_base():
