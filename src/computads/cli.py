@@ -14,7 +14,6 @@ import re
 import sys
 from collections.abc import Callable
 from itertools import accumulate
-from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import eval_term
@@ -42,7 +41,7 @@ from .io_json import (
 from .monad import enumerate_terms
 from .plex import classify, enumerate_polyplexes, nerve
 from .signature import signature_to_json, term_from_json, term_to_json, validate_signature
-from .terms import Term, boundary_along, check_term, spellings
+from .terms import Term, boundary_along, check_term
 
 
 MAX_NESTING = 1000
@@ -161,11 +160,9 @@ def cmd_plexes(args):
 
 
 def cmd_nerve(args):
-    fibres = nerve(args.computad)
-    shapes = list(fibres)
     return [
-        {"plex": polyplex_to_json(p), "generators": list(fibres[p])}
-        for _, p in sorted(zip(spellings(shapes), shapes), key=itemgetter(0))
+        {"plex": polyplex_to_json(p), "generators": list(gens)}
+        for p, gens in nerve(args.computad).items()
     ]
 
 

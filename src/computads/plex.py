@@ -14,13 +14,19 @@ Either kind of shape lists its boundary or argument shapes as ``args``, as
 ``terms.parts`` lists a term's.  Classification, representing computads and
 classifying morphisms each take one fold over the parts; only the universal
 term at the end differs, a fresh generator or an application.
+
+Computads with generator-preserving maps form a presheaf category whose
+representables are the |p|: by Yoneda, the maps |q| -> |p| are the
+generators of |p| of shape q, each the classifying morphism of its
+generator.  The nerve's realisation reads its plex maps off these, so it
+searches for none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .base import FaceRef, SortRef, memo_table
 from .computad import (
@@ -29,7 +35,6 @@ from .computad import (
     ComputadMorphism,
     apply_morphism,
     colimit_var,
-    enumerate_var_to_var,
 )
 from .monad import Induction, enumerate_ranked
 from .presheaf import boundary_representable
@@ -40,12 +45,12 @@ from .terms import (
     Var,
     app,
     boundary,
-    canonical_sort,
     children_of,
     fold,
     fold_term,
     interned,
     parts,
+    spellings,
     var,
 )
 
@@ -225,46 +230,39 @@ def classifying_morphism(c: Computad, t: Term) -> ComputadMorphism:
 # -- nerve -----------------------------------------------------------------------------
 
 def nerve(c: Computad) -> dict[Polyplex, tuple[str, ...]]:
-    """Per-plex generator fibres: which generators have which shape."""
+    """Per-plex generator fibres: which generators have which shape, with
+    the shapes in spelling order."""
     fibres: dict[Polyplex, list[str]] = {}
     for _, gen in c.all_generators():
         p = classify(c, var(gen))
         fibres.setdefault(p, []).append(gen)
-    return {p: tuple(sorted(gs)) for p, gs in fibres.items()}
+    shapes = list(fibres)
+    return {
+        p: tuple(sorted(fibres[p]))
+        for _, p in sorted(zip(spellings(shapes), shapes), key=itemgetter(0))
+    }
 
 
 def reconstruct_from_nerve(c: Computad) -> Computad:
-    """Rebuild a computad from its nerve data alone.
+    """Rebuild a computad from its nerve data alone, as the colimit of the
+    representing computads over the nerve's category of elements.
 
-    The nerve provides, for each plex p, the set of morphisms |p| -> C
-    (equivalently the generator fibre) together with the restriction action
-    along plex morphisms.  The computad is recovered as the colimit of the
-    representing computads over the category of elements of that presheaf.
+    The elements are the generators: ``sigma``, the classifying morphism of
+    a generator, is the map |p| -> c it names.  The plex maps into p need no
+    search.  Each sends the universal generator of its source |q| to some
+    generator h of |p|, and is the unique map that does so, the classifying
+    morphism of h; so the nerve's restriction of ``sigma`` along it is
+    ``sigma(h)``, and the edge runs from that generator's node.
     """
-    sig = c.signature
-    fibres = nerve(c)
-    shapes = canonical_sort(fibres)[0]
-    nodes: dict[str, Computad] = {
-        gen: polyplex_computad(sig, p).computad for p, gens in fibres.items() for gen in gens
-    }
+    nodes: dict[str, Computad] = {}
     edges: list[tuple[str, str, ComputadMorphism]] = []
-    for p, gens in fibres.items():
-        rep_p = polyplex_computad(sig, p)
-        # each plex morphism m into p with the image of its source's universal
-        # term, found once per pair of shapes: neither depends on the generator
-        maps = []
-        for q in shapes:
-            rep_q = polyplex_computad(sig, q)
-            for m in enumerate_var_to_var(rep_q.computad, rep_p.computad):
-                maps.append((m, apply_morphism(m, rep_q.universal)))
-        for gen in gens:
-            sigma = classifying_morphism(c, var(gen))
-            for m, moved in maps:
-                # the restriction action of the nerve along the plex morphism
-                # m: sigma . m classifies a generator, its universal image
-                restricted = apply_morphism(sigma, moved)
-                assert isinstance(restricted, Var)
-                edges.append((restricted.gen, gen, m))
+    into: dict[Polyplex, list] = {}  # per shape p, the plex maps into |p|
+    for _, gen in c.all_generators():
+        sigma = classifying_morphism(c, var(gen))
+        nodes[gen] = rep = sigma.src
+        if (p := classify(c, var(gen))) not in into:
+            into[p] = [(h, classifying_morphism(rep, var(h))) for _, h in rep.all_generators()]
+        edges += [(sigma.assign[h].gen, gen, m) for h, m in into[p]]
     if not nodes:
-        return Computad(sig, {}, {})
+        return Computad(c.signature, {}, {})
     return colimit_var(nodes, edges).computad

@@ -9,7 +9,7 @@ from computads.base import DirectCategory, validate_category
 from computads.computad import Computad, make_computad
 from computads.presheaf import Presheaf, make_presheaf
 from computads.signature import Signature, build_signature
-from computads.terms import Term, app, var
+from computads.terms import Term, app, rename, var
 
 
 def arrow_category() -> DirectCategory:
@@ -102,6 +102,17 @@ def walk_n(sig: Signature, n: int) -> Computad:
         glue[(f"e{i}", "s")] = var(f"o{i}")
         glue[(f"e{i}", "t")] = var(f"o{i+1}")
     return make_computad(sig, {"o": gens_o, "a": gens_a}, glue)
+
+
+def relabelled(c: Computad, rng: random.Random) -> Computad:
+    """A copy of ``c`` with fresh generator names, listed in shuffled order."""
+    gens = [g for _, g in c.all_generators()]
+    names = dict(zip(gens, rng.sample([f"R{i}" for i in range(len(gens))], len(gens))))
+    new_gens = {
+        s: tuple(rng.sample([names[g] for g in gs], len(gs))) for s, gs in c.gens.items()
+    }
+    glue = {(names[g], f): rename(t, names) for (g, f), t in c.glue.items()}
+    return make_computad(c.signature, new_gens, glue)
 
 
 # -- algebras -------------------------------------------------------------------

@@ -6,15 +6,29 @@ This is deliberately a separate implementation from the library's
 enumerator: it builds depth-indexed tables keyed by boundary profiles and
 grows them rank by rank, rather than recursing per call.
 
-Also here: from-scratch spellings of terms and shapes, and the classifying
-morphism of a term read off the colimit presentation of its shape.
+Also here: from-scratch spellings of terms and shapes, the classifying
+morphism of a term read off the colimit presentation of its shape, and the
+nerve's realisation with its plex maps found by search.
 """
 
 from __future__ import annotations
 
-from computads.computad import Computad, ComputadMorphism
-from computads.plex import PVar, Polyplex, classify, polyplex_computad
-from computads.terms import Term, Var, app, boundary, parts, var
+from computads.computad import (
+    Computad,
+    ComputadMorphism,
+    apply_morphism,
+    colimit_var,
+    enumerate_var_to_var,
+)
+from computads.plex import (
+    PVar,
+    Polyplex,
+    classify,
+    classifying_morphism,
+    nerve,
+    polyplex_computad,
+)
+from computads.terms import Term, Var, app, boundary, canonical_sort, parts, var
 
 
 def spell_term(t: Term) -> str:
@@ -129,3 +143,37 @@ def mediated_classifying_morphism(c: Computad, t: Term) -> ComputadMorphism:
     if rep.star is not None:
         assign[rep.star] = t
     return ComputadMorphism(rep.computad, c, assign)
+
+
+def searched_reconstruction(c: Computad) -> Computad:
+    """The nerve's realisation with every plex map |q| -> |p| between its
+    shapes found by ``enumerate_var_to_var`` and applied to the universal
+    term, per ordered pair of shapes.  The reference for
+    ``plex.reconstruct_from_nerve``."""
+    sig = c.signature
+    fibres = nerve(c)
+    shapes = canonical_sort(fibres)[0]
+    nodes: dict[str, Computad] = {
+        gen: polyplex_computad(sig, p).computad for p, gens in fibres.items() for gen in gens
+    }
+    edges: list[tuple[str, str, ComputadMorphism]] = []
+    for p, gens in fibres.items():
+        rep_p = polyplex_computad(sig, p)
+        # each plex morphism m into p with the image of its source's universal
+        # term, found once per pair of shapes: neither depends on the generator
+        maps = []
+        for q in shapes:
+            rep_q = polyplex_computad(sig, q)
+            for m in enumerate_var_to_var(rep_q.computad, rep_p.computad):
+                maps.append((m, apply_morphism(m, rep_q.universal)))
+        for gen in gens:
+            sigma = classifying_morphism(c, var(gen))
+            for m, moved in maps:
+                # the restriction action of the nerve along the plex morphism
+                # m: sigma . m classifies a generator, its universal image
+                restricted = apply_morphism(sigma, moved)
+                assert isinstance(restricted, Var)
+                edges.append((restricted.gen, gen, m))
+    if not nodes:
+        return Computad(sig, {}, {})
+    return colimit_var(nodes, edges).computad

@@ -627,17 +627,45 @@ def test_roundtrip_emitted_json_revalidates(tmp_path, capsys):
     assert json.loads(out2)["kind"] == "signature"
 
 
-def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+def _seeded_computads() -> dict:
     import random
 
-    from computads.packs import sigma_kan
     from fixtures import globe2, random_computad_comp, walk_n
 
     sig = comp_signature()
-    docs = {
-        "walk": computad_to_json(walk_n(sig, 4)),
-        "random": computad_to_json(random_computad_comp(sig, random.Random(3), 5, 6)),
-        "globe": computad_to_json(globe2()),
+    return {
+        "walk": walk_n(sig, 4),
+        "random": random_computad_comp(sig, random.Random(3), 5, 6),
+        "globe": globe2(),
+    }
+
+
+def test_nerve_lists_shapes_in_spelling_order(tmp_path, capsys):
+    from computads.io_json import polyplex_to_json
+    from computads.plex import classify
+    from computads.terms import var
+    from oracles import spell_plex
+
+    for name, c in dict(_seeded_computads(), walk2=walk2()).items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(computad_to_json(c)), encoding="utf-8")
+        status, out = run(capsys, "nerve", "--computad", str(path))
+        assert status == 0
+        fibres: dict = {}
+        for _, gen in c.all_generators():
+            fibres.setdefault(classify(c, var(gen)), []).append(gen)
+        assert json.loads(out) == [
+            {"plex": polyplex_to_json(p), "generators": sorted(fibres[p])}
+            for p in sorted(fibres, key=spell_plex)
+        ], name
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    from computads.packs import sigma_kan
+
+    sig = comp_signature()
+    docs = {name: computad_to_json(c) for name, c in _seeded_computads().items()}
+    docs |= {
         "sig": signature_to_json(sig),
         "kan": signature_to_json(sigma_kan(1)),
         "term": {"computad": computad_to_json(walk2()), "term": term_to_json(comp_uv())},

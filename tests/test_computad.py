@@ -32,6 +32,7 @@ from fixtures import (
     globe2_glue,
     random_computad,
     random_computad_comp,
+    relabelled,
     walk2,
     walk_n,
 )
@@ -312,24 +313,13 @@ def _brute_force_var_to_var(c, d):
     return maps
 
 
-def _relabelled(c, rng):
-    """A copy of ``c`` with fresh generator names, listed in shuffled order."""
-    gens = [g for _, g in c.all_generators()]
-    names = dict(zip(gens, rng.sample([f"R{i}" for i in range(len(gens))], len(gens))))
-    new_gens = {
-        s: tuple(rng.sample([names[g] for g in gs], len(gs))) for s, gs in c.gens.items()
-    }
-    glue = {(names[g], f): rename(t, names) for (g, f), t in c.glue.items()}
-    return make_computad(c.signature, new_gens, glue)
-
-
 def test_var_to_var_and_isomorphism_match_brute_force():
     sig = comp_signature()
     rng = random.Random(23)
     found = set()
     for _ in range(25):
         c = random_computad_comp(sig, rng, max_obj=3)
-        for d in (random_computad_comp(sig, rng, max_obj=3, tag="d"), _relabelled(c, rng)):
+        for d in (random_computad_comp(sig, rng, max_obj=3, tag="d"), relabelled(c, rng)):
             maps = _brute_force_var_to_var(c, d)
             assert [m.gen_map() for m in enumerate_var_to_var(c, d)] == maps
             bijections = [
@@ -354,7 +344,7 @@ def test_var_to_var_and_isomorphism_match_brute_force_over_applications():
         for sig in sigs:
             c = random_computad(sig, rng, max_gens=3)
             applications += sum(isinstance(t, App) for t in c.glue.values())
-            for d in (random_computad(sig, rng, max_gens=3), _relabelled(c, rng)):
+            for d in (random_computad(sig, rng, max_gens=3), relabelled(c, rng)):
                 maps = _brute_force_var_to_var(c, d)
                 assert [m.gen_map() for m in enumerate_var_to_var(c, d)] == maps
                 bijections = [
@@ -428,7 +418,7 @@ def test_isomorphism_search_work_is_bounded(monkeypatch):
     sig = comp_signature()
     rng = random.Random(5)
     c = walk_n(sig, 20)
-    d = _relabelled(c, rng)
+    d = relabelled(c, rng)
     calls = _counted(monkeypatch, 50_000)
     iso = find_isomorphism(c, d)
     assert calls[0] and iso is not None and len(set(iso.values())) == c.generator_count()
@@ -436,7 +426,7 @@ def test_isomorphism_search_work_is_bounded(monkeypatch):
     # the last arrow glued back onto the first object closes a cycle
     glue = dict(c.glue)
     glue[("e19", "t")] = var("o0")
-    broken = _relabelled(make_computad(sig, c.gens, glue), rng)
+    broken = relabelled(make_computad(sig, c.gens, glue), rng)
     assert find_isomorphism(c, broken) is None
 
 

@@ -6,6 +6,7 @@ from computads.computad import (
     free_computad,
     isomorphic,
 )
+from computads.io_json import computad_to_json
 from computads.monad import enumerate_terms
 from computads.plex import (
     classify,
@@ -21,7 +22,16 @@ from computads.plex import (
 from computads.presheaf import representable
 from computads.terms import boundary, var
 
-from fixtures import comp_signature, comp_uv, random_computad_comp, walk2, walk_n
+import oracles
+from fixtures import (
+    comp_signature,
+    comp_uv,
+    random_computad,
+    random_computad_comp,
+    relabelled,
+    walk2,
+    walk_n,
+)
 from oracles import mediated_classifying_morphism
 
 
@@ -175,6 +185,54 @@ def test_reconstruct_random_comp_computads():
         c = random_computad_comp(sig, rng)
         rebuilt = reconstruct_from_nerve(c)
         assert isomorphic(rebuilt, c)
+
+
+def _random_families():
+    """Seeded random computads over comp, sigma_kan(1), sigma_kan(2), the
+    globe-2 tree composite and a grid composite over the 1-cube.  A draw over
+    sigma_kan(2) brute-forces its gluing families and takes a second or more
+    once the lower sorts hold two generators each, so there are two such
+    draws, whose seed reaches a 2-simplex within a few milliseconds."""
+    from computads.cubical import cube_category, grid_composite
+    from computads.globular import globe_category, tree_composite
+    from computads.packs import sigma_kan
+
+    rng = random.Random(41)
+    cs = [random_computad_comp(comp_signature(), rng) for _ in range(8)]
+    draws = [
+        (sigma_kan(1), 3, 6, 1),
+        (sigma_kan(2), 2, 2, 0),
+        (tree_composite(globe_category(2), [[], []])[0], 3, 6, 6),
+        (grid_composite(cube_category(1), {0: 2})[0], 3, 6, 3),
+    ]
+    for sig, max_gens, count, seed in draws:
+        rng = random.Random(seed)
+        cs += [random_computad(sig, rng, max_gens) for _ in range(count)]
+    return cs
+
+
+def test_reconstruction_matches_the_searched_reconstruction():
+    cs = _random_families()
+    assert sum(c.base.dim(s) == 2 for c in cs for s, _ in c.all_generators()) > 5
+    for c in cs:
+        rebuilt = reconstruct_from_nerve(c)
+        assert computad_to_json(rebuilt) == computad_to_json(oracles.searched_reconstruction(c))
+        assert isomorphic(rebuilt, c)
+
+
+def test_reconstruction_searches_nothing(monkeypatch):
+    from computads import presheaf
+    from computads.packs import sigma_kan
+
+    cs = [relabelled(walk_n(comp_signature(), 6), random.Random(3)), _kan_fixture()[1]]
+    cs.append(random_computad(sigma_kan(1), random.Random(4), max_gens=3))
+    expected = [computad_to_json(oracles.searched_reconstruction(c)) for c in cs]
+
+    def refuse(*args):
+        raise AssertionError("the nerve's realisation searched")
+
+    monkeypatch.setattr(presheaf, "search", refuse)
+    assert [computad_to_json(reconstruct_from_nerve(c)) for c in cs] == expected
 
 
 def _kan_fixture():
