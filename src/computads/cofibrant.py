@@ -4,8 +4,10 @@ algebra, and trivial-fibration checking.
 The representable computad on a sort i classifies terms of sort i; its
 boundary classifies types (compatible boundary families).  Every computad is
 rebuilt from the empty one by attaching generators along their boundary types
-dimension by dimension, and the right adjoint to the free-algebra functor is
-computed by pairing types of the replacement built so far with carrier cells.
+dimension by dimension: each stage is the pushout of the one below along the
+boundary inclusions, checked by renaming the colimit along its comparison map.
+The right adjoint to the free-algebra functor is computed by pairing types of
+the replacement built so far with carrier cells.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .computad import (
     colimit_var,
     free_computad,
     inclusion,
-    isomorphic,
     make_morphism,
     sub_computad,
 )
@@ -145,14 +146,17 @@ def replay_filtration(filtration: SkeletalFiltration) -> Computad:
 def verify_stage_pushout(
     stage: SkeletalStage, next_computad: Computad
 ) -> bool | None:
-    """Check the attaching square against an actual computad pushout.
-
-    The next stage is the pushout of the stage along the coproduct of the
-    boundary inclusions of its attachments, which is one colimit: the stage,
-    and per attachment a sphere node with two legs, ``phi`` into the stage
-    and the boundary inclusion into a disk node.  Only applies when every
-    attaching morphism is variable-to-variable (the computad colimit
-    machinery requires generator-preserving legs); returns None otherwise.
+    """Check that ``next_computad`` is *the* pushout of the stage along the
+    boundary inclusions of its attachments: one colimit of the stage and, per
+    attachment, a sphere with legs ``phi`` into the stage and the boundary
+    inclusion into a disk.  Its comparison map ``to_next`` sends the class of
+    a stage generator to that generator, and the class of a disk's top cell
+    ``id_<sort>`` to the attached generator.  It is a bijection, since each
+    boundary inclusion is injective and misses only the top cell.  Renamed
+    along it, the colimit must be ``next_computad``: the same generators at
+    each sort with the same gluings, so a pushout under other names reads
+    False.  Returns None unless every attaching morphism is
+    variable-to-variable, as the colimit machinery requires.
     """
     if not all(att.phi.is_var_to_var() for att in stage.attachments):
         return None
@@ -165,7 +169,13 @@ def verify_stage_pushout(
         nodes[disk] = disk_computad(sig, att.sort)
         edges.append((sphere, "stage", att.phi))
         edges.append((sphere, disk, boundary_inclusion(sig, att.sort)))
-    return isomorphic(colimit_var(nodes, edges).computad, next_computad)
+    colim = colimit_var(nodes, edges)
+    to_next = {cls: gen for gen, cls in colim.legs["stage"].gen_map().items()}
+    for att in stage.attachments:
+        to_next[colim.legs[f"disk:{att.gen}"](f"id_{att.sort}").gen] = att.gen
+    gens = sorted((s, to_next[g]) for s, g in colim.computad.all_generators())
+    glue = {(to_next[g], f): rename(t, to_next) for (g, f), t in colim.computad.glue.items()}
+    return gens == sorted(next_computad.all_generators()) and glue == next_computad.glue
 
 
 # -- the underlying computad of an algebra ------------------------------------------
@@ -176,7 +186,6 @@ class UndResult:
     r_assign: dict[str, str]  # generator -> carrier cell
     gen_info: dict[str, tuple[dict[FaceRef, Term], str]]
     exact: bool
-    depth: int
 
 
 def _und_gen_name(family: dict[FaceRef, Term], cell: str) -> str:
@@ -232,7 +241,6 @@ def underlying_computad(alg, depth_bound: int) -> UndResult:
         r_assign=r_assign,
         gen_info=gen_info,
         exact=exact,
-        depth=depth_bound,
     )
 
 

@@ -296,7 +296,6 @@ def enumerate_var_to_var(c: Computad, d: Computad) -> list[ComputadMorphism]:
 class Colimit:
     computad: Computad
     legs: dict[str, ComputadMorphism]
-    classes: dict[tuple[str, str], str]  # (node key, generator) -> colimit generator
 
     def mediate(self, cocone: dict[str, ComputadMorphism]) -> ComputadMorphism:
         """The unique morphism out of the colimit determined by a cocone.
@@ -306,14 +305,14 @@ class Colimit:
         """
         target = next(iter(cocone.values())).dst
         assign: dict[str, Term] = {}
-        for (node, gen), cls in sorted(self.classes.items()):
-            leg = cocone[node]
-            value = leg.assign[gen]
-            if cls in assign and assign[cls] != value:
-                raise CocycleFailure(
-                    f"cocone legs disagree on identified generator {cls!r}"
-                )
-            assign[cls] = value
+        for node, leg in sorted(self.legs.items()):
+            for gen, cls in sorted(leg.gen_map().items()):
+                value = cocone[node].assign[gen]
+                if cls in assign and assign[cls] != value:
+                    raise CocycleFailure(
+                        f"cocone legs disagree on identified generator {cls!r}"
+                    )
+                assign[cls] = value
         return ComputadMorphism(src=self.computad, dst=target, assign=assign)
 
 
@@ -364,25 +363,18 @@ def colimit_var(
     def class_name(rep: tuple[str, str]) -> str:
         return f"{rep[0]}:{rep[1]}"
 
-    classes = {x: class_name(find(x)) for x in parent}
-    gens: dict[str, tuple[str, ...]] = {}
-    for sort in cat.sorts:
-        names = sorted(
-            {
-                classes[(key, g)]
-                for key, c in nodes.items()
-                for g in c.generators_at(sort)
-            }
-        )
-        gens[sort] = tuple(names)
-
-    # Build gluings dimension by dimension using the leg renamings.
     leg_maps = {
-        key: {g: classes[(key, g)] for _, g in c.all_generators()}
+        key: {g: class_name(find((key, g))) for _, g in c.all_generators()}
         for key, c in nodes.items()
     }
+    gens: dict[str, tuple[str, ...]] = {}
+    for sort in cat.sorts:
+        names = {leg_maps[key][g] for key, c in nodes.items() for g in c.generators_at(sort)}
+        gens[sort] = tuple(sorted(names))
+
+    # Build gluings dimension by dimension using the leg renamings.
     glue: dict[tuple[str, FaceRef], Term] = {}
-    reps = {cls: find(x) for x, cls in classes.items()}
+    reps = {cls: find((key, g)) for key, m in leg_maps.items() for g, cls in m.items()}
     for sort in cat.sorts:
         for cls in gens[sort]:
             key, g = reps[cls]
@@ -393,7 +385,7 @@ def colimit_var(
         key: ComputadMorphism(c, colim, {g: var(v) for g, v in leg_maps[key].items()})
         for key, c in nodes.items()
     }
-    return Colimit(computad=colim, legs=legs, classes=classes)
+    return Colimit(computad=colim, legs=legs)
 
 
 def coproduct(computads: list[Computad]) -> Colimit:

@@ -152,11 +152,9 @@ class PolyplexRep:
     """The computad representing a shape, with its universal term and the
     colimit presentation used to build it."""
 
-    polyplex: Polyplex
     computad: Computad
     universal: Term
     colimit: Colimit | None  # None only for shapes without parts
-    star: str | None = None  # the fresh generator, for generator shapes
 
 
 def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
@@ -193,13 +191,13 @@ def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
         else:
             colim, computad, family = None, Computad(sig, {}, {}), {}
         if isinstance(p, PApp):
-            return PolyplexRep(p, computad, app(p.symbol, family), colim)
+            return PolyplexRep(computad, app(p.symbol, family), colim)
         star = f"*{p.sort}"
         gens = dict(computad.gens)
         gens[p.sort] = (star,)  # the parts have lower sorts
         glue = dict(computad.glue)
         glue.update({(star, face): t for face, t in family.items()})
-        return PolyplexRep(p, Computad(sig, gens, glue), var(star), colim, star)
+        return PolyplexRep(Computad(sig, gens, glue), var(star), colim)
 
     return fold(p, children_of, build, memo_table(sig, "_rep_cache"))
 

@@ -264,14 +264,15 @@ def random_computad(
     """A random computad over ``sig``: per sort, in increasing dimension, up to
     ``max_gens`` generators, each glued along a family drawn from the
     cocycle-satisfying families of terms of depth at most ``depth`` over the
-    generators of lower dimension.  The families are found by brute force:
-    every product of terms, one per face, filtered by ``check_family``."""
-    import itertools
+    generators of lower dimension.  The families are the maps from the
+    boundary of the representable into those terms, found by ``homs`` (the
+    enumerator's own family search) and listed in product order, one term per
+    face, as ``oracles.product_random_computad`` lists them by brute force."""
+    from functools import partial
 
-    from computads.errors import IncompatibleArgs
     from computads.monad import enumerate_terms
-    from computads.presheaf import boundary_representable
-    from computads.terms import check_family
+    from computads.presheaf import action_spine, boundary_representable, homs
+    from computads.terms import boundary
 
     cat = sig.base
     gens: dict[str, tuple[str, ...]] = {}
@@ -279,17 +280,13 @@ def random_computad(
     for sort in cat.sorts:
         lower = Computad(sig, gens, glue)
         faces = cat.faces_into(sort)
-        sphere = boundary_representable(cat, sort)[0]
-        families = []
-        for terms in itertools.product(
-            *[enumerate_terms(lower, cat.face(f).src, depth) for f in faces]
-        ):
-            family = dict(zip(faces, terms))
-            try:
-                check_family(lower, sphere, family, "gluing")
-            except IncompatibleArgs:
-                continue
-            families.append(family)
+        terms = {cat.face(f).src: enumerate_terms(lower, cat.face(f).src, depth) for f in faces}
+        order = {s: {t: i for i, t in enumerate(ts)} for s, ts in terms.items()}
+        spine = action_spine(partial(boundary, lower))
+        families = sorted(
+            homs(boundary_representable(cat, sort)[0], terms.__getitem__, spine),
+            key=lambda fam: [order[cat.face(f).src][fam[f]] for f in faces],
+        )
         names = []
         for _ in range(rng.randint(0, max_gens) if families else 0):
             name = f"G{sum(map(len, gens.values())) + len(names)}"
@@ -297,6 +294,28 @@ def random_computad(
             glue.update({(name, f): t for f, t in rng.choice(families).items()})
         gens[sort] = tuple(names)
     return make_computad(sig, gens, glue)
+
+
+def random_families() -> list[Computad]:
+    """Seeded random computads over comp, sigma_kan(1), sigma_kan(2), the
+    globe-2 tree composite and a grid composite over the 1-cube.  There are
+    two draws over sigma_kan(2), whose seed reaches a 2-simplex."""
+    from computads.cubical import cube_category, grid_composite
+    from computads.globular import globe_category, tree_composite
+    from computads.packs import sigma_kan
+
+    rng = random.Random(41)
+    cs = [random_computad_comp(comp_signature(), rng) for _ in range(8)]
+    draws = [
+        (sigma_kan(1), 3, 6, 1),
+        (sigma_kan(2), 2, 2, 0),
+        (tree_composite(globe_category(2), [[], []])[0], 3, 6, 6),
+        (grid_composite(cube_category(1), {0: 2})[0], 3, 6, 3),
+    ]
+    for sig, max_gens, count, seed in draws:
+        rng = random.Random(seed)
+        cs += [random_computad(sig, rng, max_gens) for _ in range(count)]
+    return cs
 
 
 def random_morphism_comp(sig, src, dst, rng: random.Random, depth: int = 2):

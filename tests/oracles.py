@@ -7,18 +7,25 @@ enumerator: it builds depth-indexed tables keyed by boundary profiles and
 grows them rank by rank, rather than recursing per call.
 
 Also here: from-scratch spellings of terms and shapes, the classifying
-morphism of a term read off the colimit presentation of its shape, and the
-nerve's realisation with its plex maps found by search.
+morphism of a term read off the colimit presentation of its shape, the
+nerve's realisation with its plex maps found by search, the filtration's
+stage pushouts compared by isomorphism search, and random computads glued
+along families found by brute force.
 """
 
 from __future__ import annotations
 
+import random
+
+from computads.cofibrant import SkeletalStage, boundary_inclusion, disk_computad
 from computads.computad import (
     Computad,
     ComputadMorphism,
     apply_morphism,
     colimit_var,
     enumerate_var_to_var,
+    isomorphic,
+    make_computad,
 )
 from computads.plex import (
     PVar,
@@ -28,6 +35,7 @@ from computads.plex import (
     nerve,
     polyplex_computad,
 )
+from computads.signature import Signature
 from computads.terms import Term, Var, app, boundary, canonical_sort, parts, var
 
 
@@ -140,8 +148,8 @@ def mediated_classifying_morphism(c: Computad, t: Term) -> ComputadMorphism:
     if rep.colimit is not None:
         legs = {cell: mediated_classifying_morphism(c, u) for cell, u in parts(c, t)}
         assign = rep.colimit.mediate(legs).assign
-    if rep.star is not None:
-        assign[rep.star] = t
+    if isinstance(rep.universal, Var):
+        assign[rep.universal.gen] = t
     return ComputadMorphism(rep.computad, c, assign)
 
 
@@ -177,3 +185,74 @@ def searched_reconstruction(c: Computad) -> Computad:
     if not nodes:
         return Computad(sig, {}, {})
     return colimit_var(nodes, edges).computad
+
+
+def searched_stage_pushout(
+    stage: SkeletalStage, next_computad: Computad
+) -> bool | None:
+    """Check the attaching square against an actual computad pushout.
+
+    The next stage is the pushout of the stage along the coproduct of the
+    boundary inclusions of its attachments, which is one colimit: the stage,
+    and per attachment a sphere node with two legs, ``phi`` into the stage
+    and the boundary inclusion into a disk node.  Only applies when every
+    attaching morphism is variable-to-variable (the computad colimit
+    machinery requires generator-preserving legs); returns None otherwise.
+    The colimit is compared with ``next_computad`` by an isomorphism search,
+    so any pushout, under any names, reads True.  The reference for
+    ``cofibrant.verify_stage_pushout``.
+    """
+    if not all(att.phi.is_var_to_var() for att in stage.attachments):
+        return None
+    sig = stage.computad.signature
+    nodes = {"stage": stage.computad}
+    edges: list[tuple[str, str, ComputadMorphism]] = []
+    for att in stage.attachments:
+        sphere, disk = f"sphere:{att.gen}", f"disk:{att.gen}"
+        nodes[sphere] = att.phi.src
+        nodes[disk] = disk_computad(sig, att.sort)
+        edges.append((sphere, "stage", att.phi))
+        edges.append((sphere, disk, boundary_inclusion(sig, att.sort)))
+    return isomorphic(colimit_var(nodes, edges).computad, next_computad)
+
+
+def product_random_computad(
+    sig: Signature, rng: random.Random, max_gens: int = 2, depth: int = 1
+) -> Computad:
+    """A random computad over ``sig``: per sort, in increasing dimension, up to
+    ``max_gens`` generators, each glued along a family drawn from the
+    cocycle-satisfying families of terms of depth at most ``depth`` over the
+    generators of lower dimension.  The families are found by brute force:
+    every product of terms, one per face, filtered by ``check_family``.  The
+    reference for ``fixtures.random_computad``."""
+    import itertools
+
+    from computads.errors import IncompatibleArgs
+    from computads.monad import enumerate_terms
+    from computads.presheaf import boundary_representable
+    from computads.terms import check_family
+
+    cat = sig.base
+    gens: dict[str, tuple[str, ...]] = {}
+    glue: dict = {}
+    for sort in cat.sorts:
+        lower = Computad(sig, gens, glue)
+        faces = cat.faces_into(sort)
+        sphere = boundary_representable(cat, sort)[0]
+        families = []
+        for terms in itertools.product(
+            *[enumerate_terms(lower, cat.face(f).src, depth) for f in faces]
+        ):
+            family = dict(zip(faces, terms))
+            try:
+                check_family(lower, sphere, family, "gluing")
+            except IncompatibleArgs:
+                continue
+            families.append(family)
+        names = []
+        for _ in range(rng.randint(0, max_gens) if families else 0):
+            name = f"G{sum(map(len, gens.values())) + len(names)}"
+            names.append(name)
+            glue.update({(name, f): t for f, t in rng.choice(families).items()})
+        gens[sort] = tuple(names)
+    return make_computad(sig, gens, glue)

@@ -1,6 +1,7 @@
 import copy
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -18,7 +19,7 @@ from computads.io_json import (
 from computads.packs import discrete_signature
 from computads.signature import signature_to_json, term_to_json
 
-from fixtures import comp_signature, comp_uv, pathcat_algebra, walk2
+from fixtures import comp_signature, comp_uv, pathcat_algebra, relabelled, walk2, walk_n
 
 
 @pytest.fixture()
@@ -184,7 +185,20 @@ def test_filtration_of_large_computad(tmp_path):
     assert json.loads(proc.stdout)["replay_isomorphic"] is True
 
 
-def run_process(*argv):
+def test_filtration_of_a_relabelled_long_walk(tmp_path):
+    # each stage is checked through the pushout's comparison map, so listing
+    # the generators of a long walk out of chain order costs no search
+    c = relabelled(walk_n(comp_signature(), 200), random.Random(7))
+    path = tmp_path / "walk200.json"
+    path.write_text(json.dumps(computad_to_json(c)), encoding="utf-8")
+    proc = run_process("filtration", "--computad", str(path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert [st["pushout_checked"] for st in report["stages"]] == [True, True]
+    assert report["replay_isomorphic"] is True
+
+
+def run_process(*argv, timeout=120):
     """Run the CLI as its own process, so a crash shows as it would to a user."""
     src = os.path.dirname(os.path.dirname(computads.__file__))
     return subprocess.run(
@@ -192,7 +206,7 @@ def run_process(*argv):
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=src),
-        timeout=120,
+        timeout=timeout,
     )
 
 

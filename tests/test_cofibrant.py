@@ -25,14 +25,20 @@ from computads.computad import (
 )
 from computads.errors import NotCompatible
 from computads.factorization import split_idempotent
+from computads.io_json import computad_to_json
 from computads.monad import enumerate_terms
+from computads.packs import sigma_kan
 from computads.terms import var
 
+import oracles
 from fixtures import (
     comp_signature,
     comp_uv,
     pathcat_algebra,
+    random_computad,
     random_computad_comp,
+    random_families,
+    relabelled,
     walk2,
     walk_n,
     z5_algebra,
@@ -115,6 +121,76 @@ def test_stage_pushout_against_the_wrong_next_stage_is_false():
     long = skeletal_filtration(walk_n(sig, 3)).stages
     verdicts = [verify_stage_pushout(lo, hi.computad) for lo, hi in zip(short, long[1:])]
     assert verdicts == [False, False]
+
+
+def test_stage_pushout_glued_elsewhere_is_false():
+    # the next stage meant is *the* pushout, under the stage inclusion and the
+    # attached generators' own names: the stage with e : o0 -> o1 attached,
+    # against a computad with e : o2 -> o3, which is a pushout only under
+    # another identification of the objects
+    sig = comp_signature()
+
+    def arrow(src, dst):
+        objects = tuple(f"o{i}" for i in range(4))
+        glue = {("e", "s"): var(src), ("e", "t"): var(dst)}
+        return make_computad(sig, {"o": objects, "a": ("e",)}, glue)
+
+    stage = skeletal_filtration(arrow("o0", "o1")).stages[1]
+    elsewhere = skeletal_filtration(arrow("o2", "o3")).stages[2].computad
+    assert oracles.searched_stage_pushout(stage, elsewhere) is True
+    assert verify_stage_pushout(stage, elsewhere) is False
+
+
+def _law_families():
+    sig = comp_signature()
+    cs = random_families()
+    cs += [relabelled(walk_n(sig, n), random.Random(n)) for n in range(1, 12)]
+    cs += [random_computad(sigma_kan(2), random.Random(seed), max_gens=3) for seed in (0, 1, 3)]
+    return cs
+
+
+def test_stage_pushout_matches_the_searched_oracle():
+    # on the true next stage the verdict is the oracle's; against the next
+    # stage of another draw, the oracle also finds any pushout that is one
+    # under other names, so only True carries over
+    cs = _law_families()
+    verdicts = {True: 0, False: 0, None: 0}
+    for c, other in zip(cs, cs[1:] + cs[:1]):
+        stages = skeletal_filtration(c).stages
+        for lo, hi in zip(stages, stages[1:]):
+            verdict = verify_stage_pushout(lo, hi.computad)
+            assert verdict == oracles.searched_stage_pushout(lo, hi.computad)
+            verdicts[verdict] += 1
+        others = skeletal_filtration(other).stages
+        for lo, hi in zip(stages, others[1:]):
+            verdict = verify_stage_pushout(lo, hi.computad)
+            if verdict:
+                assert oracles.searched_stage_pushout(lo, hi.computad)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > 0, verdicts
+
+
+def test_stage_pushout_searches_nothing(monkeypatch):
+    from computads import presheaf
+
+    stages = skeletal_filtration(relabelled(walk_n(comp_signature(), 30), random.Random(5))).stages
+    pairs = [(lo, hi.computad) for lo, hi in zip(stages, stages[1:])]
+
+    def refuse(*args):
+        raise AssertionError("the stage check searched")
+
+    monkeypatch.setattr(presheaf, "search", refuse)
+    assert [verify_stage_pushout(lo, nxt) for lo, nxt in pairs] == [True, True]
+
+
+def test_random_computad_draws_match_the_brute_force():
+    # the families found by homs, in product order, are the brute force's
+    # list, so every seeded draw is the same computad
+    for sig, max_gens in ((comp_signature(), 3), (sigma_kan(1), 3), (sigma_kan(2), 2)):
+        for seed in range(4):
+            drawn = random_computad(sig, random.Random(seed), max_gens)
+            reference = oracles.product_random_computad(sig, random.Random(seed), max_gens)
+            assert computad_to_json(drawn) == computad_to_json(reference)
 
 
 def test_filtration_replay_nonvar_attachment():

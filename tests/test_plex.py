@@ -28,6 +28,7 @@ from fixtures import (
     comp_uv,
     random_computad,
     random_computad_comp,
+    random_families,
     relabelled,
     walk2,
     walk_n,
@@ -104,7 +105,7 @@ def test_polyplex_computad_object_is_disk():
     rep = polyplex_computad(sig, generic_object())
     disk = free_computad(representable(sig.base, "o"), sig)
     assert isomorphic(rep.computad, disk)
-    assert rep.universal == var(rep.star)
+    assert rep.universal == var("*o")
 
 
 def test_polyplex_computad_arrow_is_disk():
@@ -187,32 +188,8 @@ def test_reconstruct_random_comp_computads():
         assert isomorphic(rebuilt, c)
 
 
-def _random_families():
-    """Seeded random computads over comp, sigma_kan(1), sigma_kan(2), the
-    globe-2 tree composite and a grid composite over the 1-cube.  A draw over
-    sigma_kan(2) brute-forces its gluing families and takes a second or more
-    once the lower sorts hold two generators each, so there are two such
-    draws, whose seed reaches a 2-simplex within a few milliseconds."""
-    from computads.cubical import cube_category, grid_composite
-    from computads.globular import globe_category, tree_composite
-    from computads.packs import sigma_kan
-
-    rng = random.Random(41)
-    cs = [random_computad_comp(comp_signature(), rng) for _ in range(8)]
-    draws = [
-        (sigma_kan(1), 3, 6, 1),
-        (sigma_kan(2), 2, 2, 0),
-        (tree_composite(globe_category(2), [[], []])[0], 3, 6, 6),
-        (grid_composite(cube_category(1), {0: 2})[0], 3, 6, 3),
-    ]
-    for sig, max_gens, count, seed in draws:
-        rng = random.Random(seed)
-        cs += [random_computad(sig, rng, max_gens) for _ in range(count)]
-    return cs
-
-
 def test_reconstruction_matches_the_searched_reconstruction():
-    cs = _random_families()
+    cs = random_families()
     assert sum(c.base.dim(s) == 2 for c in cs for s, _ in c.all_generators()) > 5
     for c in cs:
         rebuilt = reconstruct_from_nerve(c)
