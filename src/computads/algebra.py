@@ -17,14 +17,13 @@ import functools
 from dataclasses import dataclass
 from typing import Callable
 
-from .base import FaceRef, SortRef, memo_table, memoized
+from .base import FaceRef, SortRef, check_same_base, memo_table, memoized
 from .computad import Computad
-from .errors import BoundaryConditionFailure, PartialTable, SortMismatch
+from .errors import BoundaryConditionFailure, PartialTable, SortMismatch, UnknownGenerator
 from .monad import term_presheaf
 from .presheaf import (
     Presheaf,
     PresheafMorphism,
-    check_same_base,
     enumerate_hom,
     homs,
 )
@@ -95,9 +94,11 @@ def algebra_from_callbacks(
     carrier: Presheaf,
     callbacks: dict[str, Callable[[dict[str, str]], str]],
 ) -> Algebra:
-    """The algebra interpreting each symbol by its callback, once every
-    symbol is checked to have one and every row (in the order of ``rows``)
-    to land in its symbol's sort and to meet the symbol's boundary terms."""
+    """The algebra interpreting each symbol by its callback, once the
+    carrier is checked to lie over the signature's category, every symbol to
+    have a callback, and every row (in the order of ``rows``) to land in its
+    symbol's sort and to meet the symbol's boundary terms."""
+    check_same_base(carrier.base, signature.base, "algebra")
     missing = sorted(signature.symbols.keys() - callbacks.keys())
     if missing:
         raise PartialTable(f"no interpretation for symbols {missing}")
@@ -153,7 +154,11 @@ def morphism_from_generators(
 ) -> Callable[[Term], str]:
     """Check the boundary condition and return the induced evaluation: the
     unique extension of a boundary-compatible generator assignment to an
-    evaluation of all terms in an algebra."""
+    evaluation of all terms in an algebra over the computad's signature."""
+    check_same_base(c.signature, alg.signature, "evaluation")
+    extra = sorted(assign.keys() - c._gen_sort.keys())
+    if extra:
+        raise UnknownGenerator(f"value assigned to {extra[0]!r}, not a generator")
     ev = functools.partial(eval_in_env, alg, env=dict(assign))
     for sort, gen in c.all_generators():
         if gen not in assign:
@@ -191,7 +196,7 @@ def check_algebra_morphism(
     ``dst.interpret`` propagates; rows are checked in order and the check
     stops at the first failure, so only rows up to it reach ``dst``.
     """
-    check_same_base(src.carrier.base, dst.carrier.base, "algebra morphism")
+    check_same_base(src.signature, dst.signature, "algebra morphism")
     for row in rows(src):
         if not _preserves(dst, row, component):
             return False, (row[0], hom_key(row[1]))
@@ -209,7 +214,7 @@ def algebra_morphisms(src, dst) -> list[PresheafMorphism]:
     that breaks a row is never extended.  An error raised by
     ``dst.interpret`` propagates from the first partial map that reaches it.
     """
-    check_same_base(src.carrier.base, dst.carrier.base, "algebra morphism")
+    check_same_base(src.signature, dst.signature, "algebra morphism")
     constraints = [
         ((*row[1].values(), row[2]), functools.partial(_preserves, dst, row))
         for row in rows(src)

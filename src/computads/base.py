@@ -19,6 +19,7 @@ from operator import itemgetter
 
 from .errors import (
     AssociativityFailure,
+    BaseMismatch,
     CompositionGap,
     DimensionViolation,
     UnknownFace,
@@ -64,6 +65,14 @@ def memoized(name: str):
         return cached
 
     return decorate
+
+
+def check_same_base(x, y, what: str) -> None:
+    """Raise ``BaseMismatch`` unless ``x`` and ``y``, two categories or two
+    signatures, are equal by the generated ``==``: the same sorts, faces
+    with their endpoints and table, and symbols.  ``is`` answers first."""
+    if x is not y and x != y:
+        raise BaseMismatch(f"{what} across different bases")
 
 
 @dataclass(frozen=True)

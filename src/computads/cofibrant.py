@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import eval_in_env
-from .base import FaceRef, SortRef, memoized
+from .base import FaceRef, SortRef, check_same_base, memoized
 from .computad import (
     Computad,
     ComputadMorphism,
@@ -153,8 +153,9 @@ def verify_stage_pushout(
     a stage generator to that generator, and the class of a disk's top cell
     ``id_<sort>`` to the attached generator.  It is a bijection, since each
     boundary inclusion is injective and misses only the top cell.  Renamed
-    along it, the colimit must be ``next_computad``: the same generators at
-    each sort with the same gluings, so a pushout under other names reads
+    along it, the colimit must equal ``next_computad``, each listing its
+    generators in name order: the same signature, the same generators at
+    each sort and the same gluings, so a pushout under other names reads
     False.  Returns None unless every attaching morphism is
     variable-to-variable, as the colimit machinery requires.
     """
@@ -173,9 +174,11 @@ def verify_stage_pushout(
     to_next = {cls: gen for gen, cls in colim.legs["stage"].gen_map().items()}
     for att in stage.attachments:
         to_next[colim.legs[f"disk:{att.gen}"](f"id_{att.sort}").gen] = att.gen
-    gens = sorted((s, to_next[g]) for s, g in colim.computad.all_generators())
+    gens = {s: sorted(to_next[g] for g in gs) for s, gs in colim.computad.gens.items()}
     glue = {(to_next[g], f): rename(t, to_next) for (g, f), t in colim.computad.glue.items()}
-    return gens == sorted(next_computad.all_generators()) and glue == next_computad.glue
+    listed = {s: sorted(gs) for s, gs in next_computad.gens.items()}
+    renamed = Computad(sig, gens, glue)
+    return renamed == Computad(next_computad.signature, listed, next_computad.glue)
 
 
 # -- the underlying computad of an algebra ------------------------------------------
@@ -280,6 +283,7 @@ def check_trivial_fibration(
     element below), some source cell must restrict to the type and map to the
     element; equivalently (sigma, boundaries) is surjective onto the pullback.
     """
+    check_same_base(src.signature, dst.signature, "trivial fibration")
     cat = src.signature.base
     for sort in cat.sorts:
         faces = cat.faces_into(sort)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .base import DirectCategory, FaceRef, SortRef
+from .base import DirectCategory, FaceRef, SortRef, check_same_base
 from .errors import (
     CocycleFailure,
     EndpointMismatch,
@@ -26,7 +26,7 @@ from .errors import (
     UnknownGenerator,
     UnknownSort,
 )
-from .presheaf import Presheaf, boundary_representable, check_same_base, homs
+from .presheaf import Presheaf, boundary_representable, homs
 from .signature import FunctionSymbol, Signature, restrict_signature
 from .terms import (
     Term,
@@ -203,15 +203,6 @@ class ComputadMorphism:
         m = self.gen_map()
         return len(set(m.values())) == len(m)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ComputadMorphism):
-            return NotImplemented
-        return (
-            self.src.gens == other.src.gens
-            and self.dst.gens == other.dst.gens
-            and self.assign == other.assign
-        )
-
 
 def apply_morphism(m: ComputadMorphism, t: Term) -> Term:
     """The action of a morphism on a term: substitute generator images."""
@@ -221,8 +212,9 @@ def apply_morphism(m: ComputadMorphism, t: Term) -> Term:
 def make_morphism(
     src: Computad, dst: Computad, assign: dict[str, Term]
 ) -> ComputadMorphism:
-    """The checked constructor: terms of the right sort and boundaries, on
-    the source generators only."""
+    """The checked constructor: computads over one signature, and terms of
+    the right sort and boundaries, on the source generators only."""
+    check_same_base(src.signature, dst.signature, "morphism")
     m = ComputadMorphism(src=src, dst=dst, assign=dict(assign))
     extra = sorted(m.assign.keys() - src._gen_sort.keys())
     if extra:
@@ -254,7 +246,7 @@ def compose_morphisms(
     later: ComputadMorphism, earlier: ComputadMorphism
 ) -> ComputadMorphism:
     """The composite ``later . earlier`` (earlier applied first)."""
-    if earlier.dst.gens != later.src.gens or earlier.dst.glue != later.src.glue:
+    if earlier.dst != later.src:
         raise EndpointMismatch("morphisms are not composable")
     assign = {g: apply_morphism(later, t) for g, t in earlier.assign.items()}
     return ComputadMorphism(src=earlier.src, dst=later.dst, assign=assign)
@@ -269,8 +261,9 @@ def var_to_var_morphism(
 # -- isomorphism checking -------------------------------------------------------
 
 def find_isomorphism(c: Computad, d: Computad) -> dict[str, str] | None:
-    """The first generator bijection respecting gluings, or None."""
-    if c.signature.base.dims != d.signature.base.dims:
+    """The first generator bijection respecting gluings, or None; None
+    across signatures."""
+    if c.signature != d.signature:
         return None
     for s in c.base.sorts:
         if len(c.generators_at(s)) != len(d.generators_at(s)):
@@ -396,7 +389,7 @@ def pushout(
     left: ComputadMorphism, right: ComputadMorphism
 ) -> Colimit:
     """Pushout of the span ``left.src == right.src``."""
-    if left.src.gens != right.src.gens:
+    if left.src != right.src:
         raise EndpointMismatch("pushout legs must share their source")
     nodes = {"a": left.src, "b": left.dst, "c": right.dst}
     edges = [("a", "b", left), ("a", "c", right)]

@@ -123,7 +123,7 @@ def split_idempotent(
 ) -> tuple[ComputadMorphism, ComputadMorphism]:
     """Split an idempotent endomorphism as (retraction, section) through its
     support computad; the retraction then section composite is the identity."""
-    if e.src.gens != e.dst.gens or compose_morphisms(e, e) != e:
+    if e.src != e.dst or compose_morphisms(e, e) != e:
         raise NotIdempotent("split_idempotent requires an idempotent endomorphism")
     pi, _, iota = image_factorize(e)
     return pi, iota

@@ -16,10 +16,9 @@ from .algebra import (
     hom_key,
     rows,
 )
-from .base import json_id_lists, json_object, json_objects, validate_category
+from .base import check_same_base, json_id_lists, json_object, json_objects, validate_category
 from .computad import Computad, ComputadMorphism, make_computad, make_morphism
 from .errors import (
-    BaseMismatch,
     FunctorialityFailure,
     GluingIllTyped,
     KernelError,
@@ -92,8 +91,7 @@ def algebra_from_json(raw: dict) -> Algebra:
     carrier_raw = json_object(
         raw["carrier"], FunctorialityFailure, "a presheaf", {"category": object}
     )
-    if validate_category(carrier_raw["category"]) != sig.base:
-        raise BaseMismatch("the carrier is a presheaf over another category")
+    check_same_base(validate_category(carrier_raw["category"]), sig.base, "carrier")
     carrier = validate_presheaf(carrier_raw, base=sig.base)
     tables: dict[str, dict[tuple, str]] = {}
     by_symbol = itemgetter("symbol")

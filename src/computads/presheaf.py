@@ -20,6 +20,7 @@ from .base import (
     FaceRef,
     SortRef,
     category_to_json,
+    check_same_base,
     json_id_lists,
     json_object,
     json_objects,
@@ -28,7 +29,6 @@ from .base import (
     validate_category,
 )
 from .errors import (
-    BaseMismatch,
     FunctorialityFailure,
     MissingAction,
     UnknownSort,
@@ -208,13 +208,6 @@ def boundary_representable(
 
 
 # -- morphisms ----------------------------------------------------------------
-
-def check_same_base(x: DirectCategory, y: DirectCategory, what: str) -> None:
-    """Raise ``BaseMismatch`` unless ``x`` and ``y`` have the same sorts,
-    dimensions and faces."""
-    if x is not y and (x.dims != y.dims or x.faces.keys() != y.faces.keys()):
-        raise BaseMismatch(f"{what} across different bases")
-
 
 def check_morphism(h: PresheafMorphism) -> None:
     """Raise if ``h`` is not a natural transformation on the source cells."""

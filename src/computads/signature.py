@@ -83,16 +83,6 @@ class Signature:
     def dimension(self) -> int:
         return self.base.dimension()
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Signature):
-            return NotImplemented
-        return (
-            self.base.dims == other.base.dims
-            and self.base.faces == other.base.faces
-            and self.base.table == other.base.table
-            and self.symbols == other.symbols
-        )
-
 
 COCYCLE_NOTE = (
     "convention: restricting the boundary term at a face d along a further "

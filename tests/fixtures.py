@@ -200,6 +200,18 @@ def z5_algebra():
     return zn_algebra(5)
 
 
+def zero_algebra(n: int = 5):
+    """The cells of Z/n as an algebra of the one-sort signature whose only
+    symbol is the constant ``zero``: the category of ``zn_algebra``, and
+    another signature."""
+    from computads.algebra import algebra_from_callbacks
+    from computads.packs import discrete_signature
+
+    sig = discrete_signature(["*"], [("zero", "*", {})])
+    carrier = make_presheaf(sig.base, {"*": tuple(str(k) for k in range(n))}, {})
+    return algebra_from_callbacks(sig, carrier, {"zero": lambda env: "0"})
+
+
 def chain_algebra(k: int):
     """The path category of the chain c0 -> ... -> c{k-1}, as an algebra of
     the comp signature: one arrow ``c{i}c{j}`` per pair i <= j, composed by
@@ -318,6 +330,23 @@ def random_families() -> list[Computad]:
     return cs
 
 
+def law_families() -> list[Computad]:
+    """``random_families`` and relabelled walks of 1 to 11 arrows, the
+    computads the kernel's laws run over."""
+    sig = comp_signature()
+    walks = [relabelled(walk_n(sig, n), random.Random(n)) for n in range(1, 12)]
+    return random_families() + walks
+
+
+def classifying_morphisms(c: Computad, sort: str, count: int = 4) -> list:
+    """The classifying morphisms, out of the representable computad on
+    ``sort``, of the first ``count`` terms of ``sort`` of depth at most 1."""
+    from computads.cofibrant import classify_term
+    from computads.monad import enumerate_terms
+
+    return [classify_term(c, t, sort) for t in enumerate_terms(c, sort, 1)[:count]]
+
+
 def random_morphism_comp(sig, src, dst, rng: random.Random, depth: int = 2):
     """A random morphism between comp computads, or None when the random
     endpoint choices leave an arrow with no candidate image."""
@@ -341,3 +370,49 @@ def random_morphism_comp(sig, src, dst, rng: random.Random, depth: int = 2):
             return None
         assign[g] = rng.choice(candidates)
     return make_morphism(src, dst, assign)
+
+
+# -- documents over nearly equal bases ----------------------------------------------
+
+def _fork_signature_doc(target: str) -> dict:
+    """The empty signature over sorts o, a, b and one face f : o -> ``target``."""
+    sorts = [{"id": "o", "dim": 0}, {"id": "a", "dim": 1}, {"id": "b", "dim": 1}]
+    faces = [{"id": "f", "src": "o", "dst": target}]
+    return {"category": {"sorts": sorts, "faces": faces, "compose": []}, "symbols": []}
+
+
+def _fork_cell(target: str) -> str:
+    return {"a": "x", "b": "y"}[target]
+
+
+def fork_algebra_doc(target: str) -> dict:
+    """An algebra document for the empty signature of ``_fork_signature_doc``,
+    with carrier cells p at o, x at a and y at b; the face f acts on the cell
+    at ``target``.  The two choices of ``target`` give the same sorts and
+    face ids, and different categories."""
+    sig = _fork_signature_doc(target)
+    cells = {"o": ["p"], "a": ["x"], "b": ["y"]}
+    action = [{"face": "f", "from": _fork_cell(target), "to": "p"}]
+    carrier = {"category": sig["category"], "cells": cells, "action": action}
+    return {"signature": sig, "carrier": carrier, "interpretations": []}
+
+
+def fork_computad_doc(target: str) -> dict:
+    """A computad document over the signature of ``fork_algebra_doc``, with
+    generators named as that algebra's cells."""
+    gluing = [{"gen": _fork_cell(target), "face": "f", "term": {"var": "p"}}]
+    generators = {"o": ["p"], "a": ["x"], "b": ["y"]}
+    return {"signature": _fork_signature_doc(target), "generators": generators, "gluing": gluing}
+
+
+def pointed_algebra_doc(constant: bool) -> dict:
+    """An algebra document on one cell p for the one-sort signature with a
+    constant ``e``, or for the empty signature over the same sort."""
+    point = {"sorts": [{"id": "o", "dim": 0}], "faces": [], "compose": []}
+    e = {"id": "e", "sort": "o", "arity": {"cells": {}, "action": []}, "boundary": []}
+    rows = [{"symbol": "e", "rows": [{"hom": [], "value": "p"}]}]
+    return {
+        "signature": {"category": point, "symbols": [e] if constant else []},
+        "carrier": {"category": point, "cells": {"o": ["p"]}, "action": []},
+        "interpretations": rows if constant else [],
+    }

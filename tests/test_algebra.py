@@ -16,9 +16,11 @@ from computads.algebra import (
 )
 from computads.computad import make_computad
 from computads.errors import (
+    BaseMismatch,
     BoundaryConditionFailure,
     DepthExceeded,
     PartialTable,
+    UnknownGenerator,
 )
 from computads.monad import enumerate_terms
 from computads.packs import group_signature
@@ -28,10 +30,12 @@ from computads.terms import app, var
 from fixtures import (
     comp_signature,
     comp_uv,
+    group_base,
     pathcat_algebra,
     pathcat_carrier,
     walk2,
     z5_algebra,
+    zero_algebra,
 )
 
 
@@ -168,6 +172,36 @@ def test_morphism_from_generators_pathcat():
         morphism_from_generators(
             c, alg, {"p": "A", "q": "B", "r": "C", "u": "e2", "v": "e2"}
         )
+
+
+def test_morphism_from_generators_checks_names_and_signature():
+    from computads.signature import Signature
+
+    c, alg = walk2(), pathcat_algebra()
+    assign = {"p": "A", "q": "B", "r": "C", "u": "e1", "v": "e2"}
+    with pytest.raises(UnknownGenerator):
+        morphism_from_generators(c, alg, dict(assign, zzz="A"))
+    bare = make_computad(Signature(c.base, {}), c.gens, c.glue)
+    with pytest.raises(BaseMismatch):
+        morphism_from_generators(bare, alg, assign)
+
+
+def test_algebra_from_callbacks_rejects_a_carrier_over_another_category():
+    from computads.signature import Signature
+
+    # no symbols, so no row would compare the two categories
+    carrier = make_presheaf(group_base(), {"*": ("0",)}, {})
+    with pytest.raises(BaseMismatch):
+        algebra_from_callbacks(Signature(comp_signature().base, {}), carrier, {})
+
+
+def test_algebra_morphisms_across_signatures_are_rejected():
+    ident = {str(k): str(k) for k in range(5)}
+    for src, dst in ((z5_algebra(), zero_algebra()), (zero_algebra(), z5_algebra())):
+        with pytest.raises(BaseMismatch):
+            check_algebra_morphism(src, dst, ident)
+        with pytest.raises(BaseMismatch):
+            algebra_morphisms(src, dst)
 
 
 def test_identity_is_algebra_morphism():

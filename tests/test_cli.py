@@ -19,7 +19,17 @@ from computads.io_json import (
 from computads.packs import discrete_signature
 from computads.signature import signature_to_json, term_to_json
 
-from fixtures import comp_signature, comp_uv, pathcat_algebra, relabelled, walk2, walk_n
+from fixtures import (
+    comp_signature,
+    comp_uv,
+    fork_algebra_doc,
+    fork_computad_doc,
+    pathcat_algebra,
+    pointed_algebra_doc,
+    relabelled,
+    walk2,
+    walk_n,
+)
 
 
 @pytest.fixture()
@@ -603,6 +613,48 @@ def test_check_tfib_rejects_a_map_that_breaks_an_interpretation(tmp_path, capsys
     assert status == 1
     assert captured.out == ""
     assert captured.err.startswith("NotCompatible: ")
+
+
+def _algebra_pair(src: dict, dst: dict, cells) -> dict:
+    """An algebra morphism document with identity components on ``cells``."""
+    return {"src": src, "dst": dst, "components": [{"from": c, "to": c} for c in cells]}
+
+
+# Documents whose two halves are each valid but lie over different categories
+# or signatures, and the commands that read them
+CROSS_BASE = {
+    "fork-algebras": (
+        _algebra_pair(fork_algebra_doc("a"), fork_algebra_doc("b"), "pxy"),
+        ["check-tfib"],
+    ),
+    "fork-morphism": (
+        {
+            "src": fork_computad_doc("a"),
+            "dst": fork_computad_doc("b"),
+            "assign": [{"gen": g, "term": {"var": g}} for g in "pxy"],
+        },
+        ["support", "factorize", "split"],
+    ),
+    "constant-to-empty": (
+        _algebra_pair(pointed_algebra_doc(True), pointed_algebra_doc(False), "p"),
+        ["check-tfib"],
+    ),
+    "empty-to-constant": (
+        _algebra_pair(pointed_algebra_doc(False), pointed_algebra_doc(True), "p"),
+        ["check-tfib"],
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, commands", CROSS_BASE.values(), ids=CROSS_BASE.keys())
+def test_documents_whose_halves_differ_in_base_are_rejected(tmp_path, doc, commands):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in commands:
+        proc = run_process(command, "--morphism", str(path))
+        assert proc.returncode == 1, (command, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("BaseMismatch: "), (command, proc.stderr)
 
 
 @pytest.mark.parametrize("counts", ["x", "-1", "1,,2", "1,2,", ",", "+1", " 1", "1.0"])

@@ -23,7 +23,7 @@ from computads.computad import (
     make_computad,
     make_morphism,
 )
-from computads.errors import NotCompatible
+from computads.errors import BaseMismatch, NotCompatible
 from computads.factorization import split_idempotent
 from computads.io_json import computad_to_json
 from computads.monad import enumerate_terms
@@ -34,6 +34,7 @@ import oracles
 from fixtures import (
     comp_signature,
     comp_uv,
+    law_families,
     pathcat_algebra,
     random_computad,
     random_computad_comp,
@@ -42,6 +43,7 @@ from fixtures import (
     walk2,
     walk_n,
     z5_algebra,
+    zero_algebra,
 )
 
 
@@ -142,11 +144,20 @@ def test_stage_pushout_glued_elsewhere_is_false():
 
 
 def _law_families():
-    sig = comp_signature()
-    cs = random_families()
-    cs += [relabelled(walk_n(sig, n), random.Random(n)) for n in range(1, 12)]
+    cs = law_families()
     cs += [random_computad(sigma_kan(2), random.Random(seed), max_gens=3) for seed in (0, 1, 3)]
     return cs
+
+
+def test_stage_pushout_over_another_signature_is_false():
+    # the next stage of walk2 with the same generators and gluings, over the
+    # arrow category without the composition symbol
+    from computads.signature import Signature
+
+    lo, hi = skeletal_filtration(walk2()).stages[1:3]
+    bare = make_computad(Signature(hi.computad.base, {}), hi.computad.gens, hi.computad.glue)
+    assert verify_stage_pushout(lo, hi.computad) is True
+    assert verify_stage_pushout(lo, bare) is False
 
 
 def test_stage_pushout_matches_the_searched_oracle():
@@ -335,6 +346,13 @@ def test_identity_is_trivial_fibration():
     ident = {c: c for cs in alg.carrier.cells.values() for c in cs}
     ok, _ = check_trivial_fibration(alg, alg, ident)
     assert ok
+
+
+def test_trivial_fibration_across_signatures_is_rejected():
+    ident = {str(k): str(k) for k in range(5)}
+    for src, dst in ((z5_algebra(), zero_algebra()), (zero_algebra(), z5_algebra())):
+        with pytest.raises(BaseMismatch):
+            check_trivial_fibration(src, dst, ident)
 
 
 def test_subalgebra_inclusion_fails_tfib():

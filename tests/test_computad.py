@@ -436,3 +436,45 @@ def test_free_computad_rejects_a_presheaf_over_another_base():
 
     with pytest.raises(BaseMismatch):
         free_computad(arrow_arity(), group_signature())
+
+
+def _point_computads():
+    """One generator over the group signature, and over the signature with
+    only its constant: the same category, different signatures."""
+    from computads.packs import discrete_signature, group_signature
+
+    constant = discrete_signature(["*"], [("zero", "*", {})])
+    return [make_computad(sig, {"*": ("x",)}, {}) for sig in (group_signature(), constant)]
+
+
+def test_make_morphism_across_signatures_is_rejected():
+    from computads.errors import BaseMismatch
+
+    c, d = _point_computads()
+    with pytest.raises(BaseMismatch):
+        make_morphism(c, d, {"x": var("x")})
+
+
+def test_isomorphic_across_signatures_is_false():
+    c, d = _point_computads()
+    assert isomorphic(c, c) and isomorphic(d, d)
+    assert not isomorphic(c, d) and find_isomorphism(d, c) is None
+
+
+def test_morphism_equality_compares_gluings_and_signatures():
+    from computads.computad import ComputadMorphism
+    from computads.errors import EndpointMismatch
+    from computads.signature import Signature
+
+    ident = identity_morphism(walk2())
+    assert ident == identity_morphism(walk2())  # built apart, equal
+    assert comp_signature() == comp_signature()
+    # the same generators and assignment into a target that glues v elsewhere
+    glue = {**ident.dst.glue, ("v", "s"): var("p")}
+    elsewhere = make_computad(ident.dst.signature, ident.dst.gens, glue)
+    assert ComputadMorphism(ident.src, elsewhere, ident.assign) != ident
+    # ... or into the same computad over a signature without symbols
+    bare = make_computad(Signature(ident.dst.base, {}), ident.dst.gens, ident.dst.glue)
+    assert ComputadMorphism(ident.src, bare, ident.assign) != ident
+    with pytest.raises(EndpointMismatch):
+        compose_morphisms(identity_morphism(bare), ident)

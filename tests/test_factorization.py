@@ -10,6 +10,7 @@ from computads.computad import (
     identity_morphism,
     isomorphic,
     make_morphism,
+    skeleton_counit,
     var_to_var_morphism,
 )
 from computads.factorization import (
@@ -21,11 +22,18 @@ from computads.factorization import (
     support,
     support_term,
 )
-from computads.monad import enumerate_terms
+from computads.monad import counit, enumerate_terms
 from computads.presheaf import representable
 from computads.terms import app, boundary, var
 
-from fixtures import comp_signature, comp_uv, random_computad_comp, walk2
+from fixtures import (
+    classifying_morphisms,
+    comp_signature,
+    comp_uv,
+    law_families,
+    random_computad_comp,
+    walk2,
+)
 
 
 def test_support_of_var_includes_gluings():
@@ -267,3 +275,19 @@ def test_agreement_criterion_perturbation():
     swapped = dict(base, p=var("z"))
     inside = ComputadMorphism(src=c, dst=c, assign=swapped)
     assert apply_morphism(inside, t) != apply_morphism(one, t)
+
+
+def test_image_factorisations_compose_back():
+    # sigma == iota . pi by the generated ``==``, which compares both
+    # computads, their signature and gluings, and the assignment
+    count = 0
+    for c in law_families():
+        sigmas = [m for s in c.base.sorts for m in classifying_morphisms(c, s)]
+        sigmas += [skeleton_counit(c, n) for n in range(c.base.dimension())]
+        sigmas.append(counit(c, 0))
+        for sigma in sigmas:
+            pi, _, iota = image_factorize(sigma)
+            assert compose_morphisms(iota, pi) == sigma
+            assert is_epi(pi) and iota.is_injective()
+            count += 1
+    assert count > 200, count

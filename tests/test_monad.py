@@ -14,12 +14,15 @@ from computads.monad import (
     unit,
     untranspose,
 )
+from computads.presheaf import representable
 from computads.terms import app, boundary, var
 
 from fixtures import (
     arrow_arity,
+    classifying_morphisms,
     comp_signature,
     comp_uv,
+    law_families,
     random_computad_comp,
     walk2,
 )
@@ -171,6 +174,23 @@ def test_transpose_untranspose_roundtrip():
     m = untranspose(b, sig, c, family)
     assert transpose(m) == family
     assert apply_morphism(m, var("f")) == var("u")
+
+
+def test_transpose_and_untranspose_are_inverse():
+    # the morphisms out of the free computads on representables and on
+    # the depth-0 term presheaf, rebuilt from their argument families, are
+    # equal by the generated ``==`` to the morphisms they came from
+    count = 0
+    for c in law_families():
+        pairs = [(representable(c.base, s), classifying_morphisms(c, s)) for s in c.base.sorts]
+        pairs.append((term_presheaf(c, 0).carrier, [counit(c, 0)]))
+        for arity, morphisms in pairs:
+            for m in morphisms:
+                family = transpose(m)
+                assert untranspose(arity, c.signature, c, family) == m
+                assert transpose(untranspose(arity, c.signature, c, family)) == family
+                count += 1
+    assert count > 150, count
 
 
 def test_boundary_naturality_random():
