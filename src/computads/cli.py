@@ -9,6 +9,7 @@ terminated.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -324,7 +325,10 @@ def _add_options(parser: argparse.ArgumentParser, options: list[Option]) -> list
     return reads
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: ``parse_args`` returns a fresh namespace, and
+    no caller changes the parser or the ``reads`` lists it holds."""
     parser = argparse.ArgumentParser(
         prog="computads",
         description="computads, terms and free algebras over direct categories",

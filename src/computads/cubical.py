@@ -118,10 +118,6 @@ def _grid_positions(cat: DirectCategory, items: tuple[tuple[int, int], ...]) -> 
     return Presheaf(cat, {s: cells.get(s, ()) for s in cat.sorts}, action)
 
 
-def restrict_grid(grid: Grid, forgotten) -> Grid:
-    return {i: c for i, c in grid.items() if i not in forgotten}
-
-
 def grid_inclusion(
     cat: DirectCategory, grid: Grid, forgotten: dict[int, int]
 ) -> PresheafMorphism:
@@ -131,7 +127,7 @@ def grid_inclusion(
     only kept coordinates."""
     if any(j not in grid for j in forgotten):
         raise BadSubset("forgotten directions must belong to the grid")
-    restricted = restrict_grid(grid, forgotten)
+    restricted = {i: c for i, c in grid.items() if i not in forgotten}
     component = {}
     kept = tuple(sorted(restricted))
     for size in range(len(kept) + 1):
@@ -190,29 +186,24 @@ def grid_coherence(
 
 def grid_composite(cat: DirectCategory, grid: Grid) -> tuple[Signature, Term]:
     """The canonical unbiased composite of a grid, creating the coherence
-    symbols it needs along the way."""
-    directions = tuple(sorted(grid))
-    if not directions:
-        sig = Signature(base=cat, symbols={})
-        return sig, var(_position_name({}, ()))
-    lower = Signature(base=cat, symbols={})
-    sides: dict[tuple[int, int], Term] = {}
-    for i in directions:
-        sub_sig, sub_comp = grid_composite(cat, restrict_grid(grid, {i: 0}))
-        lower = _merge_signatures(lower, sub_sig)
-        for a in (0, 1):
-            incl = grid_inclusion(cat, grid, {i: a})
-            sides[(i, a)] = rename(sub_comp, incl.component)
-    sig = grid_coherence(lower, grid, sides)
-    pos = sig.symbols[coherence_symbol_name(grid)].arity
-    identity_args = {c: var(c) for cs in pos.cells.values() for c in cs}
-    return sig, app(coherence_symbol_name(grid), identity_args)
-
-
-def _merge_signatures(a: Signature, b: Signature) -> Signature:
-    symbols = dict(a.symbols)
-    for sid, sym in b.symbols.items():
-        if sid in symbols and symbols[sid] != sym:
-            raise SideConditionFailure(f"conflicting definitions of symbol {sid!r}")
-        symbols[sid] = sym
-    return Signature(base=a.base, symbols=symbols)
+    symbols it needs along the way: one signature is extended by the symbol
+    of each sub-grid on a non-empty set of its directions, smallest first,
+    so each symbol is declared and checked once, whatever shares it."""
+    sig = Signature(base=cat, symbols={})
+    composites = {(): var(_position_name({}, ()))}
+    for size in range(1, len(grid) + 1):
+        for kept in itertools.combinations(sorted(grid), size):
+            sub = {i: grid[i] for i in kept}
+            sides = {
+                (i, a): rename(
+                    composites[tuple(j for j in kept if j != i)],
+                    grid_inclusion(cat, sub, {i: a}).component,
+                )
+                for i in kept
+                for a in (0, 1)
+            }
+            sig = grid_coherence(sig, sub, sides)
+            pos = grid_positions(cat, sub)
+            identity_args = {c: var(c) for cs in pos.cells.values() for c in cs}
+            composites[kept] = app(coherence_symbol_name(sub), identity_args)
+    return sig, composites[tuple(sorted(grid))]

@@ -108,7 +108,7 @@ class NegativeBound(KernelError):
 
 
 class DocumentTooDeep(KernelError):
-    """A JSON document nests deeper than the decoder's recursion limit."""
+    """A JSON document or tree literal nests deeper than its reader allows."""
 
 
 # -- factorisation ------------------------------------------------------------

@@ -10,7 +10,7 @@ part of the kernel constructions.
 from __future__ import annotations
 
 from .base import DirectCategory, category_from_faces, memoized
-from .errors import BadIndex, SideConditionFailure
+from .errors import BadIndex, DocumentTooDeep, SideConditionFailure
 from .factorization import coherence
 from .presheaf import Presheaf, PresheafMorphism, make_presheaf
 from .signature import Signature
@@ -47,8 +47,13 @@ def globe_category(n: int) -> DirectCategory:
 
 # -- trees and their positions -------------------------------------------------------
 
+MAX_TREE_NESTING = 300  # the helpers below recurse up to twice per level
+
+
 def parse_tree(text: str) -> Tree:
-    """Parse a bracket string like ``[[],[]]`` into a tree."""
+    """Parse a bracket string like ``[[],[]]`` into a tree, without recursion.
+    A literal nested deeper than ``MAX_TREE_NESTING`` could exhaust the
+    default recursion limit of 1,000 frames: it is ``DocumentTooDeep``."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise BadIndex(f"not a tree literal: {text!r}")
@@ -56,18 +61,20 @@ def parse_tree(text: str) -> Tree:
     for ch in text[1:-1]:
         if ch == "[":
             stack.append([])
+            if len(stack) > MAX_TREE_NESTING:
+                raise DocumentTooDeep(f"tree literal nests beyond {MAX_TREE_NESTING} levels")
         elif ch == "]":
             done = stack.pop()
             if not stack:
                 raise BadIndex(f"unbalanced tree literal: {text!r}")
-            stack[-1].append(_freeze(done))
+            stack[-1].append(tuple(done))  # its subtrees are tuples already
         elif ch in ", \t":
             continue
         else:
             raise BadIndex(f"unexpected character {ch!r} in tree literal")
     if len(stack) != 1:
         raise BadIndex(f"unbalanced tree literal: {text!r}")
-    return _freeze(stack[0])
+    return tuple(stack[0])
 
 
 def _freeze(tree) -> Tree:

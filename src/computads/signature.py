@@ -30,7 +30,6 @@ from .errors import (
     IncompatibleArgs,
     SortMismatch,
     UnknownGenerator,
-    UnknownSort,
     UnknownSymbol,
 )
 from .presheaf import (
@@ -59,9 +58,6 @@ class FunctionSymbol:
     arity: Presheaf
     boundary: dict[FaceRef, Term]  # total over non-identity faces into sort
 
-    def __hash__(self):
-        return hash(self.id)
-
 
 @dataclass
 class Signature:
@@ -79,9 +75,6 @@ class Signature:
             for s in sorted(self.symbols)
             if self.symbols[s].sort == sort
         )
-
-    def dimension(self) -> int:
-        return self.base.dimension()
 
 
 COCYCLE_NOTE = (
@@ -124,52 +117,56 @@ def complete_boundary(
     return terms
 
 
-def build_signature(
-    cat: DirectCategory,
-    symbols: list[tuple[str, SortRef, Presheaf, dict[FaceRef, Term]]],
-) -> Signature:
-    """Assemble and validate a signature from ``(id, sort, arity, boundary)``
-    declarations; declarations may arrive in any order.  Boundary terms are
-    checked over the free computad on the arity."""
-    from .computad import free_computad  # computad imports this module
+Declaration = tuple[str, SortRef, Presheaf, dict[FaceRef, Term]]  # (id, sort, arity, boundary)
 
+
+def build_signature(cat: DirectCategory, symbols: list[Declaration]) -> Signature:
+    """Assemble and validate a signature from ``(id, sort, arity, boundary)``
+    declarations, which may arrive in any order: sorted by output dimension
+    then id, each is checked once by :func:`check_declaration` against the
+    symbols before it, and added to one signature."""
     sig = Signature(base=cat, symbols={})
-    ordered = sorted(symbols, key=lambda s: (cat.dim(s[1]), s[0]))
-    for symbol_id, sort, arity, given in ordered:
-        if symbol_id in sig.symbols:
-            raise UnknownSymbol(f"duplicate symbol id {symbol_id!r}")
-        if sort not in cat.dims:
-            raise UnknownSort(f"symbol {symbol_id!r} has unknown sort {sort!r}")
-        d = cat.dim(sort)
-        for s in arity.base.sorts:
-            if arity.cells_at(s) and arity.base.dim(s) > d:
-                raise ArityDimensionViolation(
-                    f"symbol {symbol_id!r}: arity has cells at {s!r} above "
-                    f"dimension {d}"
-                )
-        ctx = free_computad(arity, sig)
-        for face, t in given.items():
-            f = cat.face(face)
-            if f.dst != sort:
-                raise BoundaryIllTyped(
-                    f"symbol {symbol_id!r}: boundary given at face {face!r} "
-                    f"not targeting {sort!r}"
-                )
-            try:
-                check_term(ctx, t, expected_sort=f.src)
-            except (UnknownSymbol, SortMismatch, IncompatibleArgs, UnknownGenerator) as exc:
-                raise BoundaryIllTyped(f"symbol {symbol_id!r}: {exc}") from exc
-        full = complete_boundary(cat, sort, given, ctx)
-        sig.symbols[symbol_id] = FunctionSymbol(symbol_id, sort, arity, full)
+    for decl in sorted(symbols, key=lambda s: (cat.dim(s[1]), s[0])):
+        sig.symbols[decl[0]] = check_declaration(sig, decl)
     return sig
 
 
-def extend_signature(
-    lower: Signature, decl: tuple[str, SortRef, Presheaf, dict[FaceRef, Term]]
-) -> Signature:
-    """``lower`` with one more ``(id, sort, arity, boundary)`` declaration."""
-    decls = [(s.id, s.sort, s.arity, dict(s.boundary)) for s in lower.symbols.values()]
-    return build_signature(lower.base, decls + [decl])
+def extend_signature(lower: Signature, decl: Declaration) -> Signature:
+    """``lower`` with one more ``(id, sort, arity, boundary)`` declaration,
+    checked once by :func:`check_declaration`; ``lower`` is not checked again."""
+    symbol = check_declaration(lower, decl)
+    return Signature(base=lower.base, symbols={**lower.symbols, symbol.id: symbol})
+
+
+def check_declaration(lower: Signature, decl: Declaration) -> FunctionSymbol:
+    """The symbol of one ``(id, sort, arity, boundary)`` declaration, checked
+    against the symbols of ``lower``: the one check of a declaration.  Its
+    boundary terms are checked over the free computad on the arity."""
+    from .computad import free_computad  # computad imports this module
+
+    symbol_id, sort, arity, given = decl
+    cat = lower.base
+    if symbol_id in lower.symbols:
+        raise UnknownSymbol(f"duplicate symbol id {symbol_id!r}")
+    d = cat.dim(sort)
+    for s in arity.base.sorts:
+        if arity.cells_at(s) and arity.base.dim(s) > d:
+            raise ArityDimensionViolation(
+                f"symbol {symbol_id!r}: arity has cells at {s!r} above dimension {d}"
+            )
+    ctx = free_computad(arity, lower)
+    for face, t in given.items():
+        f = cat.face(face)
+        if f.dst != sort:
+            raise BoundaryIllTyped(
+                f"symbol {symbol_id!r}: boundary given at face {face!r} "
+                f"not targeting {sort!r}"
+            )
+        try:
+            check_term(ctx, t, expected_sort=f.src)
+        except (UnknownSymbol, SortMismatch, IncompatibleArgs, UnknownGenerator) as exc:
+            raise BoundaryIllTyped(f"symbol {symbol_id!r}: {exc}") from exc
+    return FunctionSymbol(symbol_id, sort, arity, complete_boundary(cat, sort, given, ctx))
 
 
 def restrict_signature(sig: Signature, n: int) -> Signature:

@@ -615,6 +615,46 @@ def test_check_tfib_rejects_a_map_that_breaks_an_interpretation(tmp_path, capsys
     assert captured.err.startswith("NotCompatible: ")
 
 
+def test_check_tfib_reports_its_counterexample(tmp_path, capsys):
+    from computads.algebra import algebra_from_callbacks
+    from computads.packs import group_signature
+    from computads.presheaf import make_presheaf
+    from fixtures import z5_algebra
+
+    # the one-cell sub-algebra {0} of Z/5: nothing in it lies over 1
+    sig = group_signature()
+    zero_only = make_presheaf(sig.base, {"*": ("0",)}, {})
+    sub = algebra_from_callbacks(sig, zero_only, {s: lambda env: "0" for s in sig.symbols})
+    doc = {
+        "src": algebra_to_json(sub),
+        "dst": algebra_to_json(z5_algebra()),
+        "components": [{"from": "0", "to": "0"}],
+    }
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    status, out = run(capsys, "check-tfib", "--morphism", str(path))
+    assert status == 0
+    assert out == (
+        "{\n"
+        '  "counterexample": {\n'
+        '    "boundary": {},\n'
+        '    "element": "1",\n'
+        '    "sort": "*"\n'
+        "  },\n"
+        '  "trivial_fibration": false\n'
+        "}\n"
+    )
+
+
+def test_a_missing_document_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "no-such.json"
+    status = main(["check", str(missing)])
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert str(missing) in captured.err
+
+
 def _algebra_pair(src: dict, dst: dict, cells) -> dict:
     """An algebra morphism document with identity components on ``cells``."""
     return {"src": src, "dst": dst, "components": [{"from": c, "to": c} for c in cells]}
@@ -670,6 +710,27 @@ def test_empty_grid_counts_are_the_empty_grid(capsys):
     status, out = run(capsys, "example", "grid", "--counts", "")
     assert status == 0
     assert json.loads(out)["symbols"] == []
+
+
+@pytest.mark.parametrize("levels", [1000, 5000])
+def test_an_over_deep_tree_literal_is_a_typed_error(levels):
+    from computads.globular import MAX_TREE_NESTING
+
+    proc = run_process("example", "cat", "--tree", "[" * levels + "]" * levels)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == f"DocumentTooDeep: tree literal nests beyond {MAX_TREE_NESTING} levels\n"
+
+
+def test_the_parser_is_built_once_per_process(walk2_file, capsys):
+    from computads.cli import build_parser
+
+    build_parser.cache_clear()
+    assert main(["check", str(walk2_file)]) == 0
+    assert main(["nerve", "--computad", str(walk2_file)]) == 0
+    capsys.readouterr()
+    assert build_parser.cache_info().misses == 1
 
 
 def test_usage_error_exit_code(capsys):

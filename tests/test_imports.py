@@ -1,5 +1,5 @@
 """Imports sit at the top of each kernel module, apart from the two that
-have a reason to wait: ``signature.build_signature`` imports
+have a reason to wait: ``signature.check_declaration`` imports
 ``free_computad`` from ``computad``, which imports ``signature``, and
 ``cli.cmd_example`` loads the example packs only when asked, so that every
 other command starts without them.  Every name a kernel module imports is
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import computads
 
-ALLOWED = {("signature.py", "build_signature"), ("cli.py", "cmd_example")}
+ALLOWED = {("signature.py", "check_declaration"), ("cli.py", "cmd_example")}
 
 
 def _function_imports(path: Path):

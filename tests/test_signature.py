@@ -1,10 +1,14 @@
 import pytest
 
+from computads import signature
+from computads.cubical import cube_category, grid_composite
 from computads.errors import (
     ArityDimensionViolation,
     BoundaryIllTyped,
     CocycleFailure,
 )
+from computads.globular import globe_category, parse_tree, tree_composite, tree_dim
+from computads.packs import sigma_kan
 from computads.presheaf import make_presheaf
 from computads.signature import (
     build_signature,
@@ -102,3 +106,52 @@ def test_signature_json_roundtrip():
     raw = signature_to_json(sig)
     again = validate_signature(raw)
     assert again == sig
+
+
+def _grid(*counts):
+    return grid_composite(cube_category(len(counts) - 1), dict(enumerate(counts)))[0]
+
+
+def _tree(text):
+    tree = parse_tree(text)
+    return tree_composite(globe_category(max(tree_dim(tree), 1)), tree)[0]
+
+
+PACKS = {
+    "kan1": lambda: sigma_kan(1),
+    "kan2": lambda: sigma_kan(2),
+    "kan3": lambda: sigma_kan(3),
+    "grid2": lambda: _grid(2),
+    "grid21": lambda: _grid(2, 1),
+    "grid111": lambda: _grid(1, 1, 1),
+    "grid221": lambda: _grid(2, 2, 1),
+    "tree[[],[]]": lambda: _tree("[[],[]]"),
+    "tree[[[]],[]]": lambda: _tree("[[[]],[]]"),
+    "tree-chain6": lambda: _tree("[" * 6 + "]" * 6),
+}
+
+
+@pytest.mark.parametrize("name", PACKS)
+def test_a_pack_signature_passes_full_validation_unchanged(name):
+    """A pack grows its signature one checked declaration at a time; full
+    validation of its document, the reference check, gives it back."""
+    sig = PACKS[name]()
+    assert validate_signature(signature_to_json(sig)) == sig
+
+
+@pytest.mark.parametrize(
+    "name, declarations", [("tree-chain6", 5), ("grid111", 7), ("grid221", 7), ("kan3", 18)]
+)
+def test_a_pack_checks_each_declaration_once(monkeypatch, name, declarations):
+    """Every symbol a pack declares is checked once, against the symbols
+    below it: a pack never re-checks the signature it extends."""
+    checked = []
+    complete = signature.complete_boundary
+
+    def counting(cat, sort, given, ctx):
+        checked.append(sort)
+        return complete(cat, sort, given, ctx)
+
+    monkeypatch.setattr(signature, "complete_boundary", counting)
+    sig = PACKS[name]()
+    assert len(sig.symbols) == len(checked) == declarations
