@@ -240,11 +240,16 @@ def validate_category(raw: dict) -> DirectCategory:
             raise CompositionGap(f"composite {result!r} is not a declared face")
         table[key] = result
 
-    # Totality and typing of the table over all composable pairs.
+    # Totality and typing of the table over all composable pairs, then
+    # associativity over all composable triples (unitality is implicit
+    # because identities are not part of the table).  Faces come in document
+    # order and so do their partners, so the first fault reported is that of
+    # a loop over every pair and triple of faces.
+    out_of: dict[str, list[Face]] = {s: [] for s in dims}
+    for face in faces.values():
+        out_of[face.src].append(face)
     for first in faces.values():
-        for second in faces.values():
-            if first.dst != second.src:
-                continue
+        for second in out_of[first.dst]:
             key = (first.id, second.id)
             if key not in table:
                 raise CompositionGap(
@@ -258,17 +263,10 @@ def validate_category(raw: dict) -> DirectCategory:
     for key in table:
         if faces[key[0]].dst != faces[key[1]].src:
             raise CompositionGap(f"entry {key} composes non-composable faces")
-
-    # Associativity over all composable triples (unitality is implicit
-    # because identities are not part of the table).
     for f in faces.values():
-        for g in faces.values():
-            if f.dst != g.src:
-                continue
+        for g in out_of[f.dst]:
             gf = table[(f.id, g.id)]
-            for h in faces.values():
-                if g.dst != h.src:
-                    continue
+            for h in out_of[g.dst]:
                 hg = table[(g.id, h.id)]
                 if table[(gf, h.id)] != table[(f.id, hg)]:
                     raise AssociativityFailure(

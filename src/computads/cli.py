@@ -22,11 +22,11 @@ from .base import json_object
 from .cofibrant import (
     check_trivial_fibration,
     cofibrant_replacement,
-    replay_filtration,
+    replay_is_isomorphic,
     skeletal_filtration,
     verify_stage_pushout,
 )
-from .computad import Computad, apply_morphism, free_computad, isomorphic
+from .computad import Computad, apply_morphism, free_computad
 from .errors import BadSubset, DocumentTooDeep, KernelError
 from .factorization import image_factorize, split_idempotent, support_morphism
 from .io_json import (
@@ -207,8 +207,7 @@ def cmd_filtration(args):
         }
         for lo, hi in zip(filt.stages, filt.stages[1:])
     ]
-    replayed = replay_filtration(filt)
-    return {"stages": stages, "replay_isomorphic": isomorphic(replayed, args.computad)}
+    return {"stages": stages, "replay_isomorphic": replay_is_isomorphic(filt)}
 
 
 def cmd_cofrep(args):

@@ -26,8 +26,9 @@ from .computad import (
     inclusion,
     make_morphism,
     sub_computad,
+    var_to_var_morphism,
 )
-from .errors import NotCompatible, UnknownSort
+from .errors import KernelError, NotCompatible, UnknownSort
 from .monad import enumerate_terms, terms_saturated
 from .presheaf import action_spine, boundary_representable, bucket_by_spine, homs, representable
 from .signature import Signature
@@ -124,23 +125,40 @@ def skeletal_filtration(c: Computad) -> SkeletalFiltration:
     return SkeletalFiltration(computad=c, stages=stages)
 
 
+def replay_renaming(filtration: SkeletalFiltration) -> dict[str, str]:
+    """The fresh name ``g<i>`` of each generator in the replay, counting in
+    attachment order."""
+    gens = (att.gen for stage in filtration.stages for att in stage.attachments)
+    return {gen: f"g{i}" for i, gen in enumerate(gens)}
+
+
 def replay_filtration(filtration: SkeletalFiltration) -> Computad:
-    """Rebuild the computad from the attaching data alone, with fresh
-    generator names; the result is isomorphic to the original (unchecked)."""
+    """Rebuild the computad from the attaching data alone, under
+    ``replay_renaming``; the result is isomorphic to the original (unchecked)."""
     sig = filtration.computad.signature
-    renaming: dict[str, str] = {}
+    renaming = replay_renaming(filtration)
     gens: dict[SortRef, tuple[str, ...]] = {s: () for s in sig.base.sorts}
     glue: dict[tuple[str, FaceRef], Term] = {}
-    counter = 0
     for stage in filtration.stages:
         for att in stage.attachments:
-            fresh = f"g{counter}"
-            counter += 1
-            renaming[att.gen] = fresh
-            gens[att.sort] = gens[att.sort] + (fresh,)
+            fresh = renaming[att.gen]
+            gens[att.sort] += (fresh,)
             for face, t in att.phi.assign.items():
                 glue[(fresh, face)] = rename(t, renaming)
     return Computad(sig, gens, glue)
+
+
+def replay_is_isomorphic(filtration: SkeletalFiltration) -> bool:
+    """Whether ``replay_renaming``, a bijection on generators, is an isomorphism
+    onto the replay: whether it and its inverse pass ``var_to_var_morphism``."""
+    renaming = replay_renaming(filtration)
+    c, replayed = filtration.computad, replay_filtration(filtration)
+    try:
+        var_to_var_morphism(c, replayed, renaming)
+        var_to_var_morphism(replayed, c, {fresh: g for g, fresh in renaming.items()})
+    except KernelError:
+        return False
+    return True
 
 
 def verify_stage_pushout(

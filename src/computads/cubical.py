@@ -161,25 +161,31 @@ def grid_coherence(
     full composites of the boundary grids (the epimorphism condition, checked
     through supports) unless ``groupoid``.
     """
+    return _grid_coherence(lower, grid, sides, lambda side, _: sides[side], groupoid)
+
+
+def _grid_coherence(lower, grid, keys, side, groupoid) -> Signature:
+    """``grid_coherence`` on the sides ``keys``, in that order, the side ``(i, a)``
+    being ``side((i, a), incl)`` for its boundary inclusion ``incl``, built once."""
     cat = lower.base
     directions = tuple(sorted(grid))
     pos = grid_positions(cat, grid)
     for i in directions:
         for a in (0, 1):
-            if (i, a) not in sides:
+            if (i, a) not in keys:
                 raise SideConditionFailure(f"missing side ({i}, {a})")
-    for i, a in sides:
+    for i, a in keys:
         if i not in grid or a not in (0, 1):
             raise SideConditionFailure(f"side ({i}, {a}) is not a side of the grid")
-    boundary_sides = {
-        cube_face_id(directions, {i: a}): (
-            t,
-            grid_inclusion(cat, grid, {i: a}),
+    boundary_sides = {}
+    for i, a in keys:
+        incl = grid_inclusion(cat, grid, {i: a})
+        boundary_sides[cube_face_id(directions, {i: a})] = (
+            side((i, a), incl),
+            incl,
             f"side ({i},{a}) does not come from the boundary grid",
             f"side ({i},{a}) is not a full composite of its grid",
         )
-        for (i, a), t in sides.items()
-    }
     name, sort = coherence_symbol_name(grid), subset_sort(directions)
     return coherence(lower, name, sort, pos, boundary_sides, groupoid)
 
@@ -194,15 +200,11 @@ def grid_composite(cat: DirectCategory, grid: Grid) -> tuple[Signature, Term]:
     for size in range(1, len(grid) + 1):
         for kept in itertools.combinations(sorted(grid), size):
             sub = {i: grid[i] for i in kept}
-            sides = {
-                (i, a): rename(
-                    composites[tuple(j for j in kept if j != i)],
-                    grid_inclusion(cat, sub, {i: a}).component,
-                )
-                for i in kept
-                for a in (0, 1)
-            }
-            sig = grid_coherence(sig, sub, sides)
+            below = {i: composites[tuple(j for j in kept if j != i)] for i in kept}
+            sides = [(i, a) for i in kept for a in (0, 1)]
+            sig = _grid_coherence(
+                sig, sub, sides, lambda side, incl: rename(below[side[0]], incl.component), False
+            )
             pos = grid_positions(cat, sub)
             identity_args = {c: var(c) for cs in pos.cells.values() for c in cs}
             composites[kept] = app(coherence_symbol_name(sub), identity_args)

@@ -1,10 +1,14 @@
 """Globes, rooted planar trees, and the weak-category coherence constructor.
 
-The definitions of tree positions, tree truncation and the source/target
-inclusions below follow the standard recursive description of pasting
-diagrams (positions of a tree are a wedge of suspensions of the positions of
-its subtrees); they are auxiliary combinatorics for this pack rather than
-part of the kernel constructions.
+A pasting diagram is a rooted planar tree (Batanin 1998; Leinster, *Higher
+Operads, Higher Categories*, 2004).  A position of dimension m is a path
+``(i_1, ..., i_m, j)``: the child indices leading to a node at depth m, then
+an index 0 <= j <= c of one of the node's m-cells, one either side of each
+of its c children.  Faces are read off the path: for k < m, the k-source of a
+position is ``path[:k+1]`` and its k-target ``path[:k] + (path[k] + 1,)``.
+The source (target) inclusion of the tree cut at height n keeps each
+position below height n and sends ``p`` at height n to ``p[:n] + (0,)``
+(to ``p[:n] + (c,)``, c the number of children of the node at ``p[:n]``).
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from .base import DirectCategory, category_from_faces, memoized
 from .errors import BadIndex, DocumentTooDeep, SideConditionFailure
 from .factorization import coherence
-from .presheaf import Presheaf, PresheafMorphism, make_presheaf
+from .presheaf import Presheaf, PresheafMorphism
 from .signature import Signature
 from .terms import Term, app, rename, var
 
@@ -47,13 +51,16 @@ def globe_category(n: int) -> DirectCategory:
 
 # -- trees and their positions -------------------------------------------------------
 
-MAX_TREE_NESTING = 300  # the helpers below recurse up to twice per level
+# Deeper trees cost too much: `example cat` on a 50-deep chain takes 8.5 s (2
+# vCPUs, Python 3.11.7) and prints 39 MB, both growing with about the cube of
+# the depth.  The limit also keeps _freeze, tree_to_text and boundary_tree,
+# which recurse once per level, within the default recursion limit.
+MAX_TREE_NESTING = 300
 
 
 def parse_tree(text: str) -> Tree:
     """Parse a bracket string like ``[[],[]]`` into a tree, without recursion.
-    A literal nested deeper than ``MAX_TREE_NESTING`` could exhaust the
-    default recursion limit of 1,000 frames: it is ``DocumentTooDeep``."""
+    A literal nested deeper than ``MAX_TREE_NESTING`` is ``DocumentTooDeep``."""
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise BadIndex(f"not a tree literal: {text!r}")
@@ -87,70 +94,52 @@ def tree_to_text(tree: Tree) -> str:
 
 
 def tree_dim(tree: Tree) -> int:
-    return 0 if not tree else 1 + max(tree_dim(sub) for sub in tree)
+    return len(_positions(tree)) - 1
+
+
+def _positions(tree: Tree) -> list[list[tuple[int, ...]]]:
+    """The positions of ``tree`` by dimension, in lexicographic path order:
+    one walk, depth by depth, lists the nodes at each depth in that order."""
+    by_dim, level = [], [((), tree)]
+    while level:
+        by_dim.append([path + (j,) for path, node in level for j in range(len(node) + 1)])
+        level = [(path + (i,), sub) for path, node in level for i, sub in enumerate(node)]
+    return by_dim
 
 
 def tree_positions(tree: Tree, dim: int) -> list[tuple[int, ...]]:
-    """Positions of dimension ``dim``: paths of subtree indices ending in an
-    object index of the innermost subtree."""
-    if dim == 0:
-        return [(j,) for j in range(len(tree) + 1)]
-    out = []
-    for i, sub in enumerate(tree):
-        out.extend((i,) + path for path in tree_positions(sub, dim - 1))
-    return out
+    """Positions of dimension ``dim``, in lexicographic path order."""
+    by_dim = _positions(tree)
+    return by_dim[dim] if 0 <= dim < len(by_dim) else []
 
 
 def position_name(path: tuple[int, ...]) -> str:
     return "q" + "_".join(map(str, path))
 
 
-def _position_source(tree: Tree, path: tuple[int, ...]) -> tuple[int, ...]:
-    """The source of a positive-dimensional position, one dimension down."""
-    if len(path) == 2:
-        return (path[0],)  # arrows from subtree i run from object i ...
-    return (path[0],) + _position_source(tree[path[0]], path[1:])
-
-
-def _position_target(tree: Tree, path: tuple[int, ...]) -> tuple[int, ...]:
-    if len(path) == 2:
-        return (path[0] + 1,)  # ... to object i + 1
-    return (path[0],) + _position_target(tree[path[0]], path[1:])
-
-
 def tree_presheaf(cat: DirectCategory, tree: Tree) -> Presheaf:
-    """Positions of a tree as a presheaf on the globe category, built once
-    per category and tree (as nested tuples)."""
+    """Positions of a tree as a presheaf on the globe category, built once per
+    category and tree (as nested tuples).  Unchecked: a position's k-faces are
+    positions that read only its first k + 1 entries, and its j-faces keep its
+    first j, so acting by a j-face, then a k-face, acts by their composite."""
     return _tree_presheaf(cat, _freeze(tree))
 
 
 @memoized("_tree_presheaf_cache")
 def _tree_presheaf(cat: DirectCategory, tree: Tree) -> Presheaf:
-    d = tree_dim(tree)
-    if globe_sort(d) not in cat.dims:
-        raise BadIndex(f"tree of dimension {d} exceeds the globe category")
+    by_dim = _positions(tree)
+    if globe_sort(len(by_dim) - 1) not in cat.dims:
+        raise BadIndex(f"tree of dimension {len(by_dim) - 1} exceeds the globe category")
     cells = {}
-    paths: dict[int, list[tuple[int, ...]]] = {}
-    for m in range(d + 1):
-        paths[m] = tree_positions(tree, m)
-        cells[globe_sort(m)] = tuple(sorted(position_name(p) for p in paths[m]))
     action = {}
-    for m in range(d + 1):
-        for path in paths[m]:
-            # the k-source iterates one-step sources; the k-target iterates
-            # sources except for the final step
-            src_chain: dict[int, tuple[int, ...]] = {m: path}
-            for k in range(m - 1, -1, -1):
-                src_chain[k] = _position_source(tree, src_chain[k + 1])
+    for m, paths in enumerate(by_dim):
+        cells[globe_sort(m)] = tuple(sorted(map(position_name, paths)))
+        for p in paths:
+            name = position_name(p)
             for k in range(m):
-                tgt = _position_target(tree, src_chain[k + 1])
-                action[(globe_face("s", k, m), position_name(path))] = position_name(
-                    src_chain[k]
-                )
-                action[(globe_face("t", k, m), position_name(path))] = position_name(
-                    tgt
-                )
-    return make_presheaf(cat, cells, action)
+                action[(globe_face("s", k, m), name)] = position_name(p[: k + 1])
+                action[(globe_face("t", k, m), name)] = position_name(p[:k] + (p[k] + 1,))
+    return Presheaf(cat, {s: cells.get(s, ()) for s in cat.sorts}, action)
 
 
 def boundary_tree(tree: Tree, n: int) -> Tree:
@@ -160,31 +149,18 @@ def boundary_tree(tree: Tree, n: int) -> Tree:
     return tuple(boundary_tree(sub, n - 1) for sub in tree)
 
 
-def _boundary_path(tree: Tree, path: tuple[int, ...], n: int, flavor: str) -> tuple[int, ...]:
-    """Image of a position of the cut tree inside the whole tree."""
-    if len(path) - 1 < n:
-        return path
-    if n == 0:
-        return (0,) if flavor == "s" else (len(tree),)
-    return (path[0],) + _boundary_path(tree[path[0]], path[1:], n - 1, flavor)
-
-
 def tree_boundary_inclusion(
     cat: DirectCategory, tree: Tree, n: int, flavor: str
 ) -> PresheafMorphism:
     """The source (flavor 's') or target ('t') inclusion of the cut tree.
-    Unchecked: it keeps each position below height ``n`` and sends one at
-    height ``n`` to the first ('s') or last ('t') position of its branch at
-    that height; all of those share one source and one target, so the map
-    is natural."""
-    cut = boundary_tree(tree, n)
+    Unchecked: it sends the position of a node at height ``n`` to the node's
+    first ('s') or last ('t') one, whose faces read only the node's path."""
     component = {}
-    for m in range(tree_dim(cut) + 1):
-        for path in tree_positions(cut, m):
-            component[position_name(path)] = position_name(
-                _boundary_path(tree, path, n, flavor)
-            )
-    src, dst = tree_presheaf(cat, cut), tree_presheaf(cat, tree)
+    for m, paths in enumerate(_positions(tree)[: n + 1]):
+        for p in paths:  # a node's positions come first to last, so 't' keeps the last
+            first = p if m < n else p[:n] + (0,)
+            component[position_name(first)] = position_name(first if flavor == "s" else p)
+    src, dst = tree_presheaf(cat, boundary_tree(tree, n)), tree_presheaf(cat, tree)
     return PresheafMorphism(src=src, dst=dst, component=component)
 
 
@@ -207,36 +183,42 @@ def globe_coherence(
     ``source`` and ``target`` are terms of the positions of ``tree`` of sort
     dim - 1 with matching boundaries; unless ``groupoid`` they must come from
     full composites of the cut tree through the source/target inclusions."""
+    terms = {"s": source, "t": target}
+    return _globe_coherence(lower, tree, dim, lambda flavor, _: terms[flavor], groupoid)
+
+
+def _globe_coherence(lower, tree, dim, side, groupoid) -> Signature:
+    """``globe_coherence`` whose ``flavor``-side is ``side(flavor, incl)``,
+    given the boundary inclusion ``incl`` of that side, built here once."""
     cat = lower.base
     if dim < 1 or tree_dim(tree) > dim:
         raise SideConditionFailure("the tree must fit inside the output dimension")
     pos = tree_presheaf(cat, tree)
-    sides = {
-        globe_face(flavor, dim - 1, dim): (
-            term,
-            tree_boundary_inclusion(cat, tree, dim - 1, flavor),
+    sides = {}
+    for flavor in ("s", "t"):
+        incl = tree_boundary_inclusion(cat, tree, dim - 1, flavor)
+        sides[globe_face(flavor, dim - 1, dim)] = (
+            side(flavor, incl),
+            incl,
             f"the {flavor}-side does not come from the cut tree",
             f"the {flavor}-side is not a full composite of the cut tree",
         )
-        for flavor, term in (("s", source), ("t", target))
-    }
-    name, sort = tree_symbol_name(tree), globe_sort(dim)
-    return coherence(lower, name, sort, pos, sides, groupoid)
+    return coherence(lower, tree_symbol_name(tree), globe_sort(dim), pos, sides, groupoid)
 
 
 def tree_composite(cat: DirectCategory, tree: Tree) -> tuple[Signature, Term]:
     """The canonical unbiased composite of a pasting tree, creating the
-    coherence symbols it needs along the way."""
-    d = tree_dim(tree)
-    if d == 0:
-        return Signature(base=cat, symbols={}), var(position_name((0,)))
-    cut = boundary_tree(tree, d - 1)
-    lower, cut_comp = tree_composite(cat, cut)
-    src_incl = tree_boundary_inclusion(cat, tree, d - 1, "s")
-    tgt_incl = tree_boundary_inclusion(cat, tree, d - 1, "t")
-    source = rename(cut_comp, src_incl.component)
-    target = rename(cut_comp, tgt_incl.component)
-    sig = globe_coherence(lower, tree, d, source, target)
-    pos = sig.symbols[tree_symbol_name(tree)].arity
-    identity_args = {c: var(c) for cs in pos.cells.values() for c in cs}
-    return sig, app(tree_symbol_name(tree), identity_args)
+    coherence symbols it needs along the way: one signature is extended by
+    the symbol of the tree's cut at each height 1..d, lowest first, whose
+    sides rename the composite of the cut below along its inclusions."""
+    sig = Signature(base=cat, symbols={})
+    composite = var(position_name((0,)))
+    for h in range(1, tree_dim(tree) + 1):
+        cut = boundary_tree(tree, h)
+        sig = _globe_coherence(
+            sig, cut, h, lambda _, incl: rename(composite, incl.component), False
+        )
+        pos = tree_presheaf(cat, cut)
+        identity_args = {c: var(c) for cs in pos.cells.values() for c in cs}
+        composite = app(tree_symbol_name(cut), identity_args)
+    return sig, composite

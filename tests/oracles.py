@@ -9,8 +9,10 @@ grows them rank by rank, rather than recursing per call.
 Also here: from-scratch spellings of terms and shapes, the classifying
 morphism of a term read off the colimit presentation of its shape, the
 nerve's realisation with its plex maps found by search, the filtration's
-stage pushouts compared by isomorphism search, and random computads glued
-along families found by brute force.
+stage pushouts compared by isomorphism search, random computads glued
+along families found by brute force, and the positions of a pasting tree,
+their faces and the boundary inclusions of its cuts found by recursion
+through the tree.
 """
 
 from __future__ import annotations
@@ -27,6 +29,14 @@ from computads.computad import (
     isomorphic,
     make_computad,
 )
+from computads.errors import BadIndex
+from computads.globular import (
+    Tree,
+    boundary_tree,
+    globe_face,
+    globe_sort,
+    position_name,
+)
 from computads.plex import (
     PVar,
     Polyplex,
@@ -35,6 +45,7 @@ from computads.plex import (
     nerve,
     polyplex_computad,
 )
+from computads.presheaf import Presheaf, PresheafMorphism, make_presheaf
 from computads.signature import Signature
 from computads.terms import Term, Var, app, boundary, canonical_sort, parts, var
 
@@ -256,3 +267,87 @@ def product_random_computad(
             glue.update({(name, f): t for f, t in rng.choice(families).items()})
         gens[sort] = tuple(names)
     return make_computad(sig, gens, glue)
+
+
+# -- pasting trees by recursion: the reference for ``globular`` ---------------------
+
+def tree_dim(tree: Tree) -> int:
+    return 0 if not tree else 1 + max(tree_dim(sub) for sub in tree)
+
+
+def tree_positions(tree: Tree, dim: int) -> list[tuple[int, ...]]:
+    """Positions of dimension ``dim``: paths of subtree indices ending in an
+    object index of the innermost subtree."""
+    if dim == 0:
+        return [(j,) for j in range(len(tree) + 1)]
+    out = []
+    for i, sub in enumerate(tree):
+        out.extend((i,) + path for path in tree_positions(sub, dim - 1))
+    return out
+
+
+def _position_source(tree: Tree, path: tuple[int, ...]) -> tuple[int, ...]:
+    """The source of a positive-dimensional position, one dimension down."""
+    if len(path) == 2:
+        return (path[0],)  # arrows from subtree i run from object i ...
+    return (path[0],) + _position_source(tree[path[0]], path[1:])
+
+
+def _position_target(tree: Tree, path: tuple[int, ...]) -> tuple[int, ...]:
+    if len(path) == 2:
+        return (path[0] + 1,)  # ... to object i + 1
+    return (path[0],) + _position_target(tree[path[0]], path[1:])
+
+
+def _tree_presheaf(cat, tree: Tree) -> Presheaf:
+    """The positions of a tree, each face found by recursion and the whole
+    checked by ``make_presheaf``; not memoised, so every call builds anew."""
+    d = tree_dim(tree)
+    if globe_sort(d) not in cat.dims:
+        raise BadIndex(f"tree of dimension {d} exceeds the globe category")
+    cells = {}
+    paths: dict[int, list[tuple[int, ...]]] = {}
+    for m in range(d + 1):
+        paths[m] = tree_positions(tree, m)
+        cells[globe_sort(m)] = tuple(sorted(position_name(p) for p in paths[m]))
+    action = {}
+    for m in range(d + 1):
+        for path in paths[m]:
+            # the k-source iterates one-step sources; the k-target iterates
+            # sources except for the final step
+            src_chain: dict[int, tuple[int, ...]] = {m: path}
+            for k in range(m - 1, -1, -1):
+                src_chain[k] = _position_source(tree, src_chain[k + 1])
+            for k in range(m):
+                tgt = _position_target(tree, src_chain[k + 1])
+                action[(globe_face("s", k, m), position_name(path))] = position_name(
+                    src_chain[k]
+                )
+                action[(globe_face("t", k, m), position_name(path))] = position_name(
+                    tgt
+                )
+    return make_presheaf(cat, cells, action)
+
+
+def _boundary_path(tree: Tree, path: tuple[int, ...], n: int, flavor: str) -> tuple[int, ...]:
+    """Image of a position of the cut tree inside the whole tree."""
+    if len(path) - 1 < n:
+        return path
+    if n == 0:
+        return (0,) if flavor == "s" else (len(tree),)
+    return (path[0],) + _boundary_path(tree[path[0]], path[1:], n - 1, flavor)
+
+
+def tree_boundary_inclusion(cat, tree: Tree, n: int, flavor: str) -> PresheafMorphism:
+    """The source (flavor 's') or target ('t') inclusion of the cut tree,
+    each position's image found by recursion, between the presheaves of
+    ``_tree_presheaf``."""
+    cut = boundary_tree(tree, n)
+    component = {}
+    for m in range(tree_dim(cut) + 1):
+        for path in tree_positions(cut, m):
+            component[position_name(path)] = position_name(
+                _boundary_path(tree, path, n, flavor)
+            )
+    src, dst = _tree_presheaf(cat, cut), _tree_presheaf(cat, tree)
+    return PresheafMorphism(src=src, dst=dst, component=component)

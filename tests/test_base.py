@@ -48,6 +48,27 @@ def test_missing_composite_detected():
     assert cat.compose("f", "g") == "h"
 
 
+@pytest.mark.parametrize(
+    "faces, first_gap",
+    [
+        # two faces that lack a composite with g, the later one first by id
+        ([("g", "y", "z"), ("p", "x", "y"), ("n", "x", "y")], ("p", "g")),
+        # one face that lacks a composite with two, the later one first by id
+        ([("f", "x", "y"), ("v", "y", "z"), ("u", "y", "z")], ("f", "v")),
+    ],
+)
+def test_the_first_missing_composite_in_document_order_is_named(faces, first_gap):
+    raw = {
+        "sorts": [{"id": "x", "dim": 0}, {"id": "y", "dim": 1}, {"id": "z", "dim": 2}],
+        "faces": [{"id": f, "src": s, "dst": t} for f, s, t in faces]
+        + [{"id": "h", "src": "x", "dst": "z"}],
+        "compose": [],
+    }
+    with pytest.raises(CompositionGap) as exc:
+        validate_category(raw)
+    assert str(exc.value) == "missing composite of {!r} then {!r}".format(*first_gap)
+
+
 def test_associativity_checked():
     # Two parallel composable chains x -> y -> z -> w with an inconsistent table.
     raw = {

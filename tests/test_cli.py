@@ -208,6 +208,31 @@ def test_filtration_of_a_relabelled_long_walk(tmp_path):
     assert report["replay_isomorphic"] is True
 
 
+def test_filtration_searches_nothing(tmp_path, capsys, monkeypatch):
+    # the stage pushouts and the replay are each checked against a map known
+    # in advance, so the answers stay as pinned with the search refused
+    import hashlib
+
+    from computads import presheaf
+
+    pinned = {
+        "walk2": "8481e58ad5a12434d89f67e4ce3a224a88057ff42f6c38e2203b5fb52fb030c5",
+        "walk30": "3787c7fc405ac56e2b980c3e7297dc7101023936438080af92a166316870f26c",
+    }
+    docs = {"walk2": walk2(), "walk30": relabelled(walk_n(comp_signature(), 30), random.Random(5))}
+    for name, c in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(computad_to_json(c)), encoding="utf-8")
+
+    def refuse(*args):
+        raise AssertionError("the filtration searched")
+
+    monkeypatch.setattr(presheaf, "search", refuse)
+    for name, digest in pinned.items():
+        status, out = run(capsys, "filtration", "--computad", str(tmp_path / f"{name}.json"))
+        assert status == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def run_process(*argv, timeout=120):
     """Run the CLI as its own process, so a crash shows as it would to a user."""
     src = os.path.dirname(os.path.dirname(computads.__file__))
@@ -509,6 +534,16 @@ EXAMPLE_DIGESTS = {
     "cat --tree [[[]],[]]": "d24c60c827ffceb1ea9781dd4fc7f97f741dc420ff5dc75959fbe9405e6e7cf0",
     "cat --tree [[[],[]],[[]]]": "8930fb4c0409e7e32d3d79accf1ba001e3e0e156c2f477b3743212114334a270",
     "cat --tree [[[[]]]]": "0eebecdb485bb42457251dd9e8d1b7fa627addad2f1fe95d4f75f8b8d8fe7139",
+    "cat --tree [[[[[[]]]]]]": "71826b4cc5e7a5af27f8b69be36fb154abd6e909106c2cce614156e23435f6c5",
+    "cat --tree [[[[[[[[[[[[]]]]]]]]]]]]": (
+        "0c326916c221f340dc359f8aa91633b5fd8beb3274f35118d50d112014347541"
+    ),
+    "cat --tree [[[[]],[]],[[],[[]]],[]]": (
+        "22cd7b967b4749e325e87129c8d437f05ed5b226f68226fee6fca4dffbf8a95e"
+    ),
+    "cat --tree [[[[],[]],[[]]],[[[[]]]]]": (
+        "2ba31bef1e8585f403dfb72ee04e389e5a68a5eb839abe6c9e70d6fe38b6cff9"
+    ),
 }
 
 

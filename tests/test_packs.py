@@ -335,7 +335,8 @@ def test_tree_presheaf_globularity():
     from computads.globular import globe_category, parse_tree, tree_presheaf
 
     cat = globe_category(2)
-    # validated construction: functoriality includes the globular identities
+    # built unchecked; tests/test_trusted.py re-checks its functoriality,
+    # which includes the globular identities
     pos = tree_presheaf(cat, parse_tree("[[[],[]],[[]]]"))
     assert len(pos.cells_at("g0")) == 3
     assert len(pos.cells_at("g1")) == 5
@@ -345,6 +346,71 @@ def test_tree_presheaf_globularity():
     assert pos.act("t1:2", "q0_0_0") == "q0_1"
     assert pos.act("s0:2", "q0_0_0") == "q0"
     assert pos.act("t0:2", "q0_0_0") == "q1"
+
+
+def _random_tree(rng: random.Random, height: int):
+    """A seeded random tree of height at most ``height``, each node with up
+    to two children."""
+    return tuple(_random_tree(rng, height - 1) for _ in range(rng.randrange(3) if height else 0))
+
+
+def test_tree_faces_and_inclusions_match_the_recursive_reference():
+    # closed forms against recursion through the tree: every face action, and
+    # every boundary inclusion of every height and flavour
+    import oracles
+    from computads.globular import (
+        globe_category,
+        tree_boundary_inclusion,
+        tree_dim,
+        tree_positions,
+        tree_presheaf,
+    )
+
+    cat = globe_category(5)
+    rng = random.Random(25)
+    for _ in range(30):
+        tree = _random_tree(rng, 5)
+        d = tree_dim(tree)
+        assert d == oracles.tree_dim(tree)
+        for m in range(-1, d + 2):
+            assert tree_positions(tree, m) == oracles.tree_positions(tree, m)
+        assert tree_presheaf(cat, tree) == oracles._tree_presheaf(cat, tree)
+        for n in range(d + 2):
+            for flavor in ("s", "t"):
+                incl = tree_boundary_inclusion(cat, tree, n, flavor)
+                assert incl == oracles.tree_boundary_inclusion(cat, tree, n, flavor)
+
+
+@pytest.mark.parametrize(
+    "pack, shape, sides",
+    [
+        ("tree", "[[[[[[]]]]]]", 10),
+        ("tree", "[[[]],[]]", 4),
+        ("grid", "1,1,1", 24),
+        ("grid", "2,1", 8),
+    ],
+)
+def test_each_composite_builds_one_inclusion_per_side(monkeypatch, pack, shape, sides):
+    from computads import cubical, globular
+
+    built = []
+
+    def counted(build):
+        def call(*args):
+            built.append(args)
+            return build(*args)
+
+        return call
+
+    for module, name in ((globular, "tree_boundary_inclusion"), (cubical, "grid_inclusion")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    if pack == "tree":
+        tree = globular.parse_tree(shape)
+        globular.tree_composite(globular.globe_category(globular.tree_dim(tree)), tree)
+    else:
+        grid = dict(enumerate(map(int, shape.split(","))))
+        cubical.grid_composite(cubical.cube_category(len(grid) - 1), grid)
+    assert len(built) == sides
 
 
 def test_tree_composite_chain():

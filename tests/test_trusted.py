@@ -3,7 +3,7 @@
 Colimits, image factorisations, lifts through monos, counits, representing
 computads, replayed filtrations and their attaching maps, underlying
 computads, representable presheaves and their boundaries, the grid
-positions and the grid and tree inclusions of the example packs, and
+and tree positions and the grid and tree inclusions of the example packs, and
 tabulated algebras are well formed by construction, so the kernel builds
 them unchecked.  This test re-runs the checked constructors on every
 presheaf, computad, morphism and algebra they return.
@@ -45,6 +45,7 @@ from computads.globular import (
     parse_tree,
     tree_boundary_inclusion,
     tree_dim,
+    tree_presheaf,
 )
 from computads.monad import counit, enumerate_terms
 from computads.packs import delta_plus, sigma_kan
@@ -227,6 +228,16 @@ def _grid_positions():
     return out
 
 
+def _tree_positions():
+    cat = globe_category(5)
+    trees = ("[]", "[[]]", "[[],[],[]]", "[[[],[]],[[]]]", "[[[[[[]]]]]]", "[[[[]],[]],[[],[[]]],[]]")
+    out = [tree_presheaf(cat, parse_tree(text)) for text in trees]
+    # one presheaf per category and tree, however the tree is written
+    assert tree_presheaf(cat, [[[], []], [[]]]) is out[3]
+    assert tree_presheaf(globe_category(5), [[]]) is not out[1]
+    return out
+
+
 def _tabulated():
     return [tabulate(alg) for alg in (pathcat_algebra(), z5_algebra())]
 
@@ -268,6 +279,7 @@ def _recheck(obj) -> None:
         _representables,
         _pack_inclusions,
         _grid_positions,
+        _tree_positions,
         _tabulated,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
