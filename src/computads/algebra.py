@@ -25,14 +25,11 @@ from .presheaf import (
     Presheaf,
     PresheafMorphism,
     enumerate_hom,
+    hom_key,
     homs,
 )
 from .signature import Signature
 from .terms import Term, fold_term
-
-
-def hom_key(assignment: dict[str, str]) -> tuple:
-    return tuple(sorted(assignment.items()))
 
 
 @dataclass

@@ -4,6 +4,13 @@ canonical JSON.
 Exit status: 0 on success, 1 on validation failure, 2 on usage errors.
 Output is deterministic: keys sorted, lists canonically ordered, newline
 terminated.
+
+Each call is a fresh interpreter, so the module loads at start only the core
+that every subcommand reads and writes with (``base``, ``errors``,
+``presheaf``, ``terms``, ``signature``, ``computad`` and ``io_json``); a
+handler that runs more imports it itself, so ``enumerate`` loads ``monad``,
+``filtration`` loads ``cofibrant`` and ``example`` its pack, and no command
+loads a module it does not run.
 """
 
 from __future__ import annotations
@@ -17,18 +24,9 @@ from collections.abc import Callable
 from itertools import accumulate
 from typing import NamedTuple
 
-from .algebra import eval_term
 from .base import json_object
-from .cofibrant import (
-    check_trivial_fibration,
-    cofibrant_replacement,
-    replay_is_isomorphic,
-    skeletal_filtration,
-    verify_stage_pushout,
-)
 from .computad import Computad, apply_morphism, free_computad
 from .errors import BadSubset, DocumentTooDeep, KernelError
-from .factorization import image_factorize, split_idempotent, support_morphism
 from .io_json import (
     algebra_from_json,
     algebra_morphism_from_json,
@@ -39,8 +37,6 @@ from .io_json import (
     morphism_to_json,
     polyplex_to_json,
 )
-from .monad import enumerate_terms
-from .plex import classify, enumerate_polyplexes, nerve
 from .signature import signature_to_json, term_from_json, term_to_json, validate_signature
 from .terms import Term, boundary_along, check_term
 
@@ -130,7 +126,8 @@ def _term_document(raw) -> tuple[Computad, Term]:
 
 
 # Each handler takes the parsed arguments, each document option replaced by
-# what its decoder read, and returns the answer to emit.
+# what its decoder read, and returns the answer to emit.  A handler imports
+# the kernel modules beyond the core that it runs (see the module docstring).
 def cmd_check(args):
     kind, _ = args.file  # the kind and the entity
     return {"ok": True, "kind": kind}
@@ -147,20 +144,28 @@ def cmd_apply(args):
 
 
 def cmd_enumerate(args):
+    from .monad import enumerate_terms
+
     terms = enumerate_terms(args.computad, args.sort, args.depth)
     return [term_to_json(t) for t in terms]
 
 
 def cmd_classify(args):
+    from .plex import classify
+
     return polyplex_to_json(classify(*args.term))
 
 
 def cmd_plexes(args):
+    from .plex import enumerate_polyplexes
+
     plexes = enumerate_polyplexes(args.sig, args.sort, args.max_depth)
     return [polyplex_to_json(p) for p in plexes]
 
 
 def cmd_nerve(args):
+    from .plex import nerve
+
     return [
         {"plex": polyplex_to_json(p), "generators": list(gens)}
         for p, gens in nerve(args.computad).items()
@@ -168,11 +173,15 @@ def cmd_nerve(args):
 
 
 def cmd_support(args):
+    from .factorization import support_morphism
+
     supp = support_morphism(args.morphism)
     return {s: sorted(gens) for s, gens in supp.items() if gens}
 
 
 def cmd_factorize(args):
+    from .factorization import image_factorize
+
     pi, middle, iota = image_factorize(args.morphism)
     return {
         "epi": morphism_to_json(pi),
@@ -182,6 +191,8 @@ def cmd_factorize(args):
 
 
 def cmd_split(args):
+    from .factorization import split_idempotent
+
     retraction, section = split_idempotent(args.morphism)
     return {
         "retraction": morphism_to_json(retraction),
@@ -190,6 +201,8 @@ def cmd_split(args):
 
 
 def cmd_eval(args):
+    from .algebra import eval_term
+
     alg = args.algebra
     # terms are evaluated over the free computad on the carrier, so their
     # generators must be carrier cells
@@ -198,6 +211,8 @@ def cmd_eval(args):
 
 
 def cmd_filtration(args):
+    from .cofibrant import replay_is_isomorphic, skeletal_filtration, verify_stage_pushout
+
     filt = skeletal_filtration(args.computad)
     stages = [
         {
@@ -211,6 +226,8 @@ def cmd_filtration(args):
 
 
 def cmd_cofrep(args):
+    from .cofibrant import cofibrant_replacement
+
     und = cofibrant_replacement(args.algebra, args.depth).und
     return {
         "computad": computad_to_json(und.computad),
@@ -220,6 +237,8 @@ def cmd_cofrep(args):
 
 
 def cmd_check_tfib(args):
+    from .cofibrant import check_trivial_fibration
+
     ok, counterexample = check_trivial_fibration(*args.morphism)
     if ok:
         return {"trivial_fibration": True}

@@ -8,14 +8,8 @@ from its top-level keys.
 from __future__ import annotations
 
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
-from .algebra import (
-    Algebra,
-    algebra_from_interpretations,
-    check_algebra_morphism,
-    hom_key,
-    rows,
-)
 from .base import check_same_base, json_id_lists, json_object, json_objects, validate_category
 from .computad import Computad, ComputadMorphism, make_computad, make_morphism
 from .errors import (
@@ -27,10 +21,10 @@ from .errors import (
     PartialTable,
     UnknownGenerator,
 )
-from .plex import PApp, Polyplex, PVar, papp, pvar
 from .presheaf import (
     PresheafMorphism,
     check_morphism,
+    hom_key,
     presheaf_to_json,
     validate_presheaf,
 )
@@ -42,6 +36,10 @@ from .signature import (
     validate_signature,
 )
 from .terms import children_of, fold
+
+if TYPE_CHECKING:
+    from .algebra import Algebra
+    from .plex import Polyplex
 
 
 def computad_from_json(raw: dict) -> Computad:
@@ -86,6 +84,8 @@ def morphism_to_json(m: ComputadMorphism) -> dict:
 
 
 def algebra_from_json(raw: dict) -> Algebra:
+    from .algebra import algebra_from_interpretations
+
     json_object(raw, PartialTable, "an algebra", {"signature": object, "carrier": object})
     sig = validate_signature(raw["signature"])
     carrier_raw = json_object(
@@ -109,6 +109,8 @@ def _row_key(row: dict) -> tuple:
 
 
 def algebra_to_json(alg: Algebra) -> dict:
+    from .algebra import rows
+
     tables: dict[str, list] = {s: [] for s in sorted(alg.signature.symbols)}
     for symbol_id, env, value in rows(alg):
         hom = [{"cell": c, "value": v} for c, v in sorted(env.items())]
@@ -121,6 +123,8 @@ def algebra_to_json(alg: Algebra) -> dict:
 
 
 def algebra_morphism_from_json(raw: dict) -> tuple[Algebra, Algebra, dict[str, str]]:
+    from .algebra import check_algebra_morphism
+
     json_object(raw, MissingAction, "an algebra morphism", {"src": object, "dst": object})
     src = algebra_from_json(raw["src"])
     dst = algebra_from_json(raw["dst"])
@@ -134,20 +138,20 @@ def algebra_morphism_from_json(raw: dict) -> tuple[Algebra, Algebra, dict[str, s
     return src, dst, component
 
 
-# per shape kind: its key, the key of its parts, the key of their cells and
-# the fields its body needs
+# per shape kind, the ``kind`` of its class: the key of its parts, the key of
+# their cells and the fields its body needs
 _PLEX_KEYS = {
-    PVar: ("pvar", "boundary", "face", {"sort": str}),
-    PApp: ("papp", "args", "cell", {"sort": str, "symbol": str}),
+    "pvar": ("boundary", "face", {"sort": str}),
+    "papp": ("args", "cell", {"sort": str, "symbol": str}),
 }
 
 
 def _plex_json(p: Polyplex, family) -> dict:
-    kind, key, cell, _ = _PLEX_KEYS[type(p)]
+    key, cell, _ = _PLEX_KEYS[p.kind]
     body = {"sort": p.sort, key: [{cell: c, "polyplex": q} for c, q in family.items()]}
-    if isinstance(p, PApp):
+    if p.kind == "papp":
         body["symbol"] = p.symbol
-    return {kind: body}
+    return {p.kind: body}
 
 
 def polyplex_to_json(p: Polyplex) -> dict:
@@ -155,7 +159,7 @@ def polyplex_to_json(p: Polyplex) -> dict:
 
 
 def _plex_args(raw) -> list[tuple[str, dict]]:
-    for kind, key, cell, fields in _PLEX_KEYS.values():
+    for kind, (key, cell, fields) in _PLEX_KEYS.items():
         if kind in json_object(raw, KernelError, "a polyplex"):
             body = json_object(raw[kind], KernelError, f"a {kind}", fields)
             part = {cell: str, "polyplex": object}
@@ -164,14 +168,15 @@ def _plex_args(raw) -> list[tuple[str, dict]]:
     raise KernelError(f"not a polyplex: {raw!r}")
 
 
-def _plex_from_json(raw: dict, family) -> Polyplex:
-    if "pvar" in raw:
-        return pvar(raw["pvar"]["sort"], family)
-    return papp(raw["papp"]["sort"], raw["papp"]["symbol"], family)
-
-
 def polyplex_from_json(raw: dict) -> Polyplex:
-    return fold_document(raw, _plex_args, _plex_from_json)
+    from .plex import papp, pvar
+
+    def build(raw: dict, family) -> Polyplex:
+        if "pvar" in raw:
+            return pvar(raw["pvar"]["sort"], family)
+        return papp(raw["papp"]["sort"], raw["papp"]["symbol"], family)
+
+    return fold_document(raw, _plex_args, build)
 
 
 # per entity kind, in the order of detection: the top-level key that marks

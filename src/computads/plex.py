@@ -60,6 +60,7 @@ class Polyplex(Node):
 
     __slots__ = ()
     sort: SortRef
+    kind: str  # "pvar" or "papp", the key of its JSON document
     weight = property(attrgetter("rank"))  # enumeration rank: see enumerate_polyplexes
 
 
@@ -70,6 +71,7 @@ class PVar(Polyplex):
     sort: SortRef
     args: tuple[tuple[FaceRef, Polyplex], ...]  # (face, shape), sorted by face
     btype = property(attrgetter("args"))
+    kind = "pvar"
 
     def spell(self, family) -> str:
         return "<" + self.sort + "|" + ",".join(map(":".join, family.items())) + ">"
@@ -83,6 +85,7 @@ class PApp(Polyplex):
     symbol: str
     args: tuple[tuple[str, Polyplex], ...]
     step = 1
+    kind = "papp"
 
 
 def pvar(sort: SortRef, btype: dict[FaceRef, Polyplex]) -> PVar:

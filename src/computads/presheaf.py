@@ -143,8 +143,13 @@ def validate_presheaf(raw: dict, base: DirectCategory | None = None) -> Presheaf
 
 
 def presheaf_to_json(p: Presheaf) -> dict:
+    return {"category": category_to_json(p.base), **cells_to_json(p)}
+
+
+def cells_to_json(p: Presheaf) -> dict:
+    """The cells and action of a presheaf document, without its category:
+    a signature writes each arity this way, under its one category."""
     return {
-        "category": category_to_json(p.base),
         "cells": {s: list(p.cells_at(s)) for s in p.base.sorts if p.cells_at(s)},
         "action": [
             {"face": f, "from": c, "to": v}
@@ -360,6 +365,12 @@ def enumerate_hom(x: Presheaf, y: Presheaf) -> list[PresheafMorphism]:
         PresheafMorphism(src=x, dst=y, component=comp)
         for comp in homs(x, y.cells_at, y.spine)
     ]
+
+
+def hom_key(component: dict[str, str]) -> tuple:
+    """A hashable key of a hom's components: its (cell, image) pairs, sorted.
+    An algebra's interpretation table keys its rows by it."""
+    return tuple(sorted(component.items()))
 
 
 # -- truncation and skeleton ---------------------------------------------------

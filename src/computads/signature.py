@@ -35,7 +35,7 @@ from .errors import (
 from .presheaf import (
     Presheaf,
     boundary_representable,
-    presheaf_to_json,
+    cells_to_json,
     truncate_presheaf,
     validate_presheaf,
 )
@@ -251,13 +251,11 @@ def signature_to_json(sig: Signature) -> dict:
         sig.symbols, key=lambda s: (sig.base.dim(sig.symbols[s].sort), s)
     ):
         sym = sig.symbols[symbol_id]
-        arity_json = presheaf_to_json(sym.arity)
-        del arity_json["category"]
         out_symbols.append(
             {
                 "id": sym.id,
                 "sort": sym.sort,
-                "arity": arity_json,
+                "arity": cells_to_json(sym.arity),
                 "boundary": [
                     {"face": f, "term": term_to_json(t)}
                     for f, t in sorted(sym.boundary.items())

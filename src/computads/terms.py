@@ -286,13 +286,3 @@ def check_term(ctx, t: Term, expected_sort: SortRef | None = None) -> SortRef:
     if expected_sort is not None and sort != expected_sort:
         raise SortMismatch(f"term has sort {sort!r}, expected {expected_sort!r}")
     return sort
-
-
-def mk_var(ctx, gen: str) -> Var:
-    ctx.gen_sort(gen)
-    return var(gen)
-
-
-def mk_app(ctx, symbol_id: str, args: dict[str, Term]) -> App:
-    check_args(ctx, symbol_id, args)
-    return app(symbol_id, args)

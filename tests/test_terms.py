@@ -9,8 +9,6 @@ from computads.terms import (
     canonical_sort,
     check_family,
     check_term,
-    mk_app,
-    mk_var,
     serialize,
     subst,
     term_sort,
@@ -20,9 +18,10 @@ from computads.terms import (
 from fixtures import comp_uv, globe2, walk2
 
 
-def test_mk_var_sorts():
+def test_var_sorts():
     c = walk2()
-    u = mk_var(c, "u")
+    u = var("u")
+    assert check_term(c, u) == "a"
     assert term_sort(c, u) == "a"
     assert u.depth == 0
 
@@ -32,22 +31,22 @@ def test_comp_uv_well_formed():
     t = comp_uv()
     assert check_term(c, t) == "a"
     assert t.depth == 1
-    built = mk_app(
-        c,
+    built = app(
         "comp",
         {"x": var("p"), "y": var("q"), "z": var("r"), "f": var("u"), "g": var("v")},
     )
+    assert check_term(c, built) == "a"
     assert built == t
 
 
 def test_incompatible_family_rejected():
     c = walk2()
+    bad = app(
+        "comp",
+        {"x": var("p"), "y": var("r"), "z": var("r"), "f": var("u"), "g": var("v")},
+    )
     with pytest.raises(IncompatibleArgs):
-        mk_app(
-            c,
-            "comp",
-            {"x": var("p"), "y": var("r"), "z": var("r"), "f": var("u"), "g": var("v")},
-        )
+        check_term(c, bad)
 
 
 def test_check_family_over_an_arity():
