@@ -25,7 +25,7 @@ from itertools import accumulate
 from typing import NamedTuple
 
 from .base import json_object
-from .computad import Computad, apply_morphism, free_computad
+from .computad import Computad, apply_morphism, free_computad, is_isomorphism
 from .errors import BadSubset, DocumentTooDeep, KernelError
 from .io_json import (
     algebra_from_json,
@@ -211,7 +211,8 @@ def cmd_eval(args):
 
 
 def cmd_filtration(args):
-    from .cofibrant import replay_is_isomorphic, skeletal_filtration, verify_stage_pushout
+    from .cofibrant import replay_filtration, replay_renaming
+    from .cofibrant import skeletal_filtration, verify_stage_pushout
 
     filt = skeletal_filtration(args.computad)
     stages = [
@@ -222,7 +223,8 @@ def cmd_filtration(args):
         }
         for lo, hi in zip(filt.stages, filt.stages[1:])
     ]
-    return {"stages": stages, "replay_isomorphic": replay_is_isomorphic(filt)}
+    replayed = is_isomorphism(filt.computad, replay_filtration(filt), replay_renaming(filt))
+    return {"stages": stages, "replay_isomorphic": replayed}
 
 
 def cmd_cofrep(args):

@@ -5,9 +5,10 @@ The representable computad on a sort i classifies terms of sort i; its
 boundary classifies types (compatible boundary families).  Every computad is
 rebuilt from the empty one by attaching generators along their boundary types
 dimension by dimension: each stage is the pushout of the one below along the
-boundary inclusions, checked by renaming the colimit along its comparison map.
-The right adjoint to the free-algebra functor is computed by pairing types of
-the replacement built so far with carrier cells.
+boundary inclusions, checked by ``computad.is_isomorphism`` on the colimit's
+comparison map.  The right adjoint to the free-algebra functor is computed by
+pairing types of the replacement built so far with the carrier cells of the
+same boundary, each face term evaluated once.
 """
 
 from __future__ import annotations
@@ -24,15 +25,15 @@ from .computad import (
     colimit_var,
     free_computad,
     inclusion,
+    is_isomorphism,
     make_morphism,
     sub_computad,
-    var_to_var_morphism,
 )
-from .errors import KernelError, NotCompatible, UnknownSort
+from .errors import NotCompatible, UnknownSort
 from .monad import enumerate_terms, terms_saturated
 from .presheaf import action_spine, boundary_representable, bucket_by_spine, homs, representable
 from .signature import Signature
-from .terms import Term, boundary, parts, rename, serialize, var
+from .terms import Term, boundary, fold_term, parts, rename, serialize, var
 
 
 @memoized("_disk_cache")
@@ -148,19 +149,6 @@ def replay_filtration(filtration: SkeletalFiltration) -> Computad:
     return Computad(sig, gens, glue)
 
 
-def replay_is_isomorphic(filtration: SkeletalFiltration) -> bool:
-    """Whether ``replay_renaming``, a bijection on generators, is an isomorphism
-    onto the replay: whether it and its inverse pass ``var_to_var_morphism``."""
-    renaming = replay_renaming(filtration)
-    c, replayed = filtration.computad, replay_filtration(filtration)
-    try:
-        var_to_var_morphism(c, replayed, renaming)
-        var_to_var_morphism(replayed, c, {fresh: g for g, fresh in renaming.items()})
-    except KernelError:
-        return False
-    return True
-
-
 def verify_stage_pushout(
     stage: SkeletalStage, next_computad: Computad
 ) -> bool | None:
@@ -170,12 +158,11 @@ def verify_stage_pushout(
     inclusion into a disk.  Its comparison map ``to_next`` sends the class of
     a stage generator to that generator, and the class of a disk's top cell
     ``id_<sort>`` to the attached generator.  It is a bijection, since each
-    boundary inclusion is injective and misses only the top cell.  Renamed
-    along it, the colimit must equal ``next_computad``, each listing its
-    generators in name order: the same signature, the same generators at
-    each sort and the same gluings, so a pushout under other names reads
-    False.  Returns None unless every attaching morphism is
-    variable-to-variable, as the colimit machinery requires.
+    boundary inclusion is injective and misses only the top cell.  It must
+    be an isomorphism onto ``next_computad`` (``is_isomorphism``), so a
+    pushout under other names reads False.  Returns None unless every
+    attaching morphism is variable-to-variable, as the colimit machinery
+    requires.
     """
     if not all(att.phi.is_var_to_var() for att in stage.attachments):
         return None
@@ -192,11 +179,7 @@ def verify_stage_pushout(
     to_next = {cls: gen for gen, cls in colim.legs["stage"].gen_map().items()}
     for att in stage.attachments:
         to_next[colim.legs[f"disk:{att.gen}"](f"id_{att.sort}").gen] = att.gen
-    gens = {s: sorted(to_next[g] for g in gs) for s, gs in colim.computad.gens.items()}
-    glue = {(to_next[g], f): rename(t, to_next) for (g, f), t in colim.computad.glue.items()}
-    listed = {s: sorted(gs) for s, gs in next_computad.gens.items()}
-    renamed = Computad(sig, gens, glue)
-    return renamed == Computad(next_computad.signature, listed, next_computad.glue)
+    return is_isomorphism(colim.computad, next_computad, to_next)
 
 
 # -- the underlying computad of an algebra ------------------------------------------
@@ -205,7 +188,6 @@ def verify_stage_pushout(
 class UndResult:
     computad: Computad
     r_assign: dict[str, str]  # generator -> carrier cell
-    gen_info: dict[str, tuple[dict[FaceRef, Term], str]]
     exact: bool
 
 
@@ -218,51 +200,49 @@ def underlying_computad(alg, depth_bound: int) -> UndResult:
     """The right-adjoint computad of an algebra, depth-approximated.
 
     Generators of sort i are pairs (boundary type of the part built so far,
-    carrier cell) whose evaluations match; exact when term enumeration
-    saturates at every sort feeding a boundary (in particular over a discrete
-    base, where the generators are exactly the carrier cells).  Unchecked: each
-    gluing family is an argument family over the part built so far.
+    carrier cell) whose evaluations match, found by looking the type's value
+    up among the cells by boundary; exact when term enumeration saturates at
+    every sort feeding a boundary (in particular over a discrete base, where
+    the generators are exactly the carrier cells).  Unchecked: each gluing
+    family is an argument family over the part built so far.
     """
     sig = alg.signature
     cat = sig.base
     gens: dict[SortRef, tuple[str, ...]] = {s: () for s in cat.sorts}
     glue: dict[tuple[str, FaceRef], Term] = {}
     r_assign: dict[str, str] = {}
-    gen_info: dict[str, tuple[dict[FaceRef, Term], str]] = {}
+    values: dict[Term, str] = {}
     relevant: set[SortRef] = set()
     for sort in cat.sorts:
         if alg.cells_at(sort):
             relevant |= {cat.face(f).src for f in cat.faces_into(sort)}
 
+    def interpret(u: Term, cells: dict[str, str]) -> str:
+        return alg.interpret(u.symbol, cells)
+
+    def evaluate(t: Term) -> str:  # each term once, as a generator keeps its value
+        return fold_term(t, r_assign.__getitem__, interpret, values)
+
     for _, layer in itertools.groupby(cat.sorts, cat.dim):  # sorts by dimension
         lower = Computad(sig, gens, glue)
-        evaluate = functools.partial(eval_in_env, alg, env=r_assign)
         for sort in layer:
+            faces = cat.faces_into(sort)
+            cells_by = bucket_by_spine(alg.cells_at(sort), alg.carrier.spine, faces).get((), {})
             sphere, _ = boundary_representable(cat, sort)
             spine = action_spine(functools.partial(boundary, lower))
             families = homs(sphere, lambda s: enumerate_terms(lower, s, depth_bound), spine)
             names = []
             for family in families:
-                for cell in alg.cells_at(sort):
-                    if all(
-                        evaluate(family[face]) == alg.act(face, cell)
-                        for face in cat.faces_into(sort)
-                    ):
-                        name = _und_gen_name(family, cell)
-                        names.append(name)
-                        r_assign[name] = cell
-                        gen_info[name] = (dict(family), cell)
-                        for face, t in family.items():
-                            glue[(name, face)] = t
+                for cell in cells_by.get(tuple([evaluate(family[f]) for f in faces]), ()):
+                    name = _und_gen_name(family, cell)
+                    names.append(name)
+                    r_assign[name] = cell
+                    for face, t in family.items():
+                        glue[(name, face)] = t
             gens[sort] = tuple(sorted(names))
     computad = Computad(sig, gens, glue)
     exact = all(terms_saturated(computad, s, depth_bound) for s in sorted(relevant))
-    return UndResult(
-        computad=computad,
-        r_assign=r_assign,
-        gen_info=gen_info,
-        exact=exact,
-    )
+    return UndResult(computad=computad, r_assign=r_assign, exact=exact)
 
 
 @dataclass
@@ -277,7 +257,7 @@ class CofibrantReplacement:
     def lift_v(self, sort: SortRef, family: dict[FaceRef, Term], cell: str) -> Term:
         """The chosen lift: the generator named by a compatible square."""
         name = _und_gen_name(family, cell)
-        if name not in self.und.gen_info:
+        if name not in self.und.r_assign:
             raise NotCompatible(
                 f"({cell!r}, family) is not a generator of the replacement"
             )

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .base import DirectCategory, FaceRef, SortRef, check_same_base
 from .errors import (
+    BaseMismatch,
     CocycleFailure,
     EndpointMismatch,
     GluingIllTyped,
@@ -273,6 +274,21 @@ def find_isomorphism(c: Computad, d: Computad) -> dict[str, str] | None:
 
 def isomorphic(c: Computad, d: Computad) -> bool:
     return find_isomorphism(c, d) is not None
+
+
+def is_isomorphism(c: Computad, d: Computad, gen_map: dict[str, str]) -> bool:
+    """Whether a known generator map is an isomorphism c -> d: a bijection
+    onto the generators of ``d`` that passes ``var_to_var_morphism``.  Its
+    inverse then passes too, since each generator of ``d`` is then glued
+    along its preimage's gluings renamed, and renaming along a bijection is
+    injective.  False across signatures."""
+    if len(gen_map) != len(d._gen_sort) or set(gen_map.values()) != d._gen_sort.keys():
+        return False
+    try:
+        var_to_var_morphism(c, d, gen_map)
+    except (BaseMismatch, GluingIllTyped, SortMismatch, UnknownGenerator):
+        return False
+    return True
 
 
 def enumerate_var_to_var(c: Computad, d: Computad) -> list[ComputadMorphism]:

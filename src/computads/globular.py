@@ -51,8 +51,8 @@ def globe_category(n: int) -> DirectCategory:
 
 # -- trees and their positions -------------------------------------------------------
 
-# Deeper trees cost too much: `example cat` on a 50-deep chain takes 8.5 s (2
-# vCPUs, Python 3.11.7) and prints 39 MB, both growing with about the cube of
+# Deeper trees cost too much: `example cat` on a 50-deep chain takes 5-6 s in a
+# subprocess (2 vCPUs, Python 3.11.7) and prints 38.7 MB, both about cubic in
 # the depth.  The limit also keeps _freeze, tree_to_text and boundary_tree,
 # which recurse once per level, within the default recursion limit.
 MAX_TREE_NESTING = 300

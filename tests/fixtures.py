@@ -3,6 +3,7 @@ walking computads, and small algebras."""
 
 from __future__ import annotations
 
+import functools
 import random
 
 from computads.base import DirectCategory, validate_category
@@ -104,15 +105,21 @@ def walk_n(sig: Signature, n: int) -> Computad:
     return make_computad(sig, {"o": gens_o, "a": gens_a}, glue)
 
 
-def relabelled(c: Computad, rng: random.Random) -> Computad:
-    """A copy of ``c`` with fresh generator names, listed in shuffled order."""
+def relabelling(c: Computad, rng: random.Random) -> tuple[Computad, dict[str, str]]:
+    """A copy of ``c`` with fresh generator names, listed in shuffled order,
+    and the renaming from ``c`` to it."""
     gens = [g for _, g in c.all_generators()]
     names = dict(zip(gens, rng.sample([f"R{i}" for i in range(len(gens))], len(gens))))
     new_gens = {
         s: tuple(rng.sample([names[g] for g in gs], len(gs))) for s, gs in c.gens.items()
     }
     glue = {(names[g], f): rename(t, names) for (g, f), t in c.glue.items()}
-    return make_computad(c.signature, new_gens, glue)
+    return make_computad(c.signature, new_gens, glue), names
+
+
+def relabelled(c: Computad, rng: random.Random) -> Computad:
+    """A copy of ``c`` with fresh generator names, listed in shuffled order."""
+    return relabelling(c, rng)[0]
 
 
 # -- algebras -------------------------------------------------------------------
@@ -228,6 +235,51 @@ def chain_algebra(k: int):
         return env["x"] + env["z"]
 
     return algebra_from_callbacks(sig, carrier, {"comp": comp})
+
+
+def kan_nerve(n: int):
+    """The nerve of Z/n truncated at [2], as an algebra of ``sigma_kan(2)``:
+    one vertex ``*``, an edge ``e<a>`` per element and a triangle
+    ``t<a>,<b>`` per pair, with faces d01 -> e<a>, d12 -> e<b> and
+    d02 -> e<a+b>.  A 2-dimensional horn is filled by its one triangle, and
+    a 1-dimensional one by ``e0``."""
+    from computads.algebra import algebra_from_callbacks
+    from computads.packs import delta_face, face_symbol, filler_symbol, sigma_kan
+
+    sig = sigma_kan(2)
+    edges = {f"e{a}": a for a in range(n)}
+    triangles = {f"t{a},{b}": (a, b) for a in range(n) for b in range(n)}
+    sides = ("d01:1>2", "d12:1>2", "d02:1>2")
+    action = {}
+    for cell in (*edges, *triangles):
+        for face in sig.base.faces_into("[1]" if cell in edges else "[2]"):
+            action[(face, cell)] = "*"
+    for cell, (a, b) in triangles.items():
+        for face, k in zip(sides, (a, b, (a + b) % n)):
+            action[(face, cell)] = f"e{k}"
+    cells = {"[0]": ("*",), "[1]": tuple(edges), "[2]": tuple(triangles)}
+    carrier = make_presheaf(sig.base, cells, action)
+
+    def fill(env: dict[str, str]) -> str:
+        """The triangle on a horn: two of its sides give the third."""
+        a, b, c = (edges.get(env.get(face)) for face in sides)
+        if a is None:
+            a = (c - b) % n
+        if b is None:
+            b = (c - a) % n
+        return f"t{a},{b}"
+
+    def face_2(k: int, env: dict[str, str]) -> str:
+        return action[(delta_face(2, k), fill(env))]
+
+    callbacks = {}
+    for k in range(2):
+        callbacks[face_symbol(k, 1)] = lambda env: "*"
+        callbacks[filler_symbol(k, 1)] = lambda env: "e0"
+    for k in range(3):
+        callbacks[face_symbol(k, 2)] = functools.partial(face_2, k)
+        callbacks[filler_symbol(k, 2)] = fill
+    return algebra_from_callbacks(sig, carrier, callbacks)
 
 
 # -- random generators ------------------------------------------------------------

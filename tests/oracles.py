@@ -9,17 +9,27 @@ grows them rank by rank, rather than recursing per call.
 Also here: from-scratch spellings of terms and shapes, the classifying
 morphism of a term read off the colimit presentation of its shape, the
 nerve's realisation with its plex maps found by search, the filtration's
-stage pushouts compared by isomorphism search, random computads glued
-along families found by brute force, and the positions of a pasting tree,
-their faces and the boundary inclusions of its cuts found by recursion
-through the tree.
+stage pushouts compared by isomorphism search, the underlying computad of
+an algebra found by scanning every carrier cell against every boundary
+type, random computads glued along families found by brute force, and the
+positions of a pasting tree, their faces and the boundary inclusions of its
+cuts found by recursion through the tree.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 
-from computads.cofibrant import SkeletalStage, boundary_inclusion, disk_computad
+from computads.algebra import eval_in_env
+from computads.cofibrant import (
+    SkeletalStage,
+    UndResult,
+    _und_gen_name,
+    boundary_inclusion,
+    disk_computad,
+)
 from computads.computad import (
     Computad,
     ComputadMorphism,
@@ -37,6 +47,7 @@ from computads.globular import (
     globe_sort,
     position_name,
 )
+from computads.monad import enumerate_terms, terms_saturated
 from computads.plex import (
     PVar,
     Polyplex,
@@ -45,7 +56,14 @@ from computads.plex import (
     nerve,
     polyplex_computad,
 )
-from computads.presheaf import Presheaf, PresheafMorphism, make_presheaf
+from computads.presheaf import (
+    Presheaf,
+    PresheafMorphism,
+    action_spine,
+    boundary_representable,
+    homs,
+    make_presheaf,
+)
 from computads.signature import Signature
 from computads.terms import Term, Var, app, boundary, canonical_sort, parts, var
 
@@ -227,6 +245,44 @@ def searched_stage_pushout(
     return isomorphic(colimit_var(nodes, edges).computad, next_computad)
 
 
+def scanned_underlying_computad(alg, depth_bound: int) -> UndResult:
+    """The underlying computad with every carrier cell of a sort scanned
+    against every boundary type, each face term evaluated afresh per cell.
+    The reference for ``cofibrant.underlying_computad``."""
+    sig = alg.signature
+    cat = sig.base
+    gens: dict[str, tuple[str, ...]] = {s: () for s in cat.sorts}
+    glue: dict = {}
+    r_assign: dict[str, str] = {}
+    relevant: set[str] = set()
+    for sort in cat.sorts:
+        if alg.cells_at(sort):
+            relevant |= {cat.face(f).src for f in cat.faces_into(sort)}
+    for _, layer in itertools.groupby(cat.sorts, cat.dim):
+        lower = Computad(sig, gens, glue)
+        evaluate = functools.partial(eval_in_env, alg, env=r_assign)
+        for sort in layer:
+            sphere, _ = boundary_representable(cat, sort)
+            spine = action_spine(functools.partial(boundary, lower))
+            families = homs(sphere, lambda s: enumerate_terms(lower, s, depth_bound), spine)
+            names = []
+            for family in families:
+                for cell in alg.cells_at(sort):
+                    if all(
+                        evaluate(family[face]) == alg.act(face, cell)
+                        for face in cat.faces_into(sort)
+                    ):
+                        name = _und_gen_name(family, cell)
+                        names.append(name)
+                        r_assign[name] = cell
+                        for face, t in family.items():
+                            glue[(name, face)] = t
+            gens[sort] = tuple(sorted(names))
+    computad = Computad(sig, gens, glue)
+    exact = all(terms_saturated(computad, s, depth_bound) for s in sorted(relevant))
+    return UndResult(computad=computad, r_assign=r_assign, exact=exact)
+
+
 def product_random_computad(
     sig: Signature, rng: random.Random, max_gens: int = 2, depth: int = 1
 ) -> Computad:
@@ -236,11 +292,7 @@ def product_random_computad(
     generators of lower dimension.  The families are found by brute force:
     every product of terms, one per face, filtered by ``check_family``.  The
     reference for ``fixtures.random_computad``."""
-    import itertools
-
     from computads.errors import IncompatibleArgs
-    from computads.monad import enumerate_terms
-    from computads.presheaf import boundary_representable
     from computads.terms import check_family
 
     cat = sig.base

@@ -24,6 +24,7 @@ from fixtures import (
     comp_uv,
     fork_algebra_doc,
     fork_computad_doc,
+    kan_nerve,
     pathcat_algebra,
     pointed_algebra_doc,
     relabelled,
@@ -564,6 +565,19 @@ def test_cofrep_command(tmp_path, capsys):
     report = json.loads(out)
     assert report["exact"] is True
     assert len(report["counit"]) == 9
+
+
+def test_cofrep_of_the_kan_nerve_is_pinned(tmp_path, capsys):
+    # the underlying computad of a 2-dimensional algebra, its generators
+    # named by their gluings and counit values
+    import hashlib
+
+    path = tmp_path / "kan_nerve2.json"
+    path.write_text(json.dumps(algebra_to_json(kan_nerve(2))), encoding="utf-8")
+    status, out = run(capsys, "cofrep", "--algebra", str(path), "--depth", "1")
+    assert status == 0
+    digest = "2af97743e3a37068c25b9ed539ce1d5a5698ec43a595c9fcf570361ea75a1d8c"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_example_commands(capsys):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from computads import cofibrant
 from computads.algebra import free_algebra, morphism_from_generators
 from computads.cofibrant import (
     boundary_inclusion,
@@ -19,6 +20,7 @@ from computads.cofibrant import (
 from computads.computad import (
     compose_morphisms,
     enumerate_var_to_var,
+    is_isomorphism,
     isomorphic,
     make_computad,
     make_morphism,
@@ -32,8 +34,10 @@ from computads.terms import var
 
 import oracles
 from fixtures import (
+    chain_algebra,
     comp_signature,
     comp_uv,
+    kan_nerve,
     law_families,
     pathcat_algebra,
     random_computad,
@@ -160,21 +164,36 @@ def test_stage_pushout_over_another_signature_is_false():
     assert verify_stage_pushout(lo, bare) is False
 
 
-def test_stage_pushout_matches_the_searched_oracle():
-    # on the true next stage the verdict is the oracle's; against the next
-    # stage of another draw, the oracle also finds any pushout that is one
-    # under other names, so only True carries over
+def test_stage_pushout_matches_the_searched_oracle(monkeypatch):
+    # the verdict is ``is_isomorphism``'s on the colimit's comparison map, so
+    # on the true next stage it is the oracle's; against the next stage of
+    # another draw, the oracle also finds any pushout that is one under other
+    # names, so only True carries over
+    known = []
+
+    def recorded(c, d, gen_map):
+        known.append(is_isomorphism(c, d, gen_map))
+        return known[-1]
+
+    monkeypatch.setattr(cofibrant, "is_isomorphism", recorded)
+
+    def checked(lo, nxt):
+        known.clear()
+        verdict = verify_stage_pushout(lo, nxt)
+        assert known == ([] if verdict is None else [verdict])
+        return verdict
+
     cs = _law_families()
     verdicts = {True: 0, False: 0, None: 0}
     for c, other in zip(cs, cs[1:] + cs[:1]):
         stages = skeletal_filtration(c).stages
         for lo, hi in zip(stages, stages[1:]):
-            verdict = verify_stage_pushout(lo, hi.computad)
+            verdict = checked(lo, hi.computad)
             assert verdict == oracles.searched_stage_pushout(lo, hi.computad)
             verdicts[verdict] += 1
         others = skeletal_filtration(other).stages
         for lo, hi in zip(stages, others[1:]):
-            verdict = verify_stage_pushout(lo, hi.computad)
+            verdict = checked(lo, hi.computad)
             if verdict:
                 assert oracles.searched_stage_pushout(lo, hi.computad)
             verdicts[verdict] += 1
@@ -276,11 +295,45 @@ def test_underlying_computad_pathcat():
     assert len(und.computad.generators_at("o")) == 3
     assert len(und.computad.generators_at("a")) == 6
     # every arrow generator is glued onto the endpoint objects of its path
-    for name, (family, cell) in und.gen_info.items():
-        if name not in und.computad.generators_at("a"):
-            continue
+    for name in und.computad.generators_at("a"):
         s_obj = und.r_assign[und.computad.gluing(name, "s").gen]
-        assert s_obj == alg.act("s", cell)
+        assert s_obj == alg.act("s", und.r_assign[name])
+
+
+def test_underlying_computad_matches_the_scanned_oracle():
+    for alg, depth in (
+        (z5_algebra(), 2), (pathcat_algebra(), 2), (chain_algebra(3), 2), (kan_nerve(2), 1)
+    ):
+        und = underlying_computad(alg, depth)
+        scanned = oracles.scanned_underlying_computad(alg, depth)
+        assert und.computad == scanned.computad
+        assert list(und.r_assign.items()) == list(scanned.r_assign.items())
+        assert und.exact == scanned.exact
+
+
+def test_counit_is_trivial_fibration_kan_nerve():
+    # the nerve of Z/2 as a 2-dimensional algebra: the depth-1 replacement is
+    # not exact (the fillers apply to each other without end), and its
+    # counit is a trivial fibration, as criterion 11 finds for Z5
+    alg = kan_nerve(2)
+    cof = cofibrant_replacement(alg, 1)
+    assert not cof.und.exact
+    fa = free_algebra(cof.und.computad, 1)
+    component = {cell: cof.r(fa.decode[cell]) for cell in fa.decode}
+    ok, counterexample = check_trivial_fibration(fa, alg, component)
+    assert ok, counterexample
+
+
+def test_underlying_computad_evaluates_each_face_term_once():
+    # a count, not a timing: 16 distinct applications occur in the boundary
+    # types of the nerve of Z/2 at depth 1, and each is interpreted once (a
+    # scan over every type and carrier cell interprets 18,899 times)
+    alg = kan_nerve(2)
+    calls = []
+    for symbol, callback in list(alg.interp.items()):
+        alg.interp[symbol] = lambda env, f=callback: calls.append(env) or f(env)
+    underlying_computad(alg, 1)
+    assert 0 < len(calls) <= 100
 
 
 def test_underlying_empty_carrier():
@@ -317,19 +370,20 @@ def test_counit_is_trivial_fibration_z5():
 def test_lifts_on_sampled_pathcat_generators():
     # chosen lifts: v(sort, T, t) is the generator named by the square, its
     # counit value is t, and its boundaries are the family T
+    from computads.terms import boundary, parts
+
     alg = pathcat_algebra()
     cof = cofibrant_replacement(alg, 2)
+    und = cof.und
     rng = random.Random(50)
-    names = [g for _, g in cof.und.computad.all_generators()]
+    names = [g for _, g in und.computad.all_generators()]
     samples = [rng.choice(names) for _ in range(50)]
     for name in samples:
-        family, cell = cof.und.gen_info[name]
-        lifted = cof.lift_v(cof.und.computad.gen_sort(name), family, cell)
-        assert cof.r(lifted) == cell
+        family, cell = dict(parts(und.computad, var(name))), und.r_assign[name]
+        lifted = cof.lift_v(und.computad.gen_sort(name), family, cell)
+        assert lifted == var(name) and cof.r(lifted) == cell
         for face, expected in family.items():
-            from computads.terms import boundary
-
-            assert boundary(cof.und.computad, face, lifted) == expected
+            assert boundary(und.computad, face, lifted) == expected
 
 
 def test_counit_is_trivial_fibration_pathcat():

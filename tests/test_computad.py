@@ -12,6 +12,7 @@ from computads.computad import (
     find_isomorphism,
     free_computad,
     identity_morphism,
+    is_isomorphism,
     isomorphic,
     make_computad,
     make_morphism,
@@ -30,9 +31,11 @@ from fixtures import (
     comp_uv,
     globe2,
     globe2_glue,
+    law_families,
     random_computad,
     random_computad_comp,
     relabelled,
+    relabelling,
     walk2,
     walk_n,
 )
@@ -428,6 +431,31 @@ def test_isomorphism_search_work_is_bounded(monkeypatch):
     glue[("e19", "t")] = var("o0")
     broken = relabelled(make_computad(sig, c.gens, glue), rng)
     assert find_isomorphism(c, broken) is None
+
+
+def test_is_isomorphism_holds_for_relabelled_copies_under_their_renaming():
+    for seed, c in enumerate(law_families()):
+        copy, names = relabelling(c, random.Random(seed))
+        assert is_isomorphism(c, copy, names)
+        assert is_isomorphism(copy, c, {new: g for g, new in names.items()})
+
+
+def test_is_isomorphism_planted_faults():
+    from computads.signature import Signature
+
+    c = walk2()
+    ident = {g: g for _, g in c.all_generators()}
+    assert is_isomorphism(c, c, ident)
+    # u : p -> q and v : q -> r swapped: a bijection that breaks the gluings
+    assert not is_isomorphism(c, c, {**ident, "u": "v", "v": "u"})
+    # one more object in the target: not onto
+    bigger = make_computad(c.signature, {**c.gens, "o": ("p", "q", "r", "z")}, c.glue)
+    assert not is_isomorphism(c, bigger, ident)
+    # an object sent to an arrow and back: a bijection across sorts
+    assert not is_isomorphism(c, c, {**ident, "p": "u", "u": "p"})
+    # the same generators and gluings over the signature without symbols
+    bare = make_computad(Signature(c.base, {}), c.gens, c.glue)
+    assert not is_isomorphism(c, bare, ident) and not is_isomorphism(bare, c, ident)
 
 
 def test_free_computad_rejects_a_presheaf_over_another_base():

@@ -68,6 +68,7 @@ from computads.terms import var
 from fixtures import (
     comp_signature,
     comp_uv,
+    kan_nerve,
     pathcat_algebra,
     random_computad_comp,
     random_morphism_comp,
@@ -183,7 +184,8 @@ def _filtrations():
 
 def _underlying():
     out = []
-    for alg, depth in ((z5_algebra(), 2), (pathcat_algebra(), 2), (pathcat_algebra(), 1)):
+    cases = ((z5_algebra(), 2), (pathcat_algebra(), 2), (pathcat_algebra(), 1), (kan_nerve(2), 1))
+    for alg, depth in cases:
         und = underlying_computad(alg, depth)
         morphism_from_generators(und.computad, alg, und.r_assign)
         out.append(und.computad)
