@@ -5,10 +5,10 @@ The representable computad on a sort i classifies terms of sort i; its
 boundary classifies types (compatible boundary families).  Every computad is
 rebuilt from the empty one by attaching generators along their boundary types
 dimension by dimension: each stage is the pushout of the one below along the
-boundary inclusions, checked by ``computad.is_isomorphism`` on the colimit's
-comparison map.  The right adjoint to the free-algebra functor is computed by
-pairing types of the replacement built so far with the carrier cells of the
-same boundary, each face term evaluated once.
+boundary inclusions, checked by ``computad.is_isomorphism`` on the comparison
+map read off the colimit's legs, which are generator maps.  The right adjoint
+to the free-algebra functor pairs types of the replacement built so far with
+the carrier cells of the same boundary, each face term evaluated and spelled once.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from .computad import (
     inclusion,
     is_isomorphism,
     make_morphism,
-    sub_computad,
+    skeleton,
 )
 from .errors import NotCompatible, UnknownSort
 from .monad import enumerate_terms, terms_saturated
 from .presheaf import action_spine, boundary_representable, bucket_by_spine, homs, representable
 from .signature import Signature
-from .terms import Term, boundary, fold_term, parts, rename, serialize, var
+from .terms import Term, boundary, fold_term, parts, rename, serialize, speller, var
 
 
 @memoized("_disk_cache")
@@ -99,11 +99,6 @@ class SkeletalFiltration:
         return [inclusion(lo.computad, hi.computad) for lo, hi in pairs]
 
 
-def _strata(c: Computad, below: int) -> Computad:
-    """The generators of dimension below ``below``, which glue to no others."""
-    return sub_computad(c, c.signature, lambda s, g: c.base.dim(s) < below)
-
-
 def skeletal_filtration(c: Computad) -> SkeletalFiltration:
     """The stages of ``c`` by dimension, each with the generators attached to
     it.  Each attaching map ``phi`` is built unchecked: the gluing of a
@@ -113,7 +108,7 @@ def skeletal_filtration(c: Computad) -> SkeletalFiltration:
     top = c.base.dimension() + 1
     stages: list[SkeletalStage] = []
     for d in range(top + 1):
-        stage = _strata(c, d)
+        stage = skeleton(c, d - 1)
         attachments: list[Attachment] = []
         for sort in c.base.sorts:
             if c.base.dim(sort) != d:
@@ -168,17 +163,17 @@ def verify_stage_pushout(
         return None
     sig = stage.computad.signature
     nodes = {"stage": stage.computad}
-    edges: list[tuple[str, str, ComputadMorphism]] = []
+    edges: list[tuple[str, str, dict[str, str]]] = []
     for att in stage.attachments:
         sphere, disk = f"sphere:{att.gen}", f"disk:{att.gen}"
         nodes[sphere] = att.phi.src
         nodes[disk] = disk_computad(sig, att.sort)
-        edges.append((sphere, "stage", att.phi))
-        edges.append((sphere, disk, boundary_inclusion(sig, att.sort)))
+        edges.append((sphere, "stage", att.phi.gen_map()))
+        edges.append((sphere, disk, boundary_inclusion(sig, att.sort).gen_map()))
     colim = colimit_var(nodes, edges)
-    to_next = {cls: gen for gen, cls in colim.legs["stage"].gen_map().items()}
+    to_next = {cls: gen for gen, cls in colim.legs["stage"].items()}
     for att in stage.attachments:
-        to_next[colim.legs[f"disk:{att.gen}"](f"id_{att.sort}").gen] = att.gen
+        to_next[colim.legs[f"disk:{att.gen}"][f"id_{att.sort}"]] = att.gen
     return is_isomorphism(colim.computad, next_computad, to_next)
 
 
@@ -191,8 +186,8 @@ class UndResult:
     exact: bool
 
 
-def _und_gen_name(family: dict[FaceRef, Term], cell: str) -> str:
-    inner = ";".join(f"{f}={serialize(t)}" for f, t in sorted(family.items()))
+def _und_gen_name(family: dict[FaceRef, Term], cell: str, spell=serialize) -> str:
+    inner = ";".join(f"{f}={spell(t)}" for f, t in sorted(family.items()))
     return f"({cell}|{inner})"
 
 
@@ -212,6 +207,7 @@ def underlying_computad(alg, depth_bound: int) -> UndResult:
     glue: dict[tuple[str, FaceRef], Term] = {}
     r_assign: dict[str, str] = {}
     values: dict[Term, str] = {}
+    spell = speller()  # one spelling memo for the run, as names share their terms
     relevant: set[SortRef] = set()
     for sort in cat.sorts:
         if alg.cells_at(sort):
@@ -234,7 +230,7 @@ def underlying_computad(alg, depth_bound: int) -> UndResult:
             names = []
             for family in families:
                 for cell in cells_by.get(tuple([evaluate(family[f]) for f in faces]), ()):
-                    name = _und_gen_name(family, cell)
+                    name = _und_gen_name(family, cell, spell)
                     names.append(name)
                     r_assign[name] = cell
                     for face, t in family.items():

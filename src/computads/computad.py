@@ -1,4 +1,4 @@
-"""Computads, their morphisms, free computads, and finite colimits.
+"""Computads, their morphisms, free computads, skeleta, and finite colimits.
 
 A computad attaches a finite set of generators to every sort; each generator
 of sort i carries, per non-identity face d : j -> i, a gluing term of sort j
@@ -9,6 +9,8 @@ dimension at most dim j.
 Validation happens once, at the boundary: ``make_computad``, ``make_morphism``
 and ``var_to_var_morphism`` check their input.  The kernel's own constructions
 build the dataclasses directly and name the invariant that makes them valid.
+Colimits are computed on generator sets: their diagrams and legs are
+generator maps, which ``ComputadMorphism.gen_map`` reads off a morphism.
 """
 
 from __future__ import annotations
@@ -178,9 +180,15 @@ def skeleton_computad(c: Computad, signature: Signature) -> Computad:
     return Computad(signature, c.gens, c.glue)
 
 
+def skeleton(c: Computad, n: int) -> Computad:
+    """sk_n tr_n C: the generators of dimension at most n, over ``c``'s own
+    signature; their gluings name no others."""
+    return sub_computad(c, c.signature, lambda s, g: c.base.dim(s) <= n)
+
+
 def skeleton_counit(c: Computad, n: int) -> ComputadMorphism:
     """The generator inclusion sk_n tr_n C -> C, which keeps every gluing."""
-    return inclusion(skeleton_computad(truncate_computad(c, n), c.signature), c)
+    return inclusion(skeleton(c, n), c)
 
 
 @dataclass
@@ -299,12 +307,12 @@ def enumerate_var_to_var(c: Computad, d: Computad) -> list[ComputadMorphism]:
     ]
 
 
-# -- colimits of variable-to-variable diagrams ----------------------------------
+# -- colimits of generator-preserving diagrams ----------------------------------
 
 @dataclass
 class Colimit:
     computad: Computad
-    legs: dict[str, ComputadMorphism]
+    legs: dict[str, dict[str, str]]  # per node, each generator's class
 
     def mediate(self, cocone: dict[str, ComputadMorphism]) -> ComputadMorphism:
         """The unique morphism out of the colimit determined by a cocone.
@@ -315,7 +323,7 @@ class Colimit:
         target = next(iter(cocone.values())).dst
         assign: dict[str, Term] = {}
         for node, leg in sorted(self.legs.items()):
-            for gen, cls in sorted(leg.gen_map().items()):
+            for gen, cls in sorted(leg.items()):
                 value = cocone[node].assign[gen]
                 if cls in assign and assign[cls] != value:
                     raise CocycleFailure(
@@ -327,19 +335,18 @@ class Colimit:
 
 def colimit_var(
     nodes: dict[str, Computad],
-    edges: list[tuple[str, str, ComputadMorphism]],
+    edges: list[tuple[str, str, dict[str, str]]],
 ) -> Colimit:
-    """Colimit of a finite diagram of variable-to-variable morphisms.
+    """Colimit of a finite diagram of generator maps ``(src, dst, gen_map)``.
 
-    Generator sets are computed as colimits of sets (union-find over the
-    edges); gluings are induced along the cocone legs.  Canonical class
-    representatives are the lexicographic minima, making output deterministic.
-    Unchecked: identified generators carry the same renamed gluing, since
-    the edges are morphisms, and renaming commutes with typing and boundaries.
+    Computads with generator-preserving maps form a presheaf category, so
+    the generators are the colimit of the generator sets (union-find over
+    the edges), and each leg maps a node's generators to their classes, named
+    ``<node>:<gen>`` after the lexicographically least member.  Gluings are
+    induced along the legs.  Unchecked: each edge is the generator map of a
+    morphism, so identified generators carry the same renamed gluing, and
+    renaming commutes with typing and boundaries.
     """
-    for _, _, m in edges:
-        if not m.is_var_to_var():
-            raise NotVarToVar("colimit diagram contains a non-var-to-var morphism")
     if not nodes:
         raise EndpointMismatch("colimit of an empty diagram has no signature")
     signature = next(iter(nodes.values())).signature
@@ -365,36 +372,27 @@ def colimit_var(
         for _, g in c.all_generators():
             parent[(key, g)] = (key, g)
     for src_key, dst_key, m in edges:
-        for g, t in m.assign.items():
-            assert isinstance(t, Var)
-            union((src_key, g), (dst_key, t.gen))
+        for g, h in m.items():
+            union((src_key, g), (dst_key, h))
 
-    def class_name(rep: tuple[str, str]) -> str:
-        return f"{rep[0]}:{rep[1]}"
-
-    leg_maps = {
-        key: {g: class_name(find((key, g))) for _, g in c.all_generators()}
+    legs = {
+        key: {g: ":".join(find((key, g))) for _, g in c.all_generators()}
         for key, c in nodes.items()
     }
     gens: dict[str, tuple[str, ...]] = {}
     for sort in cat.sorts:
-        names = {leg_maps[key][g] for key, c in nodes.items() for g in c.generators_at(sort)}
+        names = {legs[key][g] for key, c in nodes.items() for g in c.generators_at(sort)}
         gens[sort] = tuple(sorted(names))
 
     # Build gluings dimension by dimension using the leg renamings.
     glue: dict[tuple[str, FaceRef], Term] = {}
-    reps = {cls: find((key, g)) for key, m in leg_maps.items() for g, cls in m.items()}
+    reps = {cls: find((key, g)) for key, m in legs.items() for g, cls in m.items()}
     for sort in cat.sorts:
         for cls in gens[sort]:
             key, g = reps[cls]
             for face, t in parts(nodes[key], var(g)):
-                glue[(cls, face)] = rename(t, leg_maps[key])
-    colim = Computad(signature, gens, glue)
-    legs = {
-        key: ComputadMorphism(c, colim, {g: var(v) for g, v in leg_maps[key].items()})
-        for key, c in nodes.items()
-    }
-    return Colimit(computad=colim, legs=legs)
+                glue[(cls, face)] = rename(t, legs[key])
+    return Colimit(computad=Computad(signature, gens, glue), legs=legs)
 
 
 def coproduct(computads: list[Computad]) -> Colimit:
@@ -408,5 +406,5 @@ def pushout(
     if left.src != right.src:
         raise EndpointMismatch("pushout legs must share their source")
     nodes = {"a": left.src, "b": left.dst, "c": right.dst}
-    edges = [("a", "b", left), ("a", "c", right)]
+    edges = [("a", "b", left.gen_map()), ("a", "c", right.gen_map())]
     return colimit_var(nodes, edges)

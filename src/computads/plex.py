@@ -33,7 +33,6 @@ from .computad import (
     Colimit,
     Computad,
     ComputadMorphism,
-    apply_morphism,
     colimit_var,
 )
 from .monad import Induction, enumerate_ranked
@@ -50,6 +49,7 @@ from .terms import (
     fold_term,
     interned,
     parts,
+    rename,
     spellings,
     var,
 )
@@ -178,19 +178,16 @@ def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
             x = boundary_representable(sig.base, p.sort)[0]
         else:
             x = sig.symbol(p.symbol).arity
-        edges: list[tuple[str, str, ComputadMorphism]] = []
+        edges: list[tuple[str, str, dict[str, str]]] = []
         for cell, rep_q in reps.items():
             for face in x.base.faces_into(x.sort_of(cell)):
                 lower = boundary(rep_q.computad, face, rep_q.universal)
                 m = classifying_morphism(rep_q.computad, lower)
-                edges.append((x.act(face, cell), cell, m))
+                edges.append((x.act(face, cell), cell, m.gen_map()))
         if reps:
             colim = colimit_var({cell: r.computad for cell, r in reps.items()}, edges)
             computad = colim.computad
-            family = {
-                cell: apply_morphism(colim.legs[cell], r.universal)
-                for cell, r in reps.items()
-            }
+            family = {cell: rename(r.universal, colim.legs[cell]) for cell, r in reps.items()}
         else:
             colim, computad, family = None, Computad(sig, {}, {}), {}
         if isinstance(p, PApp):
@@ -256,13 +253,15 @@ def reconstruct_from_nerve(c: Computad) -> Computad:
     ``sigma(h)``, and the edge runs from that generator's node.
     """
     nodes: dict[str, Computad] = {}
-    edges: list[tuple[str, str, ComputadMorphism]] = []
-    into: dict[Polyplex, list] = {}  # per shape p, the plex maps into |p|
+    edges: list[tuple[str, str, dict[str, str]]] = []
+    into: dict[Polyplex, list] = {}  # per shape p, the plex maps into |p| as generator maps
     for _, gen in c.all_generators():
         sigma = classifying_morphism(c, var(gen))
         nodes[gen] = rep = sigma.src
         if (p := classify(c, var(gen))) not in into:
-            into[p] = [(h, classifying_morphism(rep, var(h))) for _, h in rep.all_generators()]
+            into[p] = [
+                (h, classifying_morphism(rep, var(h)).gen_map()) for _, h in rep.all_generators()
+            ]
         edges += [(sigma.assign[h].gen, gen, m) for h, m in into[p]]
     if not nodes:
         return Computad(c.signature, {}, {})

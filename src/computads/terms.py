@@ -174,11 +174,16 @@ def leaves(t: Term) -> tuple[str, ...]:
     return fold_term(t, lambda gen: (gen,), lambda u, family: sum(family.values(), ()))
 
 
-def spellings(nodes: Iterable) -> list[str]:
-    """The serialisation of each term or shape from its children's, with one
-    memo for all of ``nodes``, so each shared subtree is spelled once."""
+def speller():
+    """A serialiser of terms or shapes, each node spelled from its children's
+    through one memo for all its calls, so each shared subtree once."""
     memo: dict = {}
-    return [fold(n, children_of, lambda u, f: u.spell(f), memo) for n in nodes]
+    return lambda node: fold(node, children_of, lambda u, f: u.spell(f), memo)
+
+
+def spellings(nodes: Iterable) -> list[str]:
+    """The serialisation of each of ``nodes``, through one ``speller``."""
+    return list(map(speller(), nodes))
 
 
 def serialize(node) -> str:

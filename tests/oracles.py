@@ -193,7 +193,7 @@ def searched_reconstruction(c: Computad) -> Computad:
     nodes: dict[str, Computad] = {
         gen: polyplex_computad(sig, p).computad for p, gens in fibres.items() for gen in gens
     }
-    edges: list[tuple[str, str, ComputadMorphism]] = []
+    edges: list[tuple[str, str, dict[str, str]]] = []
     for p, gens in fibres.items():
         rep_p = polyplex_computad(sig, p)
         # each plex morphism m into p with the image of its source's universal
@@ -210,7 +210,7 @@ def searched_reconstruction(c: Computad) -> Computad:
                 # m: sigma . m classifies a generator, its universal image
                 restricted = apply_morphism(sigma, moved)
                 assert isinstance(restricted, Var)
-                edges.append((restricted.gen, gen, m))
+                edges.append((restricted.gen, gen, m.gen_map()))
     if not nodes:
         return Computad(sig, {}, {})
     return colimit_var(nodes, edges).computad
@@ -235,13 +235,13 @@ def searched_stage_pushout(
         return None
     sig = stage.computad.signature
     nodes = {"stage": stage.computad}
-    edges: list[tuple[str, str, ComputadMorphism]] = []
+    edges: list[tuple[str, str, dict[str, str]]] = []
     for att in stage.attachments:
         sphere, disk = f"sphere:{att.gen}", f"disk:{att.gen}"
         nodes[sphere] = att.phi.src
         nodes[disk] = disk_computad(sig, att.sort)
-        edges.append((sphere, "stage", att.phi))
-        edges.append((sphere, disk, boundary_inclusion(sig, att.sort)))
+        edges.append((sphere, "stage", att.phi.gen_map()))
+        edges.append((sphere, disk, boundary_inclusion(sig, att.sort).gen_map()))
     return isomorphic(colimit_var(nodes, edges).computad, next_computad)
 
 

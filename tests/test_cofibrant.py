@@ -164,6 +164,20 @@ def test_stage_pushout_over_another_signature_is_false():
     assert verify_stage_pushout(lo, bare) is False
 
 
+def test_stage_pushout_is_none_exactly_when_an_attaching_map_is_not_var_to_var():
+    # law: on its own next stage, each stage check answers True when every
+    # attaching map is a generator map, and None otherwise
+    verdicts = {True: 0, None: 0}
+    for c in _law_families():
+        stages = skeletal_filtration(c).stages
+        for lo, hi in zip(stages, stages[1:]):
+            var_to_var = all(att.phi.is_var_to_var() for att in lo.attachments)
+            verdict = verify_stage_pushout(lo, hi.computad)
+            assert verdict is (True if var_to_var else None)
+            verdicts[verdict] += 1
+    assert min(verdicts.values()) > 0, verdicts
+
+
 def test_stage_pushout_matches_the_searched_oracle(monkeypatch):
     # the verdict is ``is_isomorphism``'s on the colimit's comparison map, so
     # on the true next stage it is the oracle's; against the next stage of
@@ -334,6 +348,24 @@ def test_underlying_computad_evaluates_each_face_term_once():
         alg.interp[symbol] = lambda env, f=callback: calls.append(env) or f(env)
     underlying_computad(alg, 1)
     assert 0 < len(calls) <= 100
+
+
+def test_underlying_computad_spells_each_face_term_once(monkeypatch):
+    # a count, not a timing: the generator names spell the face terms through
+    # one memo for the run, so each of the 35 terms and subterms that occur is
+    # spelled once (spelling each family afresh makes 20,568 node spellings)
+    from computads.terms import App, Var
+
+    alg = kan_nerve(2)
+    calls = [0]
+    for cls in (Var, App):
+        def counted(self, family, spell=cls.spell):
+            calls[0] += 1
+            return spell(self, family)
+
+        monkeypatch.setattr(cls, "spell", counted)
+    underlying_computad(alg, 1)
+    assert 0 < calls[0] <= 100
 
 
 def test_underlying_empty_carrier():

@@ -12,12 +12,14 @@ from computads.computad import (
     find_isomorphism,
     free_computad,
     identity_morphism,
+    inclusion,
     is_isomorphism,
     isomorphic,
     make_computad,
     make_morphism,
     pushout,
     skeleton_computad,
+    skeleton_counit,
     truncate_computad,
     var_to_var_morphism,
 )
@@ -94,8 +96,6 @@ def test_free_computad_on_representable_is_disk():
 
 
 def test_truncate_skeleton_computad():
-    from computads.computad import skeleton_counit
-
     sig = comp_signature()
     c = walk2(sig)
     tr = truncate_computad(c, 0)
@@ -108,6 +108,15 @@ def test_truncate_skeleton_computad():
     assert sorted(kappa.assign) == ["p", "q", "r"]
     # truncating the counit back down gives the identity
     assert truncate_computad(kappa.src, 0).gens == tr.gens
+
+
+def test_skeleton_counit_is_the_inclusion_of_the_reextended_truncation():
+    # law: sk_n tr_n C built over C's own signature is the truncation
+    # re-extended by empty sets, for every n up to the dimension
+    for c in law_families():
+        for n in range(c.base.dimension() + 1):
+            sk = skeleton_computad(truncate_computad(c, n), c.signature)
+            assert skeleton_counit(c, n) == inclusion(sk, c)
 
 
 def test_morphism_validation_and_application():
@@ -236,15 +245,16 @@ def test_pushout_attaches_fresh_arrow():
     fresh = [g for g in result.computad.generators_at("a") if g.endswith("id_a")]
     assert len(fresh) == 1
     # the fresh arrow is glued onto the images of p and q
-    assert result.computad.gluing(fresh[0], "s") == result.legs["c"].assign["p"]
-    assert result.computad.gluing(fresh[0], "t") == result.legs["c"].assign["q"]
+    assert result.computad.gluing(fresh[0], "s") == var(result.legs["c"]["p"])
+    assert result.computad.gluing(fresh[0], "t") == var(result.legs["c"]["q"])
 
 
 def test_coequalizer_of_identities():
     sig = comp_signature()
     c = walk2(sig)
     ident = identity_morphism(c)
-    result = colimit_var({"x": c, "y": c}, [("x", "y", ident), ("x", "y", ident)])
+    edges = [("x", "y", ident.gen_map()), ("x", "y", ident.gen_map())]
+    result = colimit_var({"x": c, "y": c}, edges)
     assert isomorphic(result.computad, c)
 
 
@@ -258,14 +268,40 @@ def test_colimit_universal_property():
     pick = var_to_var_morphism(sph, c, {"s": "p", "t": "q"})
     result = pushout(incl, pick)
     # the cocone legs are jointly surjective on generators
-    hit = {t.gen for leg in result.legs.values() for t in leg.assign.values()}
+    hit = {cls for leg in result.legs.values() for cls in leg.values()}
     assert hit == {g for _, g in result.computad.all_generators()}
     # cocone to walk2 itself: disk -> c picking u, and id on c
     leg_disk = var_to_var_morphism(disk, c, {"id_a": "u", "s": "p", "t": "q"})
     mediated = result.mediate({"a": pick, "b": leg_disk, "c": identity_morphism(c)})
+    nodes = {"a": sph, "b": disk, "c": c}
     for key, leg in result.legs.items():
         target = {"a": pick, "b": leg_disk, "c": identity_morphism(c)}[key]
+        leg = var_to_var_morphism(nodes[key], result.computad, leg)
         assert compose_morphisms(mediated, leg) == target
+
+
+def test_colimit_builds_no_morphism(monkeypatch):
+    # a colimit is computed on generator sets: its diagram and its legs are
+    # generator maps, so it answers without building a morphism
+    from computads import computad
+
+    sig = comp_signature()
+    c = walk2(sig)
+    sph = free_computad(boundary_representable(sig.base, "a")[0], sig)
+    disk = free_computad(representable(sig.base, "a"), sig)
+    expected = pushout(
+        var_to_var_morphism(sph, disk, {"s": "s", "t": "t"}),
+        var_to_var_morphism(sph, c, {"s": "p", "t": "q"}),
+    )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the colimit built a morphism")
+
+    monkeypatch.setattr(computad, "ComputadMorphism", refuse)
+    edges = [("a", "b", {"s": "s", "t": "t"}), ("a", "c", {"s": "p", "t": "q"})]
+    result = colimit_var({"a": sph, "b": disk, "c": c}, edges)
+    assert result == expected
+    assert result.legs["b"] == {"id_a": "b:id_a", "s": "a:s", "t": "a:t"}
 
 
 def test_isomorphism_detects_relabelling():

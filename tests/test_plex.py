@@ -26,6 +26,7 @@ import oracles
 from fixtures import (
     comp_signature,
     comp_uv,
+    law_families,
     random_computad,
     random_computad_comp,
     random_families,
@@ -272,6 +273,7 @@ def test_classifying_morphism_matches_the_mediating_oracle():
     rng = random.Random(29)
     cases = [(walk2(sig), 2), (walk_n(sig, 3), 2), (_kan_fixture()[1], 2)]
     cases += [(random_computad_comp(sig, rng, tag=f"c{i}"), 1) for i in range(8)]
+    cases += [(c, 1) for c in law_families()]
     checked = 0
     for c, depth in cases:
         for sort in c.base.sorts:

@@ -37,6 +37,7 @@ from computads.computad import (
     make_morphism,
     pushout,
     skeleton_counit,
+    var_to_var_morphism,
 )
 from computads.cubical import cube_category, grid_inclusion, grid_positions
 from computads.factorization import image_factorize, lift_through_mono
@@ -99,24 +100,36 @@ def _random_morphisms(seed: int, count: int = 8):
     return out
 
 
+def _legs(nodes, colim):
+    """Each leg of a colimit, a generator map, checked as a morphism."""
+    legs = colim.legs.items()
+    return [var_to_var_morphism(nodes[key], colim.computad, leg) for key, leg in legs]
+
+
 def _colimits():
     sig = comp_signature()
     cs = _computads(1)
     out = []
-    colims = [coproduct(cs[:3]), coproduct(cs[3:])]
+    colims = [
+        ({f"n{i}": c for i, c in enumerate(part)}, coproduct(part)) for part in (cs[:3], cs[3:])
+    ]
+
+    def span(left, right):
+        return {"a": left.src, "b": left.dst, "c": right.dst}, pushout(left, right)
+
     rng = random.Random(2)
     for _ in range(6):
         a, b, d = (random_computad_comp(sig, rng, tag=t) for t in "abd")
         left, right = enumerate_var_to_var(a, b), enumerate_var_to_var(a, d)
         if left and right:
-            colims.append(pushout(rng.choice(left), rng.choice(right)))
+            colims.append(span(rng.choice(left), rng.choice(right)))
     for c in (walk2(sig), walk_n(sig, 2)):
         # quotients of c by its own endomorphisms
         for m in enumerate_var_to_var(c, c)[:4]:
-            colims.append(pushout(m, identity_morphism(c)))
-    for colim in colims:
+            colims.append(span(m, identity_morphism(c)))
+    for nodes, colim in colims:
         out.append(colim.computad)
-        out.extend(colim.legs.values())
+        out += _legs(nodes, colim)
     return out
 
 
@@ -157,7 +170,8 @@ def _representing_computads():
                 rep = polyplex_computad(sig, p)
                 out += [rep.computad, classifying_morphism(rep.computad, rep.universal)]
                 if rep.colimit is not None:
-                    out += list(rep.colimit.legs.values())
+                    nodes = {cell: polyplex_computad(sig, q).computad for cell, q in p.args}
+                    out += _legs(nodes, rep.colimit)
     return out
 
 
