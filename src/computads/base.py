@@ -86,8 +86,8 @@ class Face:
 class DirectCategory:
     """A validated finite direct category.
 
-    Instances are produced by :func:`validate_category` and
-    :func:`truncate_category` and are immutable by convention; all operations
+    Instances are produced by :func:`validate_category`, :func:`category_from_faces`
+    and :func:`truncate_category` and are immutable by convention; all operations
     on them are pure.  ``sorts`` (in ``(dim, id)`` order) and the faces into
     each sort are derived once, when the category is built.
     """
@@ -284,23 +284,23 @@ def category_from_faces(
     """The category on the ``(sort, dim)`` pairs ``dims`` whose faces are the
     ``(id, (src, dst, data))`` pairs ``faces``, with ``compose(first_data,
     second_data)`` naming the composite of each composable pair (needed only
-    when some pair composes); validated like any other category, so a sort
-    or face listed twice is rejected."""
-    data = {fid: d for fid, (_, _, d) in faces}
-    out_of: dict[SortRef, list[FaceRef]] = {}
-    for fid, (src, _, _) in faces:
-        out_of.setdefault(src, []).append(fid)
-    return validate_category(
-        {
-            "sorts": [{"id": s, "dim": d} for s, d in dims],
-            "faces": [{"id": f, "src": s, "dst": t} for f, (s, t, _) in faces],
-            "compose": [
-                {"first": f, "second": g, "result": compose(d, data[g])}
-                for f, (_, dst, d) in faces
-                for g in out_of.get(dst, ())
-            ],
-        }
-    )
+    when some pair composes).  A sort or face listed twice is rejected as by
+    :func:`validate_category`; the rest is unchecked: the packs' rules give
+    faces that lower dimension and a total, associative table."""
+    dim_of: dict[SortRef, int] = {}
+    by_id: dict[FaceRef, Face] = {}
+    out_of: dict[SortRef, list[tuple[FaceRef, object]]] = {}
+    for s, d in dims:
+        if s in dim_of:
+            raise UnknownSort(f"duplicate sort id {s!r}")
+        dim_of[s] = d
+    for fid, (src, dst, d) in faces:
+        if fid in by_id:
+            raise UnknownFace(f"duplicate face id {fid!r}")
+        by_id[fid] = Face(fid, src, dst)
+        out_of.setdefault(src, []).append((fid, d))
+    table = {(f, g): compose(d, e) for f, (_, dst, d) in faces for g, e in out_of.get(dst, ())}
+    return DirectCategory(dims=dim_of, faces=by_id, table=table)
 
 
 def truncate_category(cat: DirectCategory, n: int) -> DirectCategory:

@@ -46,8 +46,7 @@ def disk_computad(sig: Signature, sort: SortRef) -> Computad:
 def sphere_computad(sig: Signature, sort: SortRef) -> Computad:
     """The boundary of the representable computad on ``sort``, built once
     per signature."""
-    sub, _ = boundary_representable(sig.base, sort)
-    return free_computad(sub, sig)
+    return free_computad(boundary_representable(sig.base, sort), sig)
 
 
 def boundary_inclusion(sig: Signature, sort: SortRef) -> ComputadMorphism:
@@ -224,7 +223,7 @@ def underlying_computad(alg, depth_bound: int) -> UndResult:
         for sort in layer:
             faces = cat.faces_into(sort)
             cells_by = bucket_by_spine(alg.cells_at(sort), alg.carrier.spine, faces).get((), {})
-            sphere, _ = boundary_representable(cat, sort)
+            sphere = boundary_representable(cat, sort)
             spine = action_spine(functools.partial(boundary, lower))
             families = homs(sphere, lambda s: enumerate_terms(lower, s, depth_bound), spine)
             names = []
@@ -283,7 +282,7 @@ def check_trivial_fibration(
         faces = cat.faces_into(sort)
         fillers = {(component[x], src.carrier.spine(faces, x)[1]) for x in src.cells_at(sort)}
         below_by = bucket_by_spine(dst.cells_at(sort), dst.carrier.spine, faces).get((), {})
-        sphere, _ = boundary_representable(cat, sort)
+        sphere = boundary_representable(cat, sort)
         for family in homs(sphere, src.cells_at, src.carrier.spine):
             boundary_cells = tuple(family[f] for f in faces)
             image = tuple(component[x] for x in boundary_cells)

@@ -137,7 +137,7 @@ def make_computad(
                     check_term(c, c.glue[(g, face)], expected_sort=cat.face(face).src)
                 except (SortMismatch, IncompatibleArgs, UnknownGenerator) as exc:
                     raise GluingIllTyped(f"gluing of {g!r} along {face!r}: {exc}") from exc
-            sphere = boundary_representable(cat, sort)[0]
+            sphere = boundary_representable(cat, sort)
             try:
                 check_family(c, sphere, dict(parts(c, var(g))), f"gluing of {g!r}")
             except IncompatibleArgs as exc:
@@ -342,10 +342,11 @@ def colimit_var(
     Computads with generator-preserving maps form a presheaf category, so
     the generators are the colimit of the generator sets (union-find over
     the edges), and each leg maps a node's generators to their classes, named
-    ``<node>:<gen>`` after the lexicographically least member.  Gluings are
-    induced along the legs.  Unchecked: each edge is the generator map of a
-    morphism, so identified generators carry the same renamed gluing, and
-    renaming commutes with typing and boundaries.
+    ``<node>:<gen>`` after the lexicographically least member; two classes
+    named alike (``:`` may occur in both parts) are ``GluingIllTyped``.
+    Gluings are induced along the legs.  Unchecked: each edge is the
+    generator map of a morphism, so identified generators carry the same
+    renamed gluing, and renaming commutes with typing and boundaries.
     """
     if not nodes:
         raise EndpointMismatch("colimit of an empty diagram has no signature")
@@ -380,9 +381,9 @@ def colimit_var(
         for key, c in nodes.items()
     }
     gens: dict[str, tuple[str, ...]] = {}
-    for sort in cat.sorts:
-        names = {legs[key][g] for key, c in nodes.items() for g in c.generators_at(sort)}
-        gens[sort] = tuple(sorted(names))
+    for sort in cat.sorts:  # a name per class, so that two classes named alike clash
+        roots = {find((key, g)) for key, c in nodes.items() for g in c.generators_at(sort)}
+        gens[sort] = tuple(sorted(map(":".join, roots)))
 
     # Build gluings dimension by dimension using the leg renamings.
     glue: dict[tuple[str, FaceRef], Term] = {}

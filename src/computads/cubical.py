@@ -13,10 +13,10 @@ import itertools
 
 from .base import DirectCategory, SortRef, category_from_faces, memoized
 from .errors import BadSubset, SideConditionFailure
-from .factorization import coherence
+from .factorization import coherence, coherent_composite
 from .presheaf import Presheaf, PresheafMorphism
 from .signature import Signature
-from .terms import Term, app, rename, var
+from .terms import Term, var
 
 Grid = dict[int, int]  # direction -> cell count
 
@@ -161,31 +161,24 @@ def grid_coherence(
     full composites of the boundary grids (the epimorphism condition, checked
     through supports) unless ``groupoid``.
     """
-    return _grid_coherence(lower, grid, sides, lambda side, _: sides[side], groupoid)
-
-
-def _grid_coherence(lower, grid, keys, side, groupoid) -> Signature:
-    """``grid_coherence`` on the sides ``keys``, in that order, the side ``(i, a)``
-    being ``side((i, a), incl)`` for its boundary inclusion ``incl``, built once."""
     cat = lower.base
     directions = tuple(sorted(grid))
     pos = grid_positions(cat, grid)
-    for i in directions:
-        for a in (0, 1):
-            if (i, a) not in keys:
-                raise SideConditionFailure(f"missing side ({i}, {a})")
-    for i, a in keys:
+    for i, a in itertools.product(directions, (0, 1)):
+        if (i, a) not in sides:
+            raise SideConditionFailure(f"missing side ({i}, {a})")
+    for i, a in sides:
         if i not in grid or a not in (0, 1):
             raise SideConditionFailure(f"side ({i}, {a}) is not a side of the grid")
-    boundary_sides = {}
-    for i, a in keys:
-        incl = grid_inclusion(cat, grid, {i: a})
-        boundary_sides[cube_face_id(directions, {i: a})] = (
-            side((i, a), incl),
-            incl,
+    boundary_sides = {
+        cube_face_id(directions, {i: a}): (
+            side,
+            grid_inclusion(cat, grid, {i: a}),
             f"side ({i},{a}) does not come from the boundary grid",
             f"side ({i},{a}) is not a full composite of its grid",
         )
+        for (i, a), side in sides.items()
+    }
     name, sort = coherence_symbol_name(grid), subset_sort(directions)
     return coherence(lower, name, sort, pos, boundary_sides, groupoid)
 
@@ -194,18 +187,19 @@ def grid_composite(cat: DirectCategory, grid: Grid) -> tuple[Signature, Term]:
     """The canonical unbiased composite of a grid, creating the coherence
     symbols it needs along the way: one signature is extended by the symbol
     of each sub-grid on a non-empty set of its directions, smallest first,
-    so each symbol is declared and checked once, whatever shares it."""
+    so each symbol is declared once, whatever shares it; its sides rename the
+    composites of its boundary grids."""
     sig = Signature(base=cat, symbols={})
     composites = {(): var(_position_name({}, ()))}
     for size in range(1, len(grid) + 1):
         for kept in itertools.combinations(sorted(grid), size):
             sub = {i: grid[i] for i in kept}
             below = {i: composites[tuple(j for j in kept if j != i)] for i in kept}
-            sides = [(i, a) for i in kept for a in (0, 1)]
-            sig = _grid_coherence(
-                sig, sub, sides, lambda side, incl: rename(below[side[0]], incl.component), False
+            sides = {
+                cube_face_id(kept, {i: a}): (below[i], grid_inclusion(cat, sub, {i: a}))
+                for i, a in itertools.product(kept, (0, 1))
+            }
+            sig, composites[kept] = coherent_composite(
+                sig, coherence_symbol_name(sub), subset_sort(kept), grid_positions(cat, sub), sides
             )
-            pos = grid_positions(cat, sub)
-            identity_args = {c: var(c) for cs in pos.cells.values() for c in cs}
-            composites[kept] = app(coherence_symbol_name(sub), identity_args)
     return sig, composites[tuple(sorted(grid))]

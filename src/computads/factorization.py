@@ -6,7 +6,8 @@ morphism factors through a variable-to-variable mono exactly when its support
 is contained in the mono's image, and every morphism factors as one with full
 support followed by such a mono.  The coherence constructor behind the grid
 and globe packs asks that each side of a pasting shape factor this way
-through the inclusion of its boundary shape, with full support.
+through the inclusion of its boundary shape, with full support, as the
+packs' own composites do by construction (``coherent_composite``).
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .computad import (
 )
 from .errors import CocycleFailure, NotIdempotent, NotMono, SideConditionFailure
 from .presheaf import Presheaf, PresheafMorphism
-from .signature import Signature, extend_signature
-from .terms import Term, Var, check_term, fold, parts, rename
+from .signature import FunctionSymbol, Signature, complete_boundary, extend_signature
+from .terms import Term, Var, app, check_term, fold, parts, rename, var
 
 
 def support(c: Computad, t: Term) -> dict[SortRef, frozenset[str]]:
@@ -186,3 +187,22 @@ def coherence(
         raise SideConditionFailure(
             f"the sides of {name} disagree where they meet: {exc}"
         ) from exc
+
+
+def coherent_composite(
+    lower: Signature, name: str, sort: SortRef, positions: Presheaf,
+    sides: dict[FaceRef, tuple[Term, PresheafMorphism]],
+) -> tuple[Signature, Term]:
+    """``lower`` with the coherence symbol ``name`` of sort ``sort`` on the
+    pasting shape ``positions``, and the canonical composite: that symbol
+    applied to every position.  ``sides[face]`` is ``(composite, incl)``, the
+    canonical composite of a boundary shape and its inclusion; the boundary
+    term at ``face`` renames the one along the other.  Unchecked: each side
+    is then a full composite through ``incl``, and the sides agree where they
+    meet, since the boundary inclusions compose as the category's faces do;
+    ``tests/test_trusted.py`` rebuilds each symbol through :func:`coherence`."""
+    given = {face: rename(t, incl.component) for face, (t, incl) in sides.items()}
+    terms = complete_boundary(lower.base, sort, given, free_computad(positions, lower))
+    symbol = FunctionSymbol(name, sort, positions, terms)
+    sig = Signature(base=lower.base, symbols={**lower.symbols, name: symbol})
+    return sig, app(name, {c: var(c) for cs in positions.cells.values() for c in cs})

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from .base import DirectCategory, category_from_faces, memoized
 from .errors import BadIndex, DocumentTooDeep, SideConditionFailure
-from .factorization import coherence
+from .factorization import coherence, coherent_composite
 from .presheaf import Presheaf, PresheafMorphism
 from .signature import Signature
-from .terms import Term, app, rename, var
+from .terms import Term, var
 
 Tree = tuple  # a rooted planar tree: tuple of subtrees
 
@@ -51,8 +51,8 @@ def globe_category(n: int) -> DirectCategory:
 
 # -- trees and their positions -------------------------------------------------------
 
-# Deeper trees cost too much: `example cat` on a 50-deep chain takes 5-6 s in a
-# subprocess (2 vCPUs, Python 3.11.7) and prints 38.7 MB, both about cubic in
+# Deeper trees cost too much: `example cat` on a 50-deep chain takes 2.8-2.9 s in
+# a subprocess (2 vCPUs, Python 3.11.7) and prints 38.7 MB, both about cubic in
 # the depth.  The limit also keeps _freeze, tree_to_text and boundary_tree,
 # which recurse once per level, within the default recursion limit.
 MAX_TREE_NESTING = 300
@@ -183,26 +183,19 @@ def globe_coherence(
     ``source`` and ``target`` are terms of the positions of ``tree`` of sort
     dim - 1 with matching boundaries; unless ``groupoid`` they must come from
     full composites of the cut tree through the source/target inclusions."""
-    terms = {"s": source, "t": target}
-    return _globe_coherence(lower, tree, dim, lambda flavor, _: terms[flavor], groupoid)
-
-
-def _globe_coherence(lower, tree, dim, side, groupoid) -> Signature:
-    """``globe_coherence`` whose ``flavor``-side is ``side(flavor, incl)``,
-    given the boundary inclusion ``incl`` of that side, built here once."""
     cat = lower.base
     if dim < 1 or tree_dim(tree) > dim:
         raise SideConditionFailure("the tree must fit inside the output dimension")
     pos = tree_presheaf(cat, tree)
-    sides = {}
-    for flavor in ("s", "t"):
-        incl = tree_boundary_inclusion(cat, tree, dim - 1, flavor)
-        sides[globe_face(flavor, dim - 1, dim)] = (
-            side(flavor, incl),
-            incl,
+    sides = {
+        globe_face(flavor, dim - 1, dim): (
+            side,
+            tree_boundary_inclusion(cat, tree, dim - 1, flavor),
             f"the {flavor}-side does not come from the cut tree",
             f"the {flavor}-side is not a full composite of the cut tree",
         )
+        for flavor, side in (("s", source), ("t", target))
+    }
     return coherence(lower, tree_symbol_name(tree), globe_sort(dim), pos, sides, groupoid)
 
 
@@ -215,10 +208,9 @@ def tree_composite(cat: DirectCategory, tree: Tree) -> tuple[Signature, Term]:
     composite = var(position_name((0,)))
     for h in range(1, tree_dim(tree) + 1):
         cut = boundary_tree(tree, h)
-        sig = _globe_coherence(
-            sig, cut, h, lambda _, incl: rename(composite, incl.component), False
+        incl = {flavor: tree_boundary_inclusion(cat, cut, h - 1, flavor) for flavor in "st"}
+        sides = {globe_face(flavor, h - 1, h): (composite, incl[flavor]) for flavor in "st"}
+        sig, composite = coherent_composite(
+            sig, tree_symbol_name(cut), globe_sort(h), tree_presheaf(cat, cut), sides
         )
-        pos = tree_presheaf(cat, cut)
-        identity_args = {c: var(c) for cs in pos.cells.values() for c in cs}
-        composite = app(tree_symbol_name(cut), identity_args)
     return sig, composite

@@ -28,8 +28,8 @@ from typing import NamedTuple
 
 from .base import FaceRef, SortRef, memo_table, memoized
 from .computad import Computad, ComputadMorphism, free_computad, make_morphism
-from .errors import DepthExceeded, NegativeBound
-from .presheaf import Presheaf, PresheafMorphism, action_spine, homs, make_presheaf
+from .errors import DepthExceeded, FunctorialityFailure, NegativeBound
+from .presheaf import Presheaf, PresheafMorphism, action_spine, homs
 from .signature import Signature
 from .terms import Term, app, boundary, canonical_sort, children_of, rename, subst, var
 
@@ -192,6 +192,7 @@ def term_presheaf(c: Computad, max_depth: int) -> FreeAlgebra:
 
     Boundaries of a bounded-depth term can exceed the bound (a symbol's
     boundary term is substituted into), so the cell set is the closure.
+    Unchecked (taking boundaries is functorial) but for two terms spelled alike.
     """
     by_sort: dict[SortRef, set[Term]] = {
         s: set(enumerate_terms(c, s, max_depth)) for s in c.base.sorts
@@ -214,10 +215,10 @@ def term_presheaf(c: Computad, max_depth: int) -> FreeAlgebra:
         decode.update(zip(names, ordered))
     encode = {t: n for n, t in decode.items()}
     action = {(face, encode[t]): encode[b] for (face, t), b in boundaries.items()}
-    p = make_presheaf(c.base, cells, action)
-    return FreeAlgebra(
-        computad=c, depth=max_depth, carrier=p, encode=encode, decode=decode
-    )
+    if len(decode) < sum(map(len, cells.values())):  # two terms spelled alike
+        raise FunctorialityFailure("duplicate cell id in the term presheaf")
+    carrier = Presheaf(c.base, cells, action)
+    return FreeAlgebra(computad=c, depth=max_depth, carrier=carrier, encode=encode, decode=decode)
 
 
 # -- adjunction data -------------------------------------------------------------

@@ -9,7 +9,7 @@ import itertools
 from .base import DirectCategory, category_from_faces
 from .errors import BadIndex
 from .presheaf import Presheaf, boundary_representable, make_presheaf, representable
-from .signature import Signature, build_signature
+from .signature import FunctionSymbol, Signature, build_signature
 from .terms import app, var
 
 
@@ -107,8 +107,7 @@ def simplex(cat: DirectCategory, m: int) -> Presheaf:
 
 
 def boundary_simplex(cat: DirectCategory, m: int) -> Presheaf:
-    sub, _ = boundary_representable(cat, simplex_sort(m))
-    return sub
+    return boundary_representable(cat, simplex_sort(m))
 
 
 def horn(cat: DirectCategory, m: int, k: int) -> Presheaf:
@@ -136,27 +135,25 @@ def filler_symbol(k: int, m: int) -> str:
 
 def sigma_kan(n: int) -> Signature:
     """Lift operations for every horn up to dimension ``n``: the missing face
-    of a horn (sort [m-1]) and its filler (sort [m])."""
+    of a horn (sort [m-1]) and its filler (sort [m]).  Unchecked: every face
+    has a term, the horn's cell there or, at the missing face, the face symbol
+    on the horn, whose faces are those cells; the table gives the cocycle."""
     if n < 1:
         raise BadIndex("the Kan signature needs dimension at least 1")
     cat = delta_plus(n)
-    decls = []
+    symbols = {}
     for m in range(1, n + 1):
         for k in range(m + 1):
             arity = horn(cat, m, k)
             missing = delta_face(m, k)
-            face_boundary = {}
-            for delta in cat.faces_into(simplex_sort(m - 1)):
-                face_boundary[delta] = var(cat.compose(delta, missing))
-            decls.append((face_symbol(k, m), simplex_sort(m - 1), arity, face_boundary))
-            fill_boundary = {}
-            for delta in cat.faces_into(simplex_sort(m)):
-                if delta == missing:
-                    identity_args = {
-                        c: var(c) for cs in arity.cells.values() for c in cs
-                    }
-                    fill_boundary[delta] = app(face_symbol(k, m), identity_args)
-                else:
-                    fill_boundary[delta] = var(delta)
-            decls.append((filler_symbol(k, m), simplex_sort(m), arity, fill_boundary))
-    return build_signature(cat, decls)
+            face = FunctionSymbol(face_symbol(k, m), simplex_sort(m - 1), arity, {
+                delta: var(cat.compose(delta, missing))
+                for delta in cat.faces_into(simplex_sort(m - 1))
+            })
+            identity_args = {c: var(c) for cs in arity.cells.values() for c in cs}
+            fill = FunctionSymbol(filler_symbol(k, m), simplex_sort(m), arity, {
+                delta: app(face.id, identity_args) if delta == missing else var(delta)
+                for delta in cat.faces_into(simplex_sort(m))
+            })
+            symbols.update({face.id: face, fill.id: fill})
+    return Signature(base=cat, symbols=symbols)

@@ -130,7 +130,7 @@ def classify(c: Computad, t: Term) -> Polyplex:
 # -- enumeration --------------------------------------------------------------------
 
 def _shape_heads(sig: Signature, sort: SortRef) -> list:
-    x = boundary_representable(sig.base, sort)[0]
+    x = boundary_representable(sig.base, sort)
     heads = [("<" + sort + "|", x, 0, partial(pvar, sort))]
     for sym in sig.symbols_at(sort):
         heads.append((sym.id + "[", sym.arity, 1, partial(papp, sort, sym.id)))
@@ -175,7 +175,7 @@ def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
 
     def build(p: Polyplex, reps) -> PolyplexRep:
         if isinstance(p, PVar):
-            x = boundary_representable(sig.base, p.sort)[0]
+            x = boundary_representable(sig.base, p.sort)
         else:
             x = sig.symbol(p.symbol).arity
         edges: list[tuple[str, str, dict[str, str]]] = []

@@ -190,13 +190,12 @@ def representable(cat: DirectCategory, sort: SortRef) -> Presheaf:
 
 
 @memoized("_boundary_representable_cache")
-def boundary_representable(
-    cat: DirectCategory, sort: SortRef
-) -> tuple[Presheaf, PresheafMorphism]:
-    """The sub-presheaf of ``representable(sort)`` without the identity,
-    together with its inclusion.  Built once per category and sort,
-    unchecked: faces lower dimension, so no action gives the identity, the
-    one cell at ``sort``, and the other cells are closed under the action."""
+def boundary_representable(cat: DirectCategory, sort: SortRef) -> Presheaf:
+    """The sub-presheaf of ``representable(sort)`` without the identity: the
+    sphere, whose cells are the faces into ``sort``.  Built once per category
+    and sort, unchecked: faces lower dimension, so no action gives the
+    identity, the one cell at ``sort``, and the other cells are closed under
+    the action."""
     full = representable(cat, sort)
     (ident,) = full.cells_at(sort)
     cells = {
@@ -205,11 +204,7 @@ def boundary_representable(
     action = {
         k: v for k, v in full.action.items() if k[1] != ident
     }
-    sub = Presheaf(base=cat, cells=cells, action=action)
-    incl = PresheafMorphism(
-        src=sub, dst=full, component={c: c for cs in cells.values() for c in cs}
-    )
-    return sub, incl
+    return Presheaf(base=cat, cells=cells, action=action)
 
 
 # -- morphisms ----------------------------------------------------------------

@@ -89,13 +89,14 @@ def complete_boundary(
     given: dict[FaceRef, Term],
     ctx,
 ) -> dict[FaceRef, Term]:
-    """Derive boundary terms on composite faces and check the full cocycle.
+    """``given`` with the boundary terms it determines on composite faces,
+    each derived by restriction over ``ctx``, the free computad on the arity.
 
-    ``given`` may cover only a generating set of faces; the rest is filled in
-    by restriction.  Raises BoundaryIllTyped when some face stays uncovered
-    and CocycleFailure when the completed table is inconsistent.
+    Unchecked: ``given`` may cover only a generating set of faces, so
+    :func:`check_declaration` checks that the result covers every face and
+    satisfies the cocycle.
     """
-    sphere = boundary_representable(cat, sort)[0]
+    sphere = boundary_representable(cat, sort)
     terms = dict(given)
     for j in reversed(cat.sorts):  # a face's term is final before it is restricted
         for second in sphere.cells_at(j):
@@ -105,15 +106,6 @@ def complete_boundary(
                 composite = sphere.act(first, second)
                 if composite not in terms:
                     terms[composite] = boundary(ctx, first, terms[second])
-    missing = [f for f in cat.faces_into(sort) if f not in terms]
-    if missing:
-        raise BoundaryIllTyped(
-            f"no boundary term given or derivable at faces {missing}"
-        )
-    try:
-        check_family(ctx, sphere, terms, "boundary terms")
-    except IncompatibleArgs as exc:
-        raise CocycleFailure(f"{exc} ({COCYCLE_NOTE})") from exc
     return terms
 
 
@@ -166,7 +158,15 @@ def check_declaration(lower: Signature, decl: Declaration) -> FunctionSymbol:
             check_term(ctx, t, expected_sort=f.src)
         except (UnknownSymbol, SortMismatch, IncompatibleArgs, UnknownGenerator) as exc:
             raise BoundaryIllTyped(f"symbol {symbol_id!r}: {exc}") from exc
-    return FunctionSymbol(symbol_id, sort, arity, complete_boundary(cat, sort, given, ctx))
+    terms = complete_boundary(cat, sort, given, ctx)
+    missing = [f for f in cat.faces_into(sort) if f not in terms]
+    if missing:
+        raise BoundaryIllTyped(f"no boundary term given or derivable at faces {missing}")
+    try:
+        check_family(ctx, boundary_representable(cat, sort), terms, "boundary terms")
+    except IncompatibleArgs as exc:
+        raise CocycleFailure(f"{exc} ({COCYCLE_NOTE})") from exc
+    return FunctionSymbol(symbol_id, sort, arity, terms)
 
 
 def restrict_signature(sig: Signature, n: int) -> Signature:

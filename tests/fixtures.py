@@ -348,7 +348,7 @@ def random_computad(
         order = {s: {t: i for i, t in enumerate(ts)} for s, ts in terms.items()}
         spine = action_spine(partial(boundary, lower))
         families = sorted(
-            homs(boundary_representable(cat, sort)[0], terms.__getitem__, spine),
+            homs(boundary_representable(cat, sort), terms.__getitem__, spine),
             key=lambda fam: [order[cat.face(f).src][fam[f]] for f in faces],
         )
         names = []

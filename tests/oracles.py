@@ -262,7 +262,7 @@ def scanned_underlying_computad(alg, depth_bound: int) -> UndResult:
         lower = Computad(sig, gens, glue)
         evaluate = functools.partial(eval_in_env, alg, env=r_assign)
         for sort in layer:
-            sphere, _ = boundary_representable(cat, sort)
+            sphere = boundary_representable(cat, sort)
             spine = action_spine(functools.partial(boundary, lower))
             families = homs(sphere, lambda s: enumerate_terms(lower, s, depth_bound), spine)
             names = []
@@ -301,7 +301,7 @@ def product_random_computad(
     for sort in cat.sorts:
         lower = Computad(sig, gens, glue)
         faces = cat.faces_into(sort)
-        sphere = boundary_representable(cat, sort)[0]
+        sphere = boundary_representable(cat, sort)
         families = []
         for terms in itertools.product(
             *[enumerate_terms(lower, cat.face(f).src, depth) for f in faces]

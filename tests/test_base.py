@@ -8,7 +8,7 @@ from computads.errors import (
     UnknownFace,
     UnknownSort,
 )
-from computads.presheaf import boundary_representable, representable
+from computads.presheaf import PresheafMorphism, boundary_representable, check_morphism, representable
 
 from fixtures import arrow_category
 
@@ -126,11 +126,12 @@ def test_representable_arrow():
 
 def test_boundary_representable_arrow():
     cat = arrow_category()
-    sub, incl = boundary_representable(cat, "a")
+    sub = boundary_representable(cat, "a")
     assert sub.cells_at("a") == ()
     assert set(sub.cells_at("o")) == {"s", "t"}
-    assert incl.component == {"s": "s", "t": "t"}
-    empty, _ = boundary_representable(cat, "o")
+    incl = PresheafMorphism(sub, representable(cat, "a"), {"s": "s", "t": "t"})
+    check_morphism(incl)
+    empty = boundary_representable(cat, "o")
     assert empty.is_empty()
 
 

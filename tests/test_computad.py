@@ -234,7 +234,7 @@ def test_coproduct_of_disks():
 def test_pushout_attaches_fresh_arrow():
     sig = comp_signature()
     c = walk2(sig)
-    sphere, _ = boundary_representable(sig.base, "a")
+    sphere = boundary_representable(sig.base, "a")
     sph = free_computad(sphere, sig)
     disk = free_computad(representable(sig.base, "a"), sig)
     incl = var_to_var_morphism(sph, disk, {"s": "s", "t": "t"})
@@ -261,7 +261,7 @@ def test_coequalizer_of_identities():
 def test_colimit_universal_property():
     sig = comp_signature()
     c = walk2(sig)
-    sphere, _ = boundary_representable(sig.base, "a")
+    sphere = boundary_representable(sig.base, "a")
     sph = free_computad(sphere, sig)
     disk = free_computad(representable(sig.base, "a"), sig)
     incl = var_to_var_morphism(sph, disk, {"s": "s", "t": "t"})
@@ -287,7 +287,7 @@ def test_colimit_builds_no_morphism(monkeypatch):
 
     sig = comp_signature()
     c = walk2(sig)
-    sph = free_computad(boundary_representable(sig.base, "a")[0], sig)
+    sph = free_computad(boundary_representable(sig.base, "a"), sig)
     disk = free_computad(representable(sig.base, "a"), sig)
     expected = pushout(
         var_to_var_morphism(sph, disk, {"s": "s", "t": "t"}),

@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
 from computads.algebra import free_algebra
-from computads.computad import apply_morphism, free_computad, identity_morphism
+from computads.computad import apply_morphism, free_computad, identity_morphism, make_computad
+from computads.errors import FunctorialityFailure
 from computads.monad import (
     FreeAlgebra,
     counit,
@@ -14,6 +17,7 @@ from computads.monad import (
     unit,
     untranspose,
 )
+from computads.packs import discrete_signature
 from computads.presheaf import representable
 from computads.terms import app, boundary, var
 
@@ -203,3 +207,13 @@ def test_boundary_naturality_random():
             assert apply_morphism(ident, boundary(c, "s", t)) == boundary(
                 c, "s", apply_morphism(ident, t)
             )
+
+
+def test_terms_spelled_alike_are_a_duplicate_cell():
+    """Two terms of ``f`` over generators whose ids hold ``v(``, ``,`` and
+    ``=`` are both spelled ``f[f.*0=v(1),f.*1=v(2),f.*1=v(3)]``: the term
+    presheaf rejects them rather than merge two cells."""
+    sig = discrete_signature(["*"], [("f", "*", {"*": 2})])
+    c = make_computad(sig, {"*": ("1),f.*1=v(2", "3", "1", "2),f.*1=v(3")}, {})
+    with pytest.raises(FunctorialityFailure, match="duplicate cell id"):
+        term_presheaf(c, 1)

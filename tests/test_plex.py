@@ -1,11 +1,15 @@
 import random
 
+import pytest
+
 from computads.computad import (
     apply_morphism,
     enumerate_var_to_var,
     free_computad,
     isomorphic,
+    make_computad,
 )
+from computads.errors import KernelError
 from computads.io_json import computad_to_json
 from computads.monad import enumerate_terms
 from computads.plex import (
@@ -19,11 +23,13 @@ from computads.plex import (
     pvar,
     reconstruct_from_nerve,
 )
-from computads.presheaf import representable
-from computads.terms import boundary, var
+from computads.presheaf import make_presheaf, representable
+from computads.signature import build_signature
+from computads.terms import app, boundary, var
 
 import oracles
 from fixtures import (
+    arrow_category,
     comp_signature,
     comp_uv,
     law_families,
@@ -281,3 +287,31 @@ def test_classifying_morphism_matches_the_mediating_oracle():
                 assert classifying_morphism(c, t) == mediated_classifying_morphism(c, t), t
                 checked += 1
     assert checked > 50
+
+
+def test_colimit_classes_whose_names_coincide_are_rejected():
+    """The arrow ``x:y`` of ``f`` and the loop ``y`` inside its argument
+    ``x`` are two classes of |p|, both named ``x:y:*a``; merging them would
+    send the universal term back to ``k`` at ``y``, not ``l``."""
+    cat = arrow_category()
+    loop = make_presheaf(cat, {"o": ("p",), "a": ("y",)}, {("s", "y"): "p", ("t", "y"): "p"})
+    pair = make_presheaf(
+        cat,
+        {"o": ("u", "w"), "a": ("x", "x:y")},
+        {("s", "x"): "u", ("t", "x"): "u", ("s", "x:y"): "u", ("t", "x:y"): "w"},
+    )
+    sig = build_signature(
+        cat,
+        [
+            ("g", "a", loop, {"s": var("p"), "t": var("p")}),
+            ("f", "a", pair, {"s": var("u"), "t": var("w")}),
+        ],
+    )
+    glue = {("l", "s"): "m", ("l", "t"): "m", ("k", "s"): "m", ("k", "t"): "n"}
+    c = make_computad(
+        sig, {"o": ("m", "n"), "a": ("l", "k")}, {k: var(v) for k, v in glue.items()}
+    )
+    inner = app("g", {"p": var("m"), "y": var("l")})
+    t = app("f", {"u": var("m"), "w": var("n"), "x": inner, "x:y": var("k")})
+    with pytest.raises(KernelError):
+        classifying_morphism(c, t)

@@ -64,7 +64,7 @@ def test_hom_identity_present():
 def test_hom_boundary_sphere_count():
     # Two free 0-cells mapping anywhere into the two endpoints of an interval.
     cat = arrow_category()
-    sub, _ = boundary_representable(cat, "a")
+    sub = boundary_representable(cat, "a")
     da = representable(cat, "a")
     assert len(enumerate_hom(sub, da)) == 4
 

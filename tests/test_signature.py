@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from computads import signature
@@ -133,25 +135,34 @@ PACKS = {
 
 @pytest.mark.parametrize("name", PACKS)
 def test_a_pack_signature_passes_full_validation_unchanged(name):
-    """A pack grows its signature one checked declaration at a time; full
-    validation of its document, the reference check, gives it back."""
+    """A pack builds its signature unchecked; full validation of its
+    document, the reference check, gives it back."""
     sig = PACKS[name]()
     assert validate_signature(signature_to_json(sig)) == sig
 
 
-@pytest.mark.parametrize(
-    "name, declarations", [("tree-chain6", 5), ("grid111", 7), ("grid221", 7), ("kan3", 18)]
-)
-def test_a_pack_checks_each_declaration_once(monkeypatch, name, declarations):
-    """Every symbol a pack declares is checked once, against the symbols
-    below it: a pack never re-checks the signature it extends."""
-    checked = []
-    complete = signature.complete_boundary
+@pytest.mark.parametrize("name", ["tree-chain6", "grid111", "grid221", "kan3"])
+def test_a_pack_builds_each_symbol_once_without_a_check(monkeypatch, name):
+    """A pack builds its category and symbols from its own rules: each
+    symbol once, and no category, declaration or coherence check on the way,
+    in whatever module the check is bound.  The tests re-check what it
+    builds: full validation above, and ``test_trusted.py``."""
 
-    def counting(cat, sort, given, ctx):
-        checked.append(sort)
-        return complete(cat, sort, given, ctx)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pack called a checked constructor")
 
-    monkeypatch.setattr(signature, "complete_boundary", counting)
+    built, symbol = [], signature.FunctionSymbol
+
+    def counting(symbol_id, *rest):
+        built.append(symbol_id)
+        return symbol(symbol_id, *rest)
+
+    modules = [m for n, m in sorted(sys.modules.items()) if n.startswith("computads.")]
+    for module in modules:
+        for checked in ("validate_category", "check_declaration", "coherence"):
+            if hasattr(module, checked):
+                monkeypatch.setattr(module, checked, refuse)
+        if hasattr(module, "FunctionSymbol"):
+            monkeypatch.setattr(module, "FunctionSymbol", counting)
     sig = PACKS[name]()
-    assert len(sig.symbols) == len(checked) == declarations
+    assert sorted(built) == sorted(sig.symbols)

@@ -68,7 +68,7 @@ def test_check_family_over_a_representable_boundary():
     # a gluing family of a 2-globe: cells of the boundary of the representable
     # are the faces into g2, acted on by composition
     c = globe2()
-    sphere = boundary_representable(c.base, "g2")[0]
+    sphere = boundary_representable(c.base, "g2")
     family = {"s1:2": var("f"), "t1:2": var("g"), "s0:2": var("x"), "t0:2": var("y")}
     check_family(c, sphere, family, "al")
     with pytest.raises(IncompatibleArgs):  # the source of f is x, not y

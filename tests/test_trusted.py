@@ -2,11 +2,15 @@
 
 Colimits, image factorisations, lifts through monos, counits, representing
 computads, replayed filtrations and their attaching maps, underlying
-computads, representable presheaves and their boundaries, the grid
-and tree positions and the grid and tree inclusions of the example packs, and
-tabulated algebras are well formed by construction, so the kernel builds
-them unchecked.  This test re-runs the checked constructors on every
-presheaf, computad, morphism and algebra they return.
+computads, representable presheaves and their boundaries, term presheaves,
+tabulated algebras, and the example packs (their categories, grid and tree
+positions and inclusions, and the coherence symbols of grid and tree
+composites) are well formed by construction, so the kernel builds them
+unchecked.  This test re-runs the checked constructors on every category,
+presheaf, computad, morphism and algebra they return, and rebuilds each
+coherence symbol of a composite through the public checked constructor
+from its lower signature and its sides.  The packs' whole signatures, the
+Kan signature included, pass full validation in ``test_signature.py``.
 """
 
 import itertools
@@ -22,6 +26,7 @@ from computads.algebra import (
     rows,
     tabulate,
 )
+from computads.base import DirectCategory, category_to_json, validate_category
 from computads.cofibrant import (
     boundary_inclusion,
     replay_filtration,
@@ -31,6 +36,7 @@ from computads.cofibrant import (
 from computads.computad import (
     Computad,
     coproduct,
+    free_computad,
     enumerate_var_to_var,
     identity_morphism,
     make_computad,
@@ -39,17 +45,30 @@ from computads.computad import (
     skeleton_counit,
     var_to_var_morphism,
 )
-from computads.cubical import cube_category, grid_inclusion, grid_positions
+from computads.cubical import (
+    coherence_symbol_name,
+    cube_category,
+    cube_face_id,
+    grid_coherence,
+    grid_composite,
+    grid_inclusion,
+    grid_positions,
+)
 from computads.factorization import image_factorize, lift_through_mono
 from computads.globular import (
+    boundary_tree,
     globe_category,
+    globe_coherence,
+    globe_face,
     parse_tree,
     tree_boundary_inclusion,
+    tree_composite,
     tree_dim,
     tree_presheaf,
+    tree_symbol_name,
 )
-from computads.monad import counit, enumerate_terms
-from computads.packs import delta_plus, sigma_kan
+from computads.monad import counit, enumerate_terms, term_presheaf
+from computads.packs import boundary_simplex, delta_plus, discrete_category, sigma_kan
 from computads.plex import (
     classifying_morphism,
     enumerate_polyplexes,
@@ -64,6 +83,7 @@ from computads.presheaf import (
     make_presheaf,
     representable,
 )
+from computads.signature import Signature
 from computads.terms import var
 
 from fixtures import (
@@ -210,8 +230,9 @@ def _representables():
     out = []
     for cat in (delta_plus(3), cube_category(2), globe_category(3)):
         for sort in cat.sorts:
-            out.append(representable(cat, sort))
-            out.extend(boundary_representable(cat, sort))
+            sphere, disk = boundary_representable(cat, sort), representable(cat, sort)
+            faces = {c: c for cs in sphere.cells.values() for c in cs}
+            out += [disk, sphere, PresheafMorphism(sphere, disk, faces)]
     return out
 
 
@@ -254,6 +275,23 @@ def _tree_positions():
     return out
 
 
+def _pack_categories():
+    return (
+        [discrete_category([]), discrete_category(["R", "V", "*"])]
+        + [delta_plus(n) for n in range(5)]
+        + [cube_category(n) for n in range(4)]
+        + [globe_category(n) for n in range(11)]
+    )
+
+
+def _term_presheaves():
+    sig = comp_signature()
+    kan = sigma_kan(2)
+    cases = [(walk2(sig), 2), (walk_n(sig, 3), 1)] + [(c, 1) for c in _computads(9, 3)]
+    cases.append((free_computad(boundary_simplex(kan.base, 2), kan), 1))
+    return [term_presheaf(c, depth).carrier for c, depth in cases]
+
+
 def _tabulated():
     return [tabulate(alg) for alg in (pathcat_algebra(), z5_algebra())]
 
@@ -266,6 +304,8 @@ def _recheck(obj) -> None:
             tables[symbol_id][hom_key(env)] = value
         checked = algebra_from_interpretations(obj.signature, obj.carrier, tables)
         assert rows(checked) == rows(obj)
+    elif isinstance(obj, DirectCategory):
+        assert validate_category(category_to_json(obj)) == obj
     elif isinstance(obj, Presheaf):
         assert make_presheaf(obj.base, obj.cells, obj.action) == obj
     elif isinstance(obj, PresheafMorphism):
@@ -293,6 +333,8 @@ def _recheck(obj) -> None:
         _filtrations,
         _underlying,
         _representables,
+        _pack_categories,
+        _term_presheaves,
         _pack_inclusions,
         _grid_positions,
         _tree_positions,
@@ -305,3 +347,49 @@ def test_unchecked_constructions_pass_the_checked_constructors(construct):
     assert results
     for obj in results:
         _recheck(obj)
+
+
+def _lower(sig: Signature, sort: str) -> Signature:
+    """The symbols of ``sig`` below the dimension of ``sort``."""
+    d = sig.base.dim(sort)
+    below = {k: v for k, v in sig.symbols.items() if sig.base.dim(v.sort) < d}
+    return Signature(base=sig.base, symbols=below)
+
+
+def _random_tree(rng: random.Random, depth: int):
+    return [_random_tree(rng, depth - 1) for _ in range(rng.randint(0, 3) if depth else 0)]
+
+
+TREES = ["[[],[]]", "[[[]],[]]", "[" * 6 + "]" * 6]
+
+
+@pytest.mark.parametrize("tree", TREES + [f"seed{i}" for i in range(5)])
+def test_tree_composite_symbols_pass_the_checked_coherence(tree):
+    rng = random.Random(tree)
+    tree = parse_tree(tree) if tree in TREES else [_random_tree(rng, 3) for _ in "ab"]
+    cat = globe_category(max(tree_dim(tree), 1))
+    sig, _ = tree_composite(cat, tree)
+    names = []
+    for h in range(1, tree_dim(tree) + 1):
+        cut = boundary_tree(tree, h)
+        sym = sig.symbol(tree_symbol_name(cut))
+        source, target = (sym.boundary[globe_face(f, h - 1, h)] for f in "st")
+        rebuilt = globe_coherence(_lower(sig, sym.sort), cut, h, source, target)
+        assert rebuilt.symbols[sym.id] == sym
+        names.append(sym.id)
+    assert sorted(names) == sorted(sig.symbols)
+
+
+@pytest.mark.parametrize("grid", [{0: 2}, {0: 2, 1: 1}, {0: 1, 1: 1, 2: 1}, {0: 2, 1: 2, 2: 1}])
+def test_grid_composite_symbols_pass_the_checked_coherence(grid):
+    sig, _ = grid_composite(cube_category(len(grid) - 1), grid)
+    names = []
+    for size in range(1, len(grid) + 1):
+        for kept in itertools.combinations(sorted(grid), size):
+            sub = {i: grid[i] for i in kept}
+            sym = sig.symbol(coherence_symbol_name(sub))
+            sides = {(i, a): sym.boundary[cube_face_id(kept, {i: a})] for i in kept for a in (0, 1)}
+            rebuilt = grid_coherence(_lower(sig, sym.sort), sub, sides)
+            assert rebuilt.symbols[sym.id] == sym
+            names.append(sym.id)
+    assert sorted(names) == sorted(sig.symbols)
