@@ -216,7 +216,8 @@ def algebra_morphisms(src, dst) -> list[PresheafMorphism]:
         ((*row[1].values(), row[2]), functools.partial(_preserves, dst, row))
         for row in rows(src)
     ]
+    names, families = homs(src.carrier, dst.carrier.cells_at, dst.carrier.spine, constraints)
     return [
-        PresheafMorphism(src=src.carrier, dst=dst.carrier, component=comp)
-        for comp in homs(src.carrier, dst.carrier.cells_at, dst.carrier.spine, constraints)
+        PresheafMorphism(src=src.carrier, dst=dst.carrier, component=dict(zip(names, family)))
+        for family in families
     ]

@@ -225,9 +225,10 @@ def underlying_computad(alg, depth_bound: int) -> UndResult:
             cells_by = bucket_by_spine(alg.cells_at(sort), alg.carrier.spine, faces).get((), {})
             sphere = boundary_representable(cat, sort)
             spine = action_spine(functools.partial(boundary, lower))
-            families = homs(sphere, lambda s: enumerate_terms(lower, s, depth_bound), spine)
+            cells, families = homs(sphere, lambda s: enumerate_terms(lower, s, depth_bound), spine)
             names = []
-            for family in families:
+            for found in families:
+                family = dict(zip(cells, found))
                 for cell in cells_by.get(tuple([evaluate(family[f]) for f in faces]), ()):
                     name = _und_gen_name(family, cell, spell)
                     names.append(name)
@@ -283,7 +284,9 @@ def check_trivial_fibration(
         fillers = {(component[x], src.carrier.spine(faces, x)[1]) for x in src.cells_at(sort)}
         below_by = bucket_by_spine(dst.cells_at(sort), dst.carrier.spine, faces).get((), {})
         sphere = boundary_representable(cat, sort)
-        for family in homs(sphere, src.cells_at, src.carrier.spine):
+        cells, families = homs(sphere, src.cells_at, src.carrier.spine)
+        for found in families:
+            family = dict(zip(cells, found))
             boundary_cells = tuple(family[f] for f in faces)
             image = tuple(component[x] for x in boundary_cells)
             for below in below_by.get(image, ()):

@@ -34,6 +34,7 @@ from .signature import FunctionSymbol, Signature, restrict_signature
 from .terms import (
     Term,
     Var,
+    attached,
     boundary,
     check_family,
     check_term,
@@ -277,7 +278,9 @@ def find_isomorphism(c: Computad, d: Computad) -> dict[str, str] | None:
     for s in c.base.sorts:
         if len(c.generators_at(s)) != len(d.generators_at(s)):
             return None
-    return next(homs(c, d.cells_at, d.spine, injective=True), None)
+    names, families = homs(c, d.cells_at, d.spine, injective=True)
+    found = next(families, None)
+    return None if found is None else dict(zip(names, found))
 
 
 def isomorphic(c: Computad, d: Computad) -> bool:
@@ -301,9 +304,10 @@ def is_isomorphism(c: Computad, d: Computad, gen_map: dict[str, str]) -> bool:
 
 def enumerate_var_to_var(c: Computad, d: Computad) -> list[ComputadMorphism]:
     """All variable-to-variable morphisms c -> d, in a canonical order."""
+    names, families = homs(c, d.cells_at, d.spine)
     return [
-        ComputadMorphism(src=c, dst=d, assign={g: var(v) for g, v in m.items()})
-        for m in homs(c, d.cells_at, d.spine)
+        ComputadMorphism(src=c, dst=d, assign=dict(zip(names, map(var, family))))
+        for family in families
     ]
 
 
@@ -391,7 +395,7 @@ def colimit_var(
     for sort in cat.sorts:
         for cls in gens[sort]:
             key, g = reps[cls]
-            for face, t in parts(nodes[key], var(g)):
+            for face, t in zip(*attached(nodes[key], var(g))):
                 glue[(cls, face)] = rename(t, legs[key])
     return Colimit(computad=Computad(signature, gens, glue), legs=legs)
 

@@ -12,6 +12,8 @@ packs' own composites do by construction (``coherent_composite``).
 
 from __future__ import annotations
 
+from functools import partial
+
 from .base import FaceRef, SortRef, memo_table, memoized
 from .computad import (
     Computad,
@@ -24,7 +26,7 @@ from .computad import (
 from .errors import CocycleFailure, NotIdempotent, NotMono, SideConditionFailure
 from .presheaf import Presheaf, PresheafMorphism
 from .signature import FunctionSymbol, Signature, complete_boundary, extend_signature
-from .terms import Term, Var, app, check_term, fold, parts, rename, var
+from .terms import Term, Var, app, attached, check_term, fold, rename, var
 
 
 def support(c: Computad, t: Term) -> dict[SortRef, frozenset[str]]:
@@ -44,7 +46,7 @@ def support(c: Computad, t: Term) -> dict[SortRef, frozenset[str]]:
                 out[s] |= gens
         return {s: frozenset(gens) for s, gens in out.items()}
 
-    return fold(t, lambda u: parts(c, u), build, memo_table(c, "_supp_cache"))
+    return fold(t, partial(attached, c), build, memo_table(c, "_supp_cache"))
 
 
 def support_term(c: Computad, t: Term, sort: SortRef) -> frozenset[str]:

@@ -35,7 +35,7 @@ from .signature import (
     term_to_json,
     validate_signature,
 )
-from .terms import children_of, fold
+from .terms import fold, parts_of
 
 if TYPE_CHECKING:
     from .algebra import Algebra
@@ -155,7 +155,7 @@ def _plex_json(p: Polyplex, family) -> dict:
 
 
 def polyplex_to_json(p: Polyplex) -> dict:
-    return fold(p, children_of, _plex_json)
+    return fold(p, parts_of, _plex_json)
 
 
 def _plex_args(raw) -> list[tuple[str, dict]]:

@@ -1,20 +1,23 @@
 """Ranked enumeration of terms and shapes, the free algebra and its adjunction data.
 
 A term over a computad, like its shape (``plex``), is a leaf or a *head* (a
-presheaf, a rank step and a constructor) applied to a family: a presheaf
+presheaf, a rank step and a ``terms.Head``) applied to a family: a presheaf
 morphism from the head's presheaf into nodes of lower rank, found by
-``presheaf.homs``.  ``enumerate_ranked`` is that induction, written once.
+``presheaf.homs``.  ``enumerate_ranked`` is that induction, written once; it
+builds each head's nodes in one loop, from the search's tuples.
 
 Its lists are in canonical order (``terms``): by rank, then by spelling.
 The enumerator spells no node.  When, at every sort, no head (the spelling
 up to its first label: ``v(x)``, ``neg[`` or ``<[1]|``) is a proper prefix
 of another, the spellings of each sort are prefix-free, and comparing them
-is comparing the integer keys ``(head, positions of the children)``, where
-a child's position is its index in the *spelling order* of the list it was
-drawn from.  Each list keeps its spelling order next to it, and its
-canonical order is a stable sort of that by rank.  An owner that has, at
-some sort, a head that is a prefix of another (generators ``a`` and
-``a)!``) is sorted by spelling instead.
+is comparing ``(head, positions of the children)``, where a child's position
+is its index in the *spelling order* of the list it was drawn from.  Each
+list keeps its spelling order next to it, and its canonical order is a
+stable sort of that by rank.  The search draws children from the lists in
+spelling order, so a head whose search cells are its labels in order gets
+its families in spelling order, unsorted.  An owner that has, at some sort,
+a head that is a prefix of another (generators ``a`` and ``a)!``) is sorted
+by spelling instead.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
-from operator import attrgetter, itemgetter
+from itertools import chain, repeat
+from operator import add, attrgetter, itemgetter, mul
 from typing import NamedTuple
 
 from .base import FaceRef, SortRef, memo_table, memoized
@@ -31,15 +34,17 @@ from .computad import Computad, ComputadMorphism, free_computad, make_morphism
 from .errors import DepthExceeded, FunctorialityFailure, NegativeBound
 from .presheaf import Presheaf, PresheafMorphism, action_spine, homs
 from .signature import Signature
-from .terms import Term, app, boundary, canonical_sort, children_of, rename, subst, var
+from .terms import App, Term, app, boundary, canonical_sort, head, interned, rename, subst, var
 
 
 class Induction(NamedTuple):
     """One kind of node over an owner (a computad or a signature).  Per sort,
-    ``leaves(owner, sort)`` lists ``(head, node)`` pairs and ``heads(owner,
-    sort)`` lists ``(head, x, step, make)``, each with its head spelled;
-    ``act(owner, face, node)`` is the boundary action.  The lists live in the
-    owner's memo table ``table``, and ``what`` names the rank in errors."""
+    ``leaves(owner, sort)`` lists ``(prefix, node)`` pairs and ``heads(owner,
+    sort)`` lists ``(prefix, x, step, h)``, each with its head spelled as a
+    ``prefix`` and ``h`` the ``terms.Head`` of its nodes, labelled by
+    ``cell_labels(x)``; ``act(owner, face, node)`` is the boundary action.
+    The lists live in the owner's memo table ``table``, and ``what`` names
+    the rank in errors."""
 
     table: str
     what: str
@@ -56,7 +61,7 @@ def head_order(owner, kind: Induction) -> dict | None:
     order = {}
     for sort in owner.base.sorts:
         names = sorted(
-            [h for h, _ in kind.leaves(owner, sort)] + [h for h, *_ in kind.heads(owner, sort)]
+            [p for p, _ in kind.leaves(owner, sort)] + [p for p, *_ in kind.heads(owner, sort)]
         )
         if any(b.startswith(a) for a, b in zip(names, names[1:])):
             return None
@@ -64,11 +69,17 @@ def head_order(owner, kind: Induction) -> dict | None:
     return order
 
 
+@memoized("_cell_labels")
+def cell_labels(x: Presheaf) -> tuple[str, ...]:
+    """The cells of ``x``, sorted: the labels of a node over ``x``."""
+    return tuple(sorted(cell for cells in x.cells.values() for cell in cells))
+
+
 def enumerate_ranked(kind: Induction, owner, sort: SortRef, bound: int) -> list:
     """The nodes of ``sort`` of rank at most ``bound``, canonically ordered and
-    duplicate-free: the leaves, and ``make(family)`` for each head ``(head,
-    x, step, make)`` and each family from ``x`` into the nodes of rank at
-    most ``bound - step``.  Raises NegativeBound (of ``kind.what``), then
+    duplicate-free: the leaves, and the node of ``h`` over each family from
+    ``x`` into the nodes of rank at most ``bound - step``, for each head
+    ``(prefix, x, step, h)``.  Raises NegativeBound (of ``kind.what``), then
     UnknownSort, before it asks for a leaf or a head.  Memoised in the
     owner's table, as ``(canonical order, spelling order)`` under ``(sort,
     rank)``; the missing ranks below ``bound`` are built first, bottom-up, so
@@ -95,30 +106,59 @@ def _ranked(kind: Induction, owner, sort: SortRef, bound: int, memo: dict) -> tu
     spine = action_spine(partial(kind.act, owner))
     leaves = kind.leaves(owner, sort)
     out = [node for _, node in leaves]
-    keys = [] if order is None else [(order[sort][head],) for head, _ in leaves]
+    # per head, its index among the sorted heads and its nodes in spelling order
+    blocks = [] if order is None else [(order[sort][p], [node]) for p, node in leaves]
     positions: dict = {}  # (sort, rank) -> {node: index in that list's spelling order}
-    for head, x, step, make in kind.heads(owner, sort):
+
+    def candidates(s: SortRef) -> list:  # in spelling order, where there is one
+        listed = enumerate_ranked(kind, owner, s, rank)
+        return listed if order is None else memo[(s, rank)][1]
+
+    for prefix, x, step, h in kind.heads(owner, sort):
         if step > bound:
             continue
         rank = bound - step
-        start = len(out)
-        out.extend(map(make, homs(x, lambda s: enumerate_ranked(kind, owner, s, rank), spine)))
+        names, families = homs(x, candidates, spine)
+        built = interned(h, families, names)
         if order is None:
+            out += built
             continue
-        # key each new node by its head and, per label, its child's position
-        at = []
-        for _, s in sorted((cell, s) for s, cells in x.cells.items() for cell in cells):
-            if (s, rank) not in positions:
-                positions[(s, rank)] = {n: i for i, n in enumerate(memo[(s, rank)][1])}
-            at.append(positions[(s, rank)])
-        args = list(map(children_of, out[start:]))
-        children = [map(p.__getitem__, map(itemgetter(1), map(itemgetter(j), args)))
-                    for j, p in enumerate(at)]
-        keys += zip(repeat(order[sort][head], len(args)), *children)
+        if names != h.labels:  # the search's order is not the spelling order
+            at = []  # per label that no earlier label fixes, the positions of its candidates
+            fixed: set = set()  # boundary cells of earlier labels, whose children they fix
+            for j, cell in enumerate(h.labels):
+                s = x.sort_of(cell)
+                fixed.update(x.act(face, cell) for face in x.base.faces_into(s))
+                if cell in fixed:
+                    continue
+                if (s, rank) not in positions:
+                    positions[(s, rank)] = {n: i for i, n in enumerate(memo[(s, rank)][1])}
+                at.append((j, positions[(s, rank)]))
+            built = _by_children(built, at)
+        blocks.append((order[sort][prefix], built))
     if order is None:
         return canonical_sort(out)[0], None
-    spelled = [out[i] for i in sorted(range(len(out)), key=keys.__getitem__)]
+    blocks.sort(key=itemgetter(0))
+    spelled = list(chain.from_iterable(block for _, block in blocks))
     return sorted(spelled, key=attrgetter("rank")), spelled
+
+
+def _by_children(built: list, at: list[tuple[int, dict]]) -> list:
+    """Nodes of one head in spelling order: by the positions of their
+    children, for each ``(j, positions)`` of ``at`` the child at label
+    ``j``, compared as the digits of one integer, so that no key is a
+    tuple.  A label left out of ``at`` holds a child fixed by earlier ones:
+    a boundary of an earlier child."""
+    if len(built) < 2:
+        return built
+    children = list(map(attrgetter("children"), built))
+    radix = repeat(1 + max([len(p) for _, p in at]))
+    digits = [map(p.__getitem__, map(itemgetter(j), children)) for j, p in at]
+    key = digits[0]
+    for digit in digits[1:]:
+        key = map(add, map(mul, key, radix), digit)
+    keys = list(key)
+    return list(map(built.__getitem__, sorted(range(len(built)), key=keys.__getitem__)))
 
 
 def _term_leaves(c: Computad, sort: SortRef) -> list:
@@ -127,7 +167,10 @@ def _term_leaves(c: Computad, sort: SortRef) -> list:
 
 def _term_heads(c: Computad, sort: SortRef) -> list:
     symbols = c.signature.symbols_at(sort)
-    return [(sym.id + "[", sym.arity, 1, partial(app, sym.id)) for sym in symbols]
+    return [
+        (sym.id + "[", sym.arity, 1, head(App, (sym.id,), cell_labels(sym.arity)))
+        for sym in symbols
+    ]
 
 
 TERMS = Induction("_terms_by_depth", "term depth", _term_leaves, _term_heads, boundary)

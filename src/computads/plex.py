@@ -10,10 +10,11 @@ itself is never materialised; dimension strictly decreases along boundary
 families, so the trees stay finite).  They are interned like terms, so equal
 shapes are the same object.
 
-Either kind of shape lists its boundary or argument shapes as ``args``, as
-``terms.parts`` lists a term's.  Classification, representing computads and
-classifying morphisms each take one fold over the parts; only the universal
-term at the end differs, a fresh generator or an application.
+Either kind of shape holds its boundary or argument shapes as ``children``
+under the labels of its head, as ``terms.attached`` gives a term's parts.
+Classification, representing computads and classifying morphisms each take
+one fold over the parts; only the universal term at the end differs, a
+fresh generator or an application.
 
 Computads with generator-preserving maps form a presheaf category whose
 representables are the |p|: by Yoneda, the maps |q| -> |p| are the
@@ -35,21 +36,25 @@ from .computad import (
     ComputadMorphism,
     colimit_var,
 )
-from .monad import Induction, enumerate_ranked
+from .monad import Induction, cell_labels, enumerate_ranked
 from .presheaf import boundary_representable
 from .signature import Signature
 from .terms import (
+    App,
+    Head,
     Node,
     Term,
     Var,
-    app,
+    attached,
     boundary,
-    children_of,
     fold,
     fold_term,
-    interned,
-    parts,
+    head,
+    in_label_order,
+    node_of,
+    parts_of,
     rename,
+    spelling_format,
     spellings,
     var,
 )
@@ -64,36 +69,46 @@ class Polyplex(Node):
     weight = property(attrgetter("rank"))  # enumeration rank: see enumerate_polyplexes
 
 
-@dataclass(slots=True, eq=False)
 class PVar(Polyplex):
     """Shape of a generator: the shapes of its boundaries, per face."""
 
-    sort: SortRef
-    args: tuple[tuple[FaceRef, Polyplex], ...]  # (face, shape), sorted by face
-    btype = property(attrgetter("args"))
+    __slots__ = ("sort",)
+    btype = property(attrgetter("args"))  # (face, shape) pairs, by face
     kind = "pvar"
 
-    def spell(self, family) -> str:
-        return "<" + self.sort + "|" + ",".join(map(":".join, family.items())) + ">"
+    def __init__(self, h: Head, children: tuple, rank: int):
+        self.head, self.labels, self.children, self.rank = h, h.labels, children, rank
+        (self.sort,) = h.fields
+
+    @staticmethod
+    def spelling(sort: SortRef, labels: tuple) -> str:
+        return spelling_format("<" + sort + "|", ":", labels, ">")
 
 
-@dataclass(slots=True, eq=False)
 class PApp(Polyplex):
     """Shape of an application: the symbol with the shapes of its arguments."""
 
-    sort: SortRef
-    symbol: str
-    args: tuple[tuple[str, Polyplex], ...]
+    __slots__ = ("sort", "symbol")
     step = 1
     kind = "papp"
 
+    def __init__(self, h: Head, children: tuple, rank: int):
+        self.head, self.labels, self.children, self.rank = h, h.labels, children, rank
+        self.sort, self.symbol = h.fields
+
+    @staticmethod
+    def spelling(sort: SortRef, symbol: str, labels: tuple) -> str:
+        return App.spelling(symbol, labels)
+
 
 def pvar(sort: SortRef, btype: dict[FaceRef, Polyplex]) -> PVar:
-    return interned((PVar, sort, tuple(sorted(btype.items()))))
+    labels, children = in_label_order(btype)
+    return node_of(head(PVar, (sort,), labels), children)
 
 
 def papp(sort: SortRef, symbol: str, args: dict[str, Polyplex]) -> PApp:
-    return interned((PApp, sort, symbol, tuple(sorted(args.items()))))
+    labels, children = in_label_order(args)
+    return node_of(head(PApp, (sort, symbol), labels), children)
 
 
 def is_plex(p: Polyplex) -> bool:
@@ -107,12 +122,13 @@ def pboundary(sig: Signature, face: FaceRef, p: Polyplex) -> Polyplex:
     application, its symbol's boundary term with the argument shapes
     substituted in."""
     if isinstance(p, PVar):
-        return p.arg_map()[face]
+        return p.child(face)
 
-    def node(u, shapes) -> PApp:
-        return papp(sig.symbol(u.symbol).sort, u.symbol, shapes)
+    def node(u, shapes) -> PApp:  # over the labels of u, in their order
+        h = head(PApp, (sig.symbol(u.symbol).sort, u.symbol), u.labels)
+        return node_of(h, tuple(shapes.values()))
 
-    return fold_term(sig.symbol(p.symbol).boundary[face], p.arg_map().__getitem__, node)
+    return fold_term(sig.symbol(p.symbol).boundary[face], p.child, node)
 
 
 def classify(c: Computad, t: Term) -> Polyplex:
@@ -120,20 +136,24 @@ def classify(c: Computad, t: Term) -> Polyplex:
     One fold over the parts, memoised in the computad's ``_shape_cache``."""
 
     def build(u: Term, shapes) -> Polyplex:
-        if isinstance(u, Var):
-            return pvar(c.gen_sort(u.gen), shapes)
-        return papp(c.symbol(u.symbol).sort, u.symbol, shapes)
+        if isinstance(u, Var):  # over the faces into its sort, which are sorted
+            sort = c.gen_sort(u.gen)
+            h = head(PVar, (sort,), c.base.faces_into(sort))
+        else:  # over the labels of u
+            h = head(PApp, (c.symbol(u.symbol).sort, u.symbol), u.labels)
+        return node_of(h, tuple(shapes.values()))
 
-    return fold(t, lambda u: parts(c, u), build, memo_table(c, "_shape_cache"))
+    return fold(t, partial(attached, c), build, memo_table(c, "_shape_cache"))
 
 
 # -- enumeration --------------------------------------------------------------------
 
 def _shape_heads(sig: Signature, sort: SortRef) -> list:
     x = boundary_representable(sig.base, sort)
-    heads = [("<" + sort + "|", x, 0, partial(pvar, sort))]
+    heads = [("<" + sort + "|", x, 0, head(PVar, (sort,), cell_labels(x)))]
     for sym in sig.symbols_at(sort):
-        heads.append((sym.id + "[", sym.arity, 1, partial(papp, sort, sym.id)))
+        h = head(PApp, (sort, sym.id), cell_labels(sym.arity))
+        heads.append((sym.id + "[", sym.arity, 1, h))
     return heads
 
 
@@ -191,7 +211,8 @@ def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
         else:
             colim, computad, family = None, Computad(sig, {}, {}), {}
         if isinstance(p, PApp):
-            return PolyplexRep(computad, app(p.symbol, family), colim)
+            universal = node_of(head(App, (p.symbol,), p.labels), tuple(family.values()))
+            return PolyplexRep(computad, universal, colim)
         star = f"*{p.sort}"
         gens = dict(computad.gens)
         gens[p.sort] = (star,)  # the parts have lower sorts
@@ -199,7 +220,7 @@ def polyplex_computad(sig: Signature, p: Polyplex) -> PolyplexRep:
         glue.update({(star, face): t for face, t in family.items()})
         return PolyplexRep(Computad(sig, gens, glue), var(star), colim)
 
-    return fold(p, children_of, build, memo_table(sig, "_rep_cache"))
+    return fold(p, parts_of, build, memo_table(sig, "_rep_cache"))
 
 
 def classifying_morphism(c: Computad, t: Term) -> ComputadMorphism:
@@ -220,8 +241,7 @@ def classifying_morphism(c: Computad, t: Term) -> ComputadMorphism:
             if u.gen in assign:
                 continue
             assign[u.gen] = v
-        for (_, u_part), (_, v_part) in zip(parts(rep.computad, u), parts(c, v)):
-            todo.append((u_part, v_part))
+        todo += zip(attached(rep.computad, u)[1], attached(c, v)[1])
     return ComputadMorphism(rep.computad, c, assign)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .base import (
@@ -233,7 +234,7 @@ def check_morphism(h: PresheafMorphism) -> None:
 
 def search(
     cells: list[tuple], injective: bool = False, constraints=()
-) -> Iterator[dict]:
+) -> Iterator[tuple]:
     """Yield every assignment of candidates to ``cells`` that passes every
     constraint, in canonical order.
 
@@ -253,8 +254,9 @@ def search(
     there no completion exists and the candidate just placed is rejected.
 
     Each constraint is ``(reads, predicate)``: ``predicate(assign)`` looks
-    only at the (at least one) cells named in ``reads``, and an assignment is
-    yielded only if every predicate holds.  The same forward-check step
+    only at the (at least one) cells named in ``reads``, of the dict
+    ``assign`` from names to the candidates placed so far, and an assignment
+    is yielded only if every predicate holds.  The same forward-check step
     evaluates a constraint as soon as the last cell it reads is assigned; its
     verdict is then fixed for every completion, so a failure rejects the
     candidate just placed.
@@ -264,55 +266,79 @@ def search(
     order.  So the assignments yielded, and their order, are exactly those
     of the unchecked search filtered by the constraints.
 
-    Assignments are fresh dicts from names to candidates, yielded depth first
+    Assignments are tuples of candidates in cell order, yielded depth first
     in lexicographic order of candidate positions.  With ``injective`` no
     candidate is assigned twice.  The stack is explicit, so the number of
-    cells is not bounded by the interpreter's recursion limit.
+    cells is not bounded by the interpreter's recursion limit.  When the
+    last cell is not injective and no constraint reads it last, each of its
+    buckets goes out in bulk: one ``zip`` of the values placed before it,
+    repeated, with the bucket, so no Python frame runs per assignment.
     """
-    assign: dict = {}
-    used: set = set()
+    n = len(cells)
+    if not n:
+        return iter(((),))
+    position = {name: i for i, (name, _, _) in enumerate(cells)}
+    names = [name for name, _, _ in cells]
+    below = [tuple([position[b] for b in bl]) for _, bl, _ in cells]
+    lookup = [bucket.get for _, _, bucket in cells]
+    chosen: list = [None] * n
+    profile = chosen.__getitem__
     # checks[i]: the (below, lookup) pairs fixed once cell i is assigned, each
     # passing if lookup(profile of below) is truthy: the bucket of each later
     # cell (beyond i + 1, which is reached next anyway) whose profile is then
     # fixed, and each constraint whose last read cell is i.
-    position = {name: i for i, (name, _, _) in enumerate(cells)}
     checks: list[list[tuple]] = [[] for _ in cells]
-    for j, (_, below, bucket) in enumerate(cells):
-        last = max([position[b] for b in below], default=-1)
+    for j in range(n):
+        last = max(below[j], default=-1)
         if 0 <= last < j - 1:
-            checks[last].append((below, bucket.get))
+            checks[last].append((below[j], lookup[j]))
+    assign: dict = {}  # the names placed, read by the constraints
     for reads, predicate in constraints:
         checks[max(position[r] for r in reads)].append(((), lambda _, p=predicate: p(assign)))
+    track = bool(constraints)
+    bulk = not injective and not checks[n - 1]
+    if bulk and n == 1:
+        return zip(lookup[0]((), ()))
+    depth = n - 1 if bulk else n  # the cells placed one by one
 
     def options(i: int):
-        _, below, bucket = cells[i]
-        return iter(bucket.get(tuple([assign[b] for b in below]), ()))
+        return iter(lookup[i](tuple(map(profile, below[i])), ()))
 
-    if not cells:
-        yield {}
-        return
-    stack = [options(0)]
-    while stack:
-        i = len(stack) - 1
-        name, check = cells[i][0], checks[i]
-        if injective and name in assign:  # release the previous candidate
-            used.discard(assign[name])
-        for cand in stack[-1]:
-            if injective and cand in used:
+    def blocks():
+        used: set = set()
+        stack = [options(0)]
+        while stack:
+            i = len(stack) - 1
+            check = checks[i]
+            if injective and chosen[i] is not None:  # release the previous candidate
+                used.discard(chosen[i])
+                chosen[i] = None
+            for cand in stack[-1]:
+                if injective and cand in used:
+                    continue
+                chosen[i] = cand
+                if track:
+                    assign[names[i]] = cand
+                for bl, get in check:
+                    if not get(tuple(map(profile, bl))):
+                        break
+                else:
+                    break
+            else:
+                chosen[i] = None
+                stack.pop()
                 continue
-            assign[name] = cand
-            if not check or all(get(tuple([assign[b] for b in below])) for below, get in check):
-                break
-        else:
-            assign.pop(name, None)
-            stack.pop()
-            continue
-        if injective:
-            used.add(cand)
-        if i + 1 == len(cells):
-            yield dict(assign)
-        else:
-            stack.append(options(i + 1))
+            if injective:
+                used.add(cand)
+            if i + 1 < depth:
+                stack.append(options(i + 1))
+            elif bulk:
+                last = lookup[depth](tuple(map(profile, below[depth])), ())
+                yield zip(*map(repeat, chosen[:depth]), last)
+            else:
+                yield (tuple(chosen),)
+
+    return chain.from_iterable(blocks())
 
 
 def action_spine(act):
@@ -334,12 +360,16 @@ def bucket_by_spine(cands: Sequence, spine, faces: tuple[FaceRef, ...]) -> dict:
     return buckets
 
 
-def homs(x, cells_at, spine, constraints=(), injective: bool = False) -> Iterator[dict]:
+def homs(
+    x, cells_at, spine, constraints=(), injective: bool = False
+) -> tuple[tuple[str, ...], Iterator[tuple]]:
     """The maps out of ``x`` (a presheaf or a computad) that pass the
     ``search`` constraints, found by that search, into the family with cells
     ``cells_at(sort)``, in canonical order, and spines ``spine(faces,
     cell)``, for ``faces`` the faces into the cell's sort.  ``x`` is read
-    the same way, through ``x.cells_at`` and ``x.spine``."""
+    the same way, through ``x.cells_at`` and ``x.spine``.  Returns the
+    cells of ``x`` in search order and the maps, each a tuple of images in
+    that order: ``dict(zip(names, family))`` is the map as a dict."""
     cells = []
     for sort in x.base.sorts:
         sources = x.cells_at(sort)
@@ -350,15 +380,16 @@ def homs(x, cells_at, spine, constraints=(), injective: bool = False) -> Iterato
         for cell in sources:
             tag, below = x.spine(faces, cell)
             cells.append((cell, below, buckets.get(tag, {})))
-    return search(cells, injective, constraints)
+    return tuple([name for name, _, _ in cells]), search(cells, injective, constraints)
 
 
 def enumerate_hom(x: Presheaf, y: Presheaf) -> list[PresheafMorphism]:
     """All natural transformations x -> y, in a canonical order."""
     check_same_base(x.base, y.base, "hom enumeration")
+    names, families = homs(x, y.cells_at, y.spine)
     return [
-        PresheafMorphism(src=x, dst=y, component=comp)
-        for comp in homs(x, y.cells_at, y.spine)
+        PresheafMorphism(src=x, dst=y, component=dict(zip(names, family)))
+        for family in families
     ]
 
 

@@ -193,10 +193,10 @@ def fold_document(raw, children, build):
     ``build(obj, family)`` makes the node of ``obj``."""
     objects = {id(raw): raw}
 
-    def below(key: int) -> list[tuple[str, int]]:
+    def below(key: int) -> tuple[list[str], list[int]]:
         family = children(objects[key])
         objects.update((id(child), child) for _, child in family)
-        return [(label, id(child)) for label, child in family]
+        return [label for label, _ in family], [id(child) for _, child in family]
 
     return fold(id(raw), below, lambda key, family: build(objects[key], family))
 

@@ -6,10 +6,17 @@ indexed by the cells of the symbol's arity.  Terms are pure syntax, and
 well-formedness is always relative to a *context* that can resolve
 generators and symbols.
 
-Terms and shapes are hash-consed (Filliatre & Conchon, 2006): ``var``,
-``app``, ``pvar`` and ``papp`` return the live node with the same fields if
-there is one, so equal nodes are the same object and ``==`` and ``hash``
-never walk a tree.  Every walk over a tree is one :func:`fold`.
+Terms and shapes are hash-consed (Filliatre & Conchon, 2006): a node is
+built only by :func:`interned`, which returns the live node with the same
+head and children if there is one, so equal nodes are the same object and
+``==`` and ``hash`` never walk a tree.  A node holds its children as one
+tuple in label order; its :class:`Head` (class, head fields, sorted labels,
+spelling) is one object shared by every node of that head, labels included.
+So the intern key is the head and the children, ``(head, children)``, with
+no ``(label, child)`` pair in it: ``args`` and ``arg_map`` pair them on
+demand.  ``var``, ``app``, ``pvar`` and ``papp`` sort a family into label
+order; the enumerator hands :func:`interned` a head's families in bulk.
+Every walk over a tree is one :func:`fold`, but the :func:`speller`'s.
 
 A context is any object with
   - ``base``                   the sort category,
@@ -20,8 +27,9 @@ A context is any object with
 Computads are the contexts (the free computad on an arity, for boundary
 terms).  A generator of sort i is attached along its gluings, a family over
 the boundary of the representable on i; an application along its arguments,
-a family over its symbol's arity.  :func:`parts` lists either family, and
-:func:`check_family` checks the cocycle condition on it.
+a family over its symbol's arity.  :func:`attached` gives either family as
+a fold reads it (:func:`parts` as pairs), and :func:`check_family` checks
+the cocycle condition on it.
 
 The canonical order of terms, and of shapes, is by rank (depth, weight),
 then by serialisation.  A serialisation is the node's *head*, its spelling
@@ -29,8 +37,8 @@ up to its first label (``v(x)``, ``f[`` or ``<s|``), then its labels and
 its children's serialisations in label order, with punctuation that the
 head fixes.  So while no head of a sort is a proper prefix of another, the
 spellings of each sort are prefix-free, and two nodes with one head compare
-as their children do:
-``monad.enumerate_ranked`` orders by such integer keys and spells nothing.
+as their children do: ``monad.enumerate_ranked`` orders by the children's
+positions and spells nothing.
 :func:`canonical_sort` spells, for nodes that do not come from one list,
 and for owners whose heads clash (generators ``a`` and ``a)!``).
 """
@@ -39,19 +47,48 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, itemgetter
 
 from .base import FaceRef, SortRef
 from .errors import IncompatibleArgs, SortMismatch
 from .presheaf import Presheaf
 
 
+class Head:
+    """What every node of one head shares: its class (``kind``), the head
+    fields (``fields``: a generator's name, a symbol, a sort), the sorted
+    ``labels`` of its children with the ``index`` of each, and the
+    ``spelling`` of its nodes, a format with one ``{}`` per label.  One
+    object per head (``head``), so that a node's intern key hashes and
+    compares it by identity."""
+
+    __slots__ = ("kind", "fields", "labels", "index", "spelling")
+
+    def __init__(self, kind, fields: tuple, labels: tuple):
+        self.kind, self.fields, self.labels = kind, fields, labels
+        self.index = {label: i for i, label in enumerate(labels)}
+        self.spelling = kind.spelling(*fields, labels)
+
+
+# (kind, fields, labels) -> the one Head with them; heads are few (one per
+# generator, symbol and sort met) and are kept for the life of the process
+_heads: dict[tuple, Head] = {}
+
+
+def head(kind, fields: tuple, labels: tuple) -> Head:
+    """The head of class ``kind`` with ``fields`` and sorted ``labels``."""
+    found = _heads.get((kind, fields, labels))
+    if found is None:
+        found = _heads[(kind, fields, labels)] = Head(kind, fields, labels)
+    return found
+
+
 class _Entry(weakref.ref):
     __slots__ = ("key",)
 
 
-# (node class, *fields) -> weak entry of the live node with those fields
+# (head, children) -> weak entry of the live node with them
 _table: dict[tuple, _Entry] = {}
 
 
@@ -61,42 +98,79 @@ def _forget(entry: _Entry) -> None:
         del _table[entry.key]
 
 
-def interned(key: tuple):
-    """The live node ``cls(*fields)`` for ``key = (cls, *fields)``, made and
-    interned if there is none.  A node's children are among its fields, in
-    label order, and interned, so they key by identity."""
-    entry = _table.get(key)
-    node = None if entry is None else entry()
-    if node is None:
-        node = key[0](*key[1:])
-        entry = _table[key] = _Entry(node, _forget)
-        entry.key = key
+def interned(h: Head, families: Iterable[tuple], order: tuple | None = None) -> list:
+    """The live node of head ``h`` over each of ``families``, made and
+    interned where there is none.  A family is a tuple of children listed
+    by the names in ``order`` (by default the head's labels), and is
+    permuted into label order, so an order never makes a second node.
+    Children are interned, so the key ``(head, children)`` hashes and
+    compares by identity; a node costs one probe of the table."""
+    labels = h.labels
+    if order is not None and order != labels:
+        at = {name: i for i, name in enumerate(order)}
+        families = map(itemgetter(*[at[label] for label in labels]), families)
+    get = _table.get
+    out = []
+    for children in families:
+        key = (h, children)
+        entry = get(key)
+        node = None if entry is None else entry()
+        out.append(_made(key) if node is None else node)
+    return out
+
+
+def _made(key: tuple) -> Node:
+    """A new node for the intern key ``(head, children)``, entered in the
+    table; its rank is its children's largest, or 0, plus its step."""
+    h, children = key
+    rank = 0  # a loop: max() over a map costs more for a few children
+    for u in children:
+        if u.rank > rank:
+            rank = u.rank
+    node = h.kind(h, children, rank + h.kind.step)
+    entry = _table[key] = _Entry(node, _forget)
+    entry.key = key
     return node
 
 
+def spelling_format(opening: str, eq: str, labels: tuple, closing: str) -> str:
+    """The format of a node's serialisation with one ``{}`` per label: its
+    head ``opening``, each label joined to its child's by ``eq``, and
+    ``closing``; every literal brace doubled."""
+    def literal(text: str) -> str:
+        return text.replace("{", "{{").replace("}", "}}")
+
+    slots = ",".join(literal(label + eq) + "{}" for label in labels)
+    return literal(opening) + slots + literal(closing)
+
+
 class Node:
-    """A term or a shape, never changed once built.  ``args`` pairs each
-    label with a child; ``rank`` is their largest rank, or 0, plus ``step``.
-    The ``__weakref__`` slot lets the intern table hold nodes without pinning
-    them (Python 3.10 has no ``dataclass(weakref_slot=True)``)."""
+    """A term or a shape, never changed once built: its ``head``, its
+    ``labels`` (the head's), its ``children`` in label order, and its
+    ``rank``, the children's largest rank, or 0, plus ``step``.  The
+    ``__weakref__`` slot lets the intern table hold nodes without pinning
+    them.  ``args``, ``arg_map`` (and ``PVar.btype``) are derived views that
+    pair each label with its child."""
 
-    __slots__ = ("__weakref__", "rank")
-    args: tuple = ()
+    __slots__ = ("__weakref__", "head", "labels", "children", "rank")
     step = 0
-
-    def __post_init__(self):
-        rank = 0  # a loop: max() over a comprehension costs several times more
-        for _, u in self.args:
-            if u.rank > rank:
-                rank = u.rank
-        self.rank = rank + self.step
+    args = property(lambda self: tuple(zip(self.labels, self.children)))
 
     def arg_map(self) -> dict:
-        return dict(self.args)
+        return dict(zip(self.labels, self.children))
 
-    def spell(self, family: dict[str, str]) -> str:
-        """An application's serialisation from its children's."""
-        return self.symbol + "[" + ",".join(map("=".join, family.items())) + "]"
+    def child(self, label: str):
+        """The child at ``label``."""
+        return self.children[self.head.index[label]]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map(repr, self.head.fields))
+        return f"{type(self).__name__}({fields}, {self.arg_map()!r})"
+
+    def spell(self, spelled: dict) -> str:
+        """The node's serialisation, from ``spelled``, which holds its
+        children's (a :func:`speller`'s memo)."""
+        return self.head.spelling.format(*map(spelled.__getitem__, self.children))
 
 
 class Term(Node):
@@ -104,57 +178,95 @@ class Term(Node):
     depth = property(attrgetter("rank"))
 
 
-@dataclass(slots=True, eq=False)
 class Var(Term):
-    gen: str
+    __slots__ = ("gen",)
 
-    def spell(self, family) -> str:
-        return f"v({self.gen})"
+    def __init__(self, h: Head, children: tuple, rank: int):
+        self.head, self.labels, self.children, self.rank = h, h.labels, children, rank
+        (self.gen,) = h.fields
+
+    @staticmethod
+    def spelling(gen: str, labels: tuple) -> str:
+        return spelling_format(f"v({gen})", "", labels, "")
 
 
-@dataclass(slots=True, eq=False)
 class App(Term):
-    symbol: str
-    args: tuple[tuple[str, Term], ...]  # (arity cell, term), sorted by cell
+    __slots__ = ("symbol",)
     step = 1
+
+    def __init__(self, h: Head, children: tuple, rank: int):
+        self.head, self.labels, self.children, self.rank = h, h.labels, children, rank
+        (self.symbol,) = h.fields
+
+    @staticmethod
+    def spelling(symbol: str, labels: tuple) -> str:
+        """An application's format: ``symbol[label=...,...]``."""
+        return spelling_format(symbol + "[", "=", labels, "]")
+
+
+def node_of(h: Head, children: tuple):
+    """The live node of head ``h`` over ``children``, in label order."""
+    key = (h, children)
+    entry = _table.get(key)
+    found = None if entry is None else entry()
+    return _made(key) if found is None else found
+
+
+# gen -> the intern key (head(Var, (gen,), ()), ()) of its leaf, kept as the
+# heads are: leaves are the most often built nodes
+_leaf_keys: dict[str, tuple] = {}
 
 
 def var(gen: str) -> Var:
-    return interned((Var, gen))
+    key = _leaf_keys.get(gen)
+    if key is None:
+        key = _leaf_keys[gen] = (head(Var, (gen,), ()), ())
+    entry = _table.get(key)
+    found = None if entry is None else entry()
+    return _made(key) if found is None else found
 
 
 def app(symbol: str, args: dict[str, Term]) -> App:
-    return interned((App, symbol, tuple(sorted(args.items()))))
+    labels, children = in_label_order(args)
+    return node_of(head(App, (symbol,), labels), children)
 
 
-children_of = attrgetter("args")
+def in_label_order(family: dict) -> tuple[tuple, tuple]:
+    """The labels of ``family``, sorted, and its children in their order."""
+    labels = tuple(sorted(family))
+    return labels, tuple([family[label] for label in labels])
 
 
-def fold(root, children, build, memo: dict | None = None):
+parts_of = attrgetter("labels", "children")
+
+
+def fold(root, parts, build, memo: dict | None = None):
     """``build(node, family)`` at ``root``, after it ran at every node below:
-    ``children(node)`` lists ``(label, child)`` pairs, and ``family`` maps
-    each label to the child's value.  ``memo`` maps nodes to values; no
-    node found there is walked again.  ``children`` runs once per node, and
-    children are entered in order over an explicit stack, so the depth of
-    ``root`` is not bounded by the recursion limit."""
+    ``parts(node)`` gives ``(labels, children)``, and ``family`` maps each
+    label to its child's value.  ``memo`` maps nodes to values; no node
+    found there is walked again.  ``parts`` runs once per node, and children
+    are entered in order over an explicit stack, so the depth of ``root``
+    is not bounded by the recursion limit."""
     if memo is None:
         memo = {}
+    elif root in memo:
+        return memo[root]
     todo = [(root, None)]
     while todo:
-        node, family = todo.pop()
+        node, got = todo.pop()
         if node in memo:
             continue
-        if family is None:
-            family = children(node)
-        values = {}
-        for label, child in family:
-            if child not in memo:  # come back to node once its children are built
-                todo.append((node, family))
-                todo += [(u, None) for _, u in reversed(family) if u not in memo]
-                break
-            values[label] = memo[child]
-        else:
-            memo[node] = build(node, values)
+        if got is None:  # a first visit
+            got = parts(node)
+            if not got[1]:
+                memo[node] = build(node, {})
+                continue
+            if not all(map(memo.__contains__, got[1])):  # back once they are built
+                todo.append((node, got))
+                todo += zip(reversed(got[1]), repeat(None))
+                continue
+        labels, children = got
+        memo[node] = build(node, dict(zip(labels, map(memo.__getitem__, children))))
     return memo[root]
 
 
@@ -162,11 +274,13 @@ def fold_term(t: Term, leaf, node, memo: dict | None = None):
     """:func:`fold` over the syntax of ``t``, with ``leaf(gen)`` at each
     generator and ``node(app, family)`` at each application; ``memo`` as in
     :func:`fold`."""
+    if isinstance(t, Var):  # before the closure below is made
+        return leaf(t.gen)
 
     def build(u, family):
         return leaf(u.gen) if isinstance(u, Var) else node(u, family)
 
-    return leaf(t.gen) if isinstance(t, Var) else fold(t, children_of, build, memo)
+    return fold(t, parts_of, build, memo)
 
 
 def leaves(t: Term) -> tuple[str, ...]:
@@ -176,9 +290,29 @@ def leaves(t: Term) -> tuple[str, ...]:
 
 def speller():
     """A serialiser of terms or shapes, each node spelled from its children's
-    through one memo for all its calls, so each shared subtree once."""
+    through one memo for all its calls, so each shared subtree once.  It is
+    the one walk that is not a :func:`fold`: its stack holds bare nodes, and
+    each node is spelled by one Python call, of its own ``spell``, once its
+    children are; a node whose children are spelled (as in a list in
+    canonical order) costs no more.  It calls no other kernel function, so
+    how many calls a sort makes does not hang on the order of its input."""
     memo: dict = {}
-    return lambda node: fold(node, children_of, lambda u, f: u.spell(f), memo)
+    spelled = memo.__contains__
+
+    def spell(root) -> str:
+        todo = [root]
+        while todo:
+            node = todo[-1]
+            if node in memo:
+                todo.pop()
+            elif all(map(spelled, node.children)):
+                memo[node] = node.spell(memo)
+                todo.pop()
+            else:
+                todo += reversed(node.children)
+        return memo[root]
+
+    return spell
 
 
 def spellings(nodes: Iterable) -> list[str]:
@@ -210,12 +344,18 @@ def subst(t: Term, mapping: dict[str, Term]) -> Term:
     This is simultaneously substitution of an argument family into a boundary
     term and the action of a computad morphism on a term.
     """
-    return fold_term(t, mapping.__getitem__, lambda u, family: app(u.symbol, family))
+    return fold_term(t, mapping.__getitem__, _rebuilt)
 
 
 def rename(t: Term, mapping: dict[str, str]) -> Term:
     """Generator-to-generator relabelling (a variable-to-variable action)."""
-    return fold_term(t, lambda gen: var(mapping[gen]), lambda u, family: app(u.symbol, family))
+    return fold_term(t, lambda gen: var(mapping[gen]), _rebuilt)
+
+
+def _rebuilt(u: Node, family: dict) -> Node:
+    """``u``'s head over the values of ``family``, a fold's family for ``u``,
+    which lists them in label order."""
+    return node_of(u.head, tuple(family.values()))
 
 
 def boundary(ctx, face: FaceRef, t: Term) -> Term:
@@ -226,7 +366,7 @@ def boundary(ctx, face: FaceRef, t: Term) -> Term:
     """
     if isinstance(t, Var):
         return ctx.gluing(t.gen, face)
-    return subst(ctx.symbol(t.symbol).boundary[face], t.arg_map())
+    return fold_term(ctx.symbol(t.symbol).boundary[face], t.child, _rebuilt)
 
 
 def boundary_along(ctx, face: FaceRef, t: Term) -> Term:
@@ -238,13 +378,19 @@ def boundary_along(ctx, face: FaceRef, t: Term) -> Term:
     return boundary(ctx, face, t)
 
 
-def parts(ctx, t: Term) -> Sequence[tuple[str, Term]]:
-    """The (cell, term) pairs ``t`` is attached along: a generator's gluing
-    at each face into its sort, or an application's arguments."""
+def attached(ctx, t: Term) -> tuple[Sequence[str], Sequence[Term]]:
+    """The cells ``t`` is attached along and the term at each, as
+    :func:`fold` reads them: a generator's faces into its sort and its
+    gluings, or an application's labels and arguments."""
     if isinstance(t, Var):
         faces = ctx.base.faces_into(ctx.gen_sort(t.gen))
-        return [(face, ctx.gluing(t.gen, face)) for face in faces]
-    return t.args
+        return faces, [ctx.gluing(t.gen, face) for face in faces]
+    return t.labels, t.children
+
+
+def parts(ctx, t: Term) -> list[tuple[str, Term]]:
+    """The (cell, term) pairs ``t`` is attached along (see :func:`attached`)."""
+    return list(zip(*attached(ctx, t)))
 
 
 def check_family(ctx, x: Presheaf, family: dict[str, Term], what: str) -> None:
@@ -280,11 +426,11 @@ def check_term(ctx, t: Term, expected_sort: SortRef | None = None) -> SortRef:
 
     def enter(u: Term):
         term_sort(ctx, u)
-        return u.args
+        return u.labels, u.children
 
     def leave(u: Term, family) -> None:
         if isinstance(u, App):
-            check_args(ctx, u.symbol, u.arg_map())
+            check_args(ctx, u.symbol, dict(zip(u.labels, u.children)))
 
     fold(t, enter, leave)
     sort = term_sort(ctx, t)

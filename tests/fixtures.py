@@ -347,8 +347,9 @@ def random_computad(
         terms = {cat.face(f).src: enumerate_terms(lower, cat.face(f).src, depth) for f in faces}
         order = {s: {t: i for i, t in enumerate(ts)} for s, ts in terms.items()}
         spine = action_spine(partial(boundary, lower))
+        cells, found = homs(boundary_representable(cat, sort), terms.__getitem__, spine)
         families = sorted(
-            homs(boundary_representable(cat, sort), terms.__getitem__, spine),
+            (dict(zip(cells, family)) for family in found),
             key=lambda fam: [order[cat.face(f).src][fam[f]] for f in faces],
         )
         names = []

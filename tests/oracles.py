@@ -6,14 +6,15 @@ This is deliberately a separate implementation from the library's
 enumerator: it builds depth-indexed tables keyed by boundary profiles and
 grows them rank by rank, rather than recursing per call.
 
-Also here: from-scratch spellings of terms and shapes, the classifying
-morphism of a term read off the colimit presentation of its shape, the
-nerve's realisation with its plex maps found by search, the filtration's
-stage pushouts compared by isomorphism search, the underlying computad of
-an algebra found by scanning every carrier cell against every boundary
-type, random computads glued along families found by brute force, and the
-positions of a pasting tree, their faces and the boundary inclusions of its
-cuts found by recursion through the tree.
+Also here: the backtracking search as it yielded dicts, from-scratch
+spellings of terms and shapes, the classifying morphism of a term read off
+the colimit presentation of its shape, the nerve's realisation with its
+plex maps found by search, the filtration's stage pushouts compared by
+isomorphism search, the underlying computad of an algebra found by scanning
+every carrier cell against every boundary type, random computads glued
+along families found by brute force, and the positions of a pasting tree,
+their faces and the boundary inclusions of its cuts found by recursion
+through the tree.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections.abc import Iterator
 
 from computads.algebra import eval_in_env
 from computads.cofibrant import (
@@ -264,9 +266,9 @@ def scanned_underlying_computad(alg, depth_bound: int) -> UndResult:
         for sort in layer:
             sphere = boundary_representable(cat, sort)
             spine = action_spine(functools.partial(boundary, lower))
-            families = homs(sphere, lambda s: enumerate_terms(lower, s, depth_bound), spine)
+            cells, families = homs(sphere, lambda s: enumerate_terms(lower, s, depth_bound), spine)
             names = []
-            for family in families:
+            for family in (dict(zip(cells, found)) for found in families):
                 for cell in alg.cells_at(sort):
                     if all(
                         evaluate(family[face]) == alg.act(face, cell)
@@ -403,3 +405,91 @@ def tree_boundary_inclusion(cat, tree: Tree, n: int, flavor: str) -> PresheafMor
             )
     src, dst = _tree_presheaf(cat, cut), _tree_presheaf(cat, tree)
     return PresheafMorphism(src=src, dst=dst, component=component)
+
+
+def searched_families(
+    cells: list[tuple], injective: bool = False, constraints=()
+) -> Iterator[dict]:
+    """The search of ``presheaf.search`` as it was before its families
+    became tuples, kept verbatim but for this paragraph and its name: the
+    reference for the tuples ``presheaf.homs`` gives, read as dicts.
+
+    Yield every assignment of candidates to ``cells`` that passes every
+    constraint, in canonical order.
+
+    This is the one backtracking search of the kernel.  Each cell is
+    ``(name, below, bucket)``: the *profile* of the cell is the tuple of the
+    candidates assigned to the earlier cells named in ``below``, and
+    ``bucket`` maps a profile to the candidates that have it, in canonical
+    order.  Every face strictly lowers dimension, so when cells are listed in
+    increasing dimension the profile of a cell is forced by the cells before
+    it: its candidates are exactly one bucket entry, and none is tried only
+    to be rejected for its boundary.
+
+    Forward checking (Haralick and Elliott, 1980) cuts a branch as soon as a
+    later cell is sure to have no candidate.  Once the last cell named in a
+    cell's ``below`` is assigned, that cell's profile is fixed for every
+    completion of the partial assignment, so if its bucket holds nothing
+    there no completion exists and the candidate just placed is rejected.
+
+    Each constraint is ``(reads, predicate)``: ``predicate(assign)`` looks
+    only at the (at least one) cells named in ``reads``, and an assignment is
+    yielded only if every predicate holds.  The same forward-check step
+    evaluates a constraint as soon as the last cell it reads is assigned; its
+    verdict is then fixed for every completion, so a failure rejects the
+    candidate just placed.
+
+    Both checks only remove subtrees that hold no assignment passing every
+    constraint; they change neither which candidates a cell tries nor their
+    order.  So the assignments yielded, and their order, are exactly those
+    of the unchecked search filtered by the constraints.
+
+    Assignments are fresh dicts from names to candidates, yielded depth first
+    in lexicographic order of candidate positions.  With ``injective`` no
+    candidate is assigned twice.  The stack is explicit, so the number of
+    cells is not bounded by the interpreter's recursion limit.
+    """
+    assign: dict = {}
+    used: set = set()
+    # checks[i]: the (below, lookup) pairs fixed once cell i is assigned, each
+    # passing if lookup(profile of below) is truthy: the bucket of each later
+    # cell (beyond i + 1, which is reached next anyway) whose profile is then
+    # fixed, and each constraint whose last read cell is i.
+    position = {name: i for i, (name, _, _) in enumerate(cells)}
+    checks: list[list[tuple]] = [[] for _ in cells]
+    for j, (_, below, bucket) in enumerate(cells):
+        last = max([position[b] for b in below], default=-1)
+        if 0 <= last < j - 1:
+            checks[last].append((below, bucket.get))
+    for reads, predicate in constraints:
+        checks[max(position[r] for r in reads)].append(((), lambda _, p=predicate: p(assign)))
+
+    def options(i: int):
+        _, below, bucket = cells[i]
+        return iter(bucket.get(tuple([assign[b] for b in below]), ()))
+
+    if not cells:
+        yield {}
+        return
+    stack = [options(0)]
+    while stack:
+        i = len(stack) - 1
+        name, check = cells[i][0], checks[i]
+        if injective and name in assign:  # release the previous candidate
+            used.discard(assign[name])
+        for cand in stack[-1]:
+            if injective and cand in used:
+                continue
+            assign[name] = cand
+            if not check or all(get(tuple([assign[b] for b in below])) for below, get in check):
+                break
+        else:
+            assign.pop(name, None)
+            stack.pop()
+            continue
+        if injective:
+            used.add(cand)
+        if i + 1 == len(cells):
+            yield dict(assign)
+        else:
+            stack.append(options(i + 1))

@@ -1,8 +1,13 @@
-"""Terms and shapes are built only by ``var``, ``app``, ``pvar`` and
-``papp``, which intern them.  A node built any other way would be a second
-copy of an interned node and compare unequal to it, so no kernel module calls
-a node class, or ``interned``, outside those four constructors.  Each sorts
-the family it is given, so the order of a family never makes a second node.
+"""Terms and shapes are built only through ``terms.interned``, which interns
+them.  A node built any other way would be a second copy of an interned node
+and compare unequal to it, so no kernel module calls a node class, or one of
+the ``BUILDERS``, outside the sites in ``CONSTRUCTORS``, each with its
+reason.  ``var``, ``app``, ``pvar`` and ``papp`` sort the family they are
+given into label order; the callers of ``node_of`` pass children already in
+label order, as a fold gives them for a node over the same labels; and the
+batch builder ``monad._ranked`` hands ``interned`` the search's families
+with their cell order, which ``interned`` permutes into label order.  So the
+order of a family never makes a second node.
 
 Input is checked once, where it enters: the checked constructors of
 categories, presheaves, signatures, computads and morphisms are called only
@@ -19,7 +24,23 @@ from computads.plex import papp, pvar
 from computads.terms import app, var
 
 NODE_CLASSES = {"Var", "App", "PVar", "PApp"}
-CONSTRUCTORS = {("terms.py", "var"), ("terms.py", "app"), ("plex.py", "pvar"), ("plex.py", "papp")}
+BUILDERS = {"interned", "node_of", "_made"}
+SORTS = "sorts the family it is given into label order"
+OWN_LABELS = "a fold's family for a node of the same labels, in label order"
+CONSTRUCTORS = {
+    ("terms.py", "var"): "a leaf has no family: ``_made`` on a miss of its cached key",
+    ("terms.py", "app"): SORTS,
+    ("plex.py", "pvar"): SORTS,
+    ("plex.py", "papp"): SORTS,
+    ("terms.py", "node_of"): "one family, already in label order: ``_made`` on a miss",
+    ("terms.py", "interned"): "the families of one head, in label order: ``_made`` on a miss",
+    ("terms.py", "_rebuilt"): "a fold's family for a node over its own head",
+    ("plex.py", "pboundary"): OWN_LABELS,
+    ("plex.py", "classify"): OWN_LABELS,
+    ("plex.py", "polyplex_computad"): "the universal term: its shape's arguments, by label",
+    ("monad.py", "_ranked"): "the batch builder: each family from the search, which "
+    "``interned`` permutes from cell order into label order",
+}
 
 DECODER = "a JSON decoder"
 CHECKED = {
@@ -44,7 +65,7 @@ CHECKED = {
 
 class _Builds(ast.NodeVisitor):
     """(outermost function or None, called name, line) for each call of a
-    node class or of ``interned``."""
+    node class or of one of the ``BUILDERS``."""
 
     def __init__(self):
         self.functions: list[str] = []
@@ -58,7 +79,7 @@ class _Builds(ast.NodeVisitor):
     def visit_Call(self, node):
         func = node.func
         name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if name in NODE_CLASSES or name == "interned":
+        if name in NODE_CLASSES or name in BUILDERS:
             where = self.functions[0] if self.functions else None
             self.found.append((where, name, node.lineno))
         self.generic_visit(node)

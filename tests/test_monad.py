@@ -217,3 +217,26 @@ def test_terms_spelled_alike_are_a_duplicate_cell():
     c = make_computad(sig, {"*": ("1),f.*1=v(2", "3", "1", "2),f.*1=v(3")}, {})
     with pytest.raises(FunctorialityFailure, match="duplicate cell id"):
         term_presheaf(c, 1)
+
+
+def test_enumerated_terms_retain_few_bytes_each():
+    # a bound on memory, not a timing: a term of the group signature to depth
+    # 3 over two generators keeps 325-339 bytes (Python 3.10-3.13) with its
+    # children in one tuple under labels its head shares, and 428-442 bytes
+    # with a (label, child) pair per argument
+    import gc
+    import tracemalloc
+
+    from computads.packs import group_signature
+
+    c = make_computad(group_signature(), {"*": ("x", "y")}, {})
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ts = enumerate_terms(c, "*", 3)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ts) == 8745
+    assert retained / len(ts) <= 400

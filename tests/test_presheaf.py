@@ -160,3 +160,108 @@ def test_representable_rejects_a_face_named_like_its_identity():
     with pytest.raises(FunctorialityFailure, match="duplicate cell id 'id_b'"):
         boundary_representable(cat, "b")
     assert representable(cat, "a").cells_at("a") == ("id_a",)
+
+
+# -- homs against the search that yielded dicts --------------------------------------
+
+def _as_the_oracle_finds(monkeypatch, run) -> list:
+    """Run ``run()`` with each ``presheaf.search`` recorded, and check that
+    its tuples, read as dicts by their cell names, are the families of
+    ``oracles.searched_families`` on the same cells, in the same order.
+    Returns the families of each search."""
+    from computads import presheaf
+
+    from oracles import searched_families
+
+    search, found = presheaf.search, []
+
+    def recorded(cells, injective=False, constraints=()):
+        families = list(search(cells, injective, constraints))
+        found.append((cells, injective, constraints, families))
+        return iter(families)
+
+    monkeypatch.setattr(presheaf, "search", recorded)
+    run()
+    monkeypatch.undo()
+    for cells, injective, constraints, families in found:
+        names = [name for name, _, _ in cells]
+        assert all(type(family) is tuple for family in families)
+        want = list(searched_families(cells, injective, constraints))
+        assert [dict(zip(names, family)) for family in families] == want
+    return [families for *_, families in found]
+
+
+def test_homs_finds_the_oracle_families_over_law_family_spines(monkeypatch):
+    from computads.computad import enumerate_var_to_var
+
+    from fixtures import law_families
+
+    families = law_families()
+
+    def run():
+        for c in families:
+            assert enumerate_var_to_var(c, c)  # the identity at least
+
+    assert len(_as_the_oracle_finds(monkeypatch, run)) == len(families)
+
+
+def test_homs_finds_the_oracle_isomorphisms_of_relabelled_walks(monkeypatch):
+    from computads.computad import find_isomorphism
+
+    from fixtures import comp_signature, relabelled, walk_n
+
+    walks = [walk_n(comp_signature(), n) for n in range(1, 12)]
+
+    def run():
+        for n, c in enumerate(walks):
+            assert find_isomorphism(c, relabelled(c, random.Random(n))) is not None
+            assert find_isomorphism(c, walks[n - 1]) is None or n == 0
+
+    found = _as_the_oracle_finds(monkeypatch, run)
+    assert sum(map(len, found)) >= len(walks)
+
+
+def test_homs_finds_the_oracle_algebra_maps(monkeypatch):
+    from computads.algebra import algebra_morphisms
+
+    from fixtures import chain_algebra, zn_algebra
+
+    zn = [zn_algebra(n) for n in range(1, 7)]
+    chains = [chain_algebra(k) for k in range(1, 5)]
+
+    def run():
+        for src in zn:
+            for dst in zn:
+                algebra_morphisms(src, dst)
+        for src in chains:
+            for dst in chains:
+                algebra_morphisms(src, dst)
+
+    found = _as_the_oracle_finds(monkeypatch, run)
+    assert len(found) == len(zn) ** 2 + len(chains) ** 2
+    assert any(len(families) > 1 for families in found)
+
+
+def test_homs_finds_the_oracle_families_of_terms_and_shapes(monkeypatch):
+    from computads.computad import free_computad
+    from computads.monad import enumerate_terms
+    from computads.packs import sigma_kan, simplex
+    from computads.plex import enumerate_polyplexes
+
+    from fixtures import law_families
+
+    computads = law_families()
+    sig = sigma_kan(2)
+    interval = free_computad(simplex(sig.base, 1), sig)
+
+    def run():
+        for c in computads:
+            for sort in c.base.sorts:
+                enumerate_terms(c, sort, 2)
+        for sort in sig.base.sorts:
+            enumerate_terms(interval, sort, 2)
+            enumerate_polyplexes(sig, sort, 1)
+        enumerate_polyplexes(sig, "[1]", 2)
+
+    found = _as_the_oracle_finds(monkeypatch, run)
+    assert len(found) > 150 and sum(map(len, found)) > 1000

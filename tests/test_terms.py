@@ -121,3 +121,51 @@ def test_canonical_key_orders_by_depth_then_structure():
     ordered, names = canonical_sort(ts)
     assert ordered == [var("u"), var("v"), comp_uv()]
     assert names == [serialize(t) for t in ordered]
+
+
+# -- the node layout: flat children under labels shared per head -------------------
+
+def _below(roots) -> list:
+    """Every node reached from ``roots`` through children, once each."""
+    seen, todo = {}, list(roots)
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo += node.children
+    return list(seen.values())
+
+
+def test_enumerated_nodes_hold_flat_children_under_shared_labels():
+    from computads.computad import free_computad, make_computad
+    from computads.monad import enumerate_terms
+    from computads.packs import group_signature, sigma_kan, simplex
+    from computads.plex import PApp, PVar, enumerate_polyplexes, papp, pvar
+    from computads.terms import App, Var
+
+    from fixtures import law_families
+
+    group = make_computad(group_signature(), {"*": ("x", "y")}, {})
+    sig = sigma_kan(2)
+    roots = list(enumerate_terms(group, "*", 3))
+    for c in law_families() + [free_computad(simplex(sig.base, 1), sig)]:
+        roots += [t for sort in c.base.sorts for t in enumerate_terms(c, sort, 2)]
+    roots += [p for sort in sig.base.sorts for p in enumerate_polyplexes(sig, sort, 1)]
+    nodes = _below(roots)
+    labels_of = {}  # (class, head fields, labels) -> the labels object of its nodes
+    for n in nodes:
+        assert type(n.children) is tuple and n.labels is n.head.labels
+        assert n.args == tuple(zip(n.labels, n.children))
+        assert list(n.labels) == sorted(n.labels)
+        assert labels_of.setdefault((type(n), n.head.fields, n.labels), n.labels) is n.labels
+        if isinstance(n, Var):
+            assert var(n.gen) is n
+        elif isinstance(n, App):
+            assert app(n.symbol, n.arg_map()) is n
+        elif isinstance(n, PVar):
+            assert pvar(n.sort, n.arg_map()) is n
+        else:
+            assert isinstance(n, PApp) and papp(n.sort, n.symbol, n.arg_map()) is n
+    kinds = {type(n) for n in nodes}
+    assert kinds == {Var, App, PVar, PApp} and len(nodes) > 1000
+    assert len(labels_of) < len(nodes) / 10  # one labels object serves many nodes
